@@ -120,8 +120,25 @@ func (s *cyclicSource) Next() (trace.Ref, bool) {
 // annotations are cleared before replay — a cycled trace would
 // otherwise strand processors at barriers whose partners ran out of
 // budget mid-round.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	built := workload.Build(workload.TRFD4, kernel.OptConfig{}, benchScale, 1)
+func BenchmarkSimulatorThroughput(b *testing.B) { benchThroughput(b, sim.DefaultParams()) }
+
+// BenchmarkSimulatorThroughputDir16 and BenchmarkSimulatorThroughputDir64
+// measure the same steady-state loop on the 16- and 64-CPU directory
+// machines, where the scheduler and the write-buffer probes scale with
+// the processor count.
+func BenchmarkSimulatorThroughputDir16(b *testing.B) { benchThroughput(b, dirParams(16)) }
+
+func BenchmarkSimulatorThroughputDir64(b *testing.B) { benchThroughput(b, dirParams(64)) }
+
+func dirParams(cpus int) sim.Params {
+	p := sim.DefaultParams()
+	p.NumCPUs = cpus
+	p.Coherence = sim.CoherenceDirectory
+	return p
+}
+
+func benchThroughput(b *testing.B, p sim.Params) {
+	built := workload.BuildN(workload.TRFD4, kernel.OptConfig{}, benchScale, 1, p.NumCPUs)
 	per := make([][]trace.Ref, len(built.PerCPU))
 	for c, refs := range built.PerCPU {
 		per[c] = make([]trace.Ref, len(refs))
@@ -135,7 +152,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	for c := range per {
 		srcs[c] = &cyclicSource{refs: per[c], budget: &budget}
 	}
-	s, err := sim.New(sim.DefaultParams(), srcs)
+	s, err := sim.New(p, srcs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -45,6 +45,7 @@ func main() {
 		fatal(err)
 	}
 	report := diff(oldRes, newRes, *threshold)
+	report.NumCPU = runtime.NumCPU()
 	report.GOMAXPROCS = runtime.GOMAXPROCS(0)
 
 	enc, err := json.MarshalIndent(report, "", "  ")

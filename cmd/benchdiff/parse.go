@@ -109,8 +109,9 @@ type Comparison struct {
 type Report struct {
 	// Threshold is the allowed fractional allocs/op growth.
 	Threshold float64 `json:"threshold"`
-	// GOMAXPROCS records the gate machine's parallelism, for reading
-	// the parallel-scheduler numbers in context.
+	// NumCPU and GOMAXPROCS record the gate machine's parallelism, for
+	// reading the parallel-scheduler numbers in context.
+	NumCPU     int          `json:"num_cpu"`
 	GOMAXPROCS int          `json:"gomaxprocs"`
 	Benchmarks []Comparison `json:"benchmarks"`
 	// Failed is true when any benchmark regressed.

@@ -59,14 +59,12 @@ func main() {
 		parallel = flag.Bool("parallel", true, "fan unique cells across workers")
 		workers  = flag.Int("workers", 0, "worker count when parallel (0 = GOMAXPROCS)")
 		stream   = flag.Bool("stream", false, "generate each workload concurrently with its simulation")
-		intraW   = flag.Int("intra-workers", 0, "advance processors of each single run concurrently on this many workers (byte-identical output; 0 or 1 = serial)")
 		verbose  = flag.Bool("v", false, "print per-cell coordinates and raw metrics")
 	)
 	flag.Parse()
 
 	g := campaign.Grid{
 		L2Line: *l2line, Scale: *scale, Seed: *seed, Stream: *stream, MaxCells: *maxCells,
-		IntraWorkers: *intraW,
 	}
 	if *scnArg != "" {
 		spec, err := scenario.Resolve(*scnArg)
@@ -129,7 +127,6 @@ func main() {
 	defer stop()
 	r := experiment.NewRunnerContext(ctx, experiment.Config{
 		Scale: *scale, Seed: *seed, Parallel: *parallel, Workers: *workers, Stream: *stream,
-		IntraWorkers: *intraW,
 	})
 
 	fmt.Fprintf(os.Stderr, "campaign: %d cells (%d unique) across axes %v\n",

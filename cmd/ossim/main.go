@@ -48,7 +48,6 @@ func main() {
 		l1wb    = flag.Bool("l1wb", false, "make the primary data cache write-back (stores to L2-owned lines complete locally)")
 		scnArg  = flag.String("scenario", "", "declarative scenario: a spec file path or a preset name (see -list-workloads)")
 		listW   = flag.Bool("list-workloads", false, "list the built-in workloads and scenario presets, then exit")
-		intraW  = flag.Int("intra-workers", 0, "advance processors of the single run concurrently on this many workers (byte-identical output; 0 or 1 = serial)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProf = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	)
@@ -79,8 +78,7 @@ func main() {
 	cfg := core.RunConfig{
 		System: sys, Scale: *scale, Seed: *seed,
 		DeferredCopy: *dcopy, PureUpdate: *pureUp, Stream: *stream,
-		IntraWorkers: *intraW,
-		Machine:      machineFromFlags(*ncpus, *cohname, *l1wb),
+		Machine: machineFromFlags(*ncpus, *cohname, *l1wb),
 	}
 	if *scnArg != "" {
 		explicitWorkload := false

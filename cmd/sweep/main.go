@@ -52,7 +52,6 @@ func main() {
 		parallel = flag.Bool("parallel", true, "fan grid points across workers (output is identical to serial)")
 		workers  = flag.Int("workers", 0, "worker count when parallel (0 = GOMAXPROCS)")
 		stream   = flag.Bool("stream", false, "generate each workload concurrently with its simulation in bounded chunks (identical output, flat memory)")
-		intraW   = flag.Int("intra-workers", 0, "advance processors of each single run concurrently on this many workers (byte-identical output; 0 or 1 = serial)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 		verbose  = flag.Bool("v", false, "append per-worker scheduler stats (busy/idle time, runs, steals)")
@@ -172,7 +171,7 @@ func main() {
 		p := pt.p
 		cfg := core.RunConfig{
 			System: sys, Scale: *scale, Seed: *seed,
-			Machine: &p, Stream: *stream, IntraWorkers: *intraW,
+			Machine: &p, Stream: *stream,
 		}
 		if pt.spec != nil {
 			cfg.Scenario = pt.spec
@@ -186,7 +185,6 @@ func main() {
 	defer stop()
 	r := experiment.NewRunnerContext(ctx, experiment.Config{
 		Scale: *scale, Seed: *seed, Parallel: *parallel, Workers: *workers, Stream: *stream,
-		IntraWorkers: *intraW,
 	})
 
 	// Warm the whole grid through the work-stealing scheduler, then

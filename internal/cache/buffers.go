@@ -117,15 +117,6 @@ func (b *WriteBuffer) Contains(addr uint64) bool {
 // full buffer.
 func (b *WriteBuffer) RecordOverflow() { b.overflows++ }
 
-// ForEach calls fn for every queued entry in FIFO order. The intra-run
-// parallel engine uses it to prove a window's queued writes will all be
-// absorbed locally before letting processors advance concurrently.
-func (b *WriteBuffer) ForEach(fn func(WriteBufferEntry)) {
-	for i := range b.entries {
-		fn(b.entries[i])
-	}
-}
-
 // Overflows returns how many overflow stalls were recorded.
 func (b *WriteBuffer) Overflows() uint64 { return b.overflows }
 

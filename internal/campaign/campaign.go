@@ -99,12 +99,10 @@ type Grid struct {
 	// Base optionally overrides the base machine at every cell; nil
 	// means the paper's machine.
 	Base *sim.Params
-	// Scale, Seed, Stream and IntraWorkers apply to every cell
-	// (core.RunConfig).
-	Scale        int
-	Seed         int64
-	Stream       bool
-	IntraWorkers int
+	// Scale, Seed and Stream apply to every cell (core.RunConfig).
+	Scale  int
+	Seed   int64
+	Stream bool
 	// MaxCells bounds the expanded grid (0 = DefaultMaxCells).
 	MaxCells int
 }
@@ -286,7 +284,6 @@ func (g *Grid) Expand() ([]Cell, error) {
 							for _, sys := range g.Systems {
 								cfg := core.RunConfig{
 									System: sys, Scale: g.Scale, Seed: g.Seed, Stream: g.Stream,
-									IntraWorkers: g.IntraWorkers,
 								}
 								if machineAxes {
 									machine := p

@@ -181,16 +181,6 @@ type RunConfig struct {
 	// excluded from CanonicalKey. Incompatible with Monitor (which
 	// needs replayable materialized sources).
 	Stream bool
-	// IntraWorkers > 1 runs the single simulation itself on multiple
-	// goroutines: processors advance concurrently through bounded time
-	// windows the simulator proves free of cross-processor coherence
-	// traffic, with serial fallback for every other window (see
-	// internal/sim/parallel.go). Results are byte-identical to serial —
-	// pinned by the intra-parallel determinism tier — so, like Stream,
-	// it is an execution strategy excluded from CanonicalKey. It
-	// composes with Stream and with experiment.Config.Parallel (which
-	// parallelizes across runs; multiply the two widths with care).
-	IntraWorkers int
 	// Monitor, when non-nil, is called with the freshly built simulator
 	// before Run starts, letting callers attach an observer (the
 	// internal/check differential oracle) or inspect the machine.
@@ -303,7 +293,6 @@ func machineParams(cfg RunConfig) sim.Params {
 	if cfg.Progress != nil {
 		p.Progress = cfg.Progress
 	}
-	p.IntraWorkers = cfg.IntraWorkers
 	return p
 }
 

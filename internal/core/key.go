@@ -29,9 +29,7 @@ const SimVersion = "oscachesim/sim/v1"
 // strategy (generation overlapped with simulation in bounded chunks)
 // that is pinned byte-identical to the materialized path by the
 // streaming determinism tier, so a cached materialized result answers
-// a streaming request and vice versa. IntraWorkers is excluded for the
-// same reason: the intra-run parallel engine is pinned byte-identical
-// to the serial engine by its own determinism tier. The Machine's Attrs and
+// a streaming request and vice versa. The Machine's Attrs and
 // RegionNamer are also excluded: Run derives both from hashed fields
 // (System, UpdateSet, PureUpdate, TrackConflicts), overwriting
 // whatever the caller supplied.

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"oscachesim/internal/check"
 	"oscachesim/internal/core"
-	"oscachesim/internal/scenario"
 	"oscachesim/internal/sim"
 	"oscachesim/internal/workload"
 )
@@ -78,135 +76,6 @@ func TestStreamingDeterminism(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: streaming render differs from materialized", e.ID)
 		}
-	}
-}
-
-// TestIntraParallelDeterminism is the intra-run parallel determinism
-// tier: the epoch-sharded engine (RunConfig.IntraWorkers) must be a
-// pure execution strategy, never changing what a run computes. Three
-// layers of evidence:
-//
-//  1. Every paper experiment renders byte-identically with the intra
-//     engine on, alone and stacked on the streaming pipeline.
-//  2. Every scenario preset, on both the paper's 4-CPU snooping
-//     machine and a 16-CPU directory machine, matches an
-//     oracle-verified serial baseline (check.Differential replays the
-//     serial run against the flat-memory oracle, so the baseline
-//     itself is known-good, not merely self-consistent) on counters,
-//     reference totals and per-CPU clocks.
-//  3. A workload known to admit parallel windows proves the engine
-//     actually ran windows concurrently — guarding against the
-//     vacuous pass where every window falls back to serial execution.
-//
-// Under -race in CI (at GOMAXPROCS 1 and 4) this also exercises the
-// window workers' clone/commit protocol under real contention.
-func TestIntraParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-strategy grid rerun is slow")
-	}
-	ctx := context.Background()
-
-	// Layer 1: all paper experiments, byte-identical renders.
-	cfg := TestConfig()
-	serial := NewRunner(cfg)
-	icfg := cfg
-	icfg.IntraWorkers = 4
-	intra := NewRunner(icfg)
-	sicfg := icfg
-	sicfg.Stream = true
-	streamedIntra := NewRunner(sicfg)
-	for _, e := range All() {
-		want, err := e.Render(serial)
-		if err != nil {
-			t.Fatalf("%s serial: %v", e.ID, err)
-		}
-		for name, r := range map[string]*Runner{
-			"intra-parallel": intra, "streamed intra-parallel": streamedIntra,
-		} {
-			got, err := e.Render(r)
-			if err != nil {
-				t.Fatalf("%s %s: %v", e.ID, name, err)
-			}
-			if got != want {
-				t.Errorf("%s: %s render differs from serial", e.ID, name)
-			}
-		}
-	}
-
-	// Layer 2: every scenario preset on both machine geometries
-	// against an oracle-verified serial baseline.
-	machines := map[string]func() *sim.Params{
-		"snoop-4": nil,
-		"dir-16": func() *sim.Params {
-			p := sim.DefaultParams()
-			p.NumCPUs = 16
-			p.Coherence = sim.CoherenceDirectory
-			return &p
-		},
-	}
-	for _, preset := range scenario.PresetNames() {
-		for mname, mk := range machines {
-			base := scenarioCfg(t, preset, core.Base)
-			if mk != nil {
-				base.Machine = mk()
-			}
-			want, err := check.Differential(ctx, base)
-			if err != nil {
-				t.Fatalf("%s/%s oracle baseline: %v", preset, mname, err)
-			}
-			for vname, stream := range map[string]bool{
-				"intra-parallel": false, "streamed intra-parallel": true,
-			} {
-				v := scenarioCfg(t, preset, core.Base)
-				if mk != nil {
-					v.Machine = mk()
-				}
-				v.IntraWorkers = 4
-				v.Stream = stream
-				got, err := core.Run(ctx, v)
-				if err != nil {
-					t.Fatalf("%s/%s %s: %v", preset, mname, vname, err)
-				}
-				if got.Counters != want.Counters {
-					t.Errorf("%s/%s: %s counters differ from oracle-verified serial", preset, mname, vname)
-				}
-				if got.Refs != want.Refs {
-					t.Errorf("%s/%s: %s simulated %d refs, serial %d", preset, mname, vname, got.Refs, want.Refs)
-				}
-				if len(got.CPUTime) != len(want.CPUTime) {
-					t.Fatalf("%s/%s: %s reports %d CPU clocks, serial %d",
-						preset, mname, vname, len(got.CPUTime), len(want.CPUTime))
-				}
-				for i := range want.CPUTime {
-					if got.CPUTime[i] != want.CPUTime[i] {
-						t.Errorf("%s/%s: %s cpu%d clock %d, serial %d",
-							preset, mname, vname, i, got.CPUTime[i], want.CPUTime[i])
-					}
-				}
-			}
-		}
-	}
-
-	// Layer 3: the pass must not be vacuous. TRFD's private-data loops
-	// are the friendliest case the engine has; if even this run
-	// executes zero windows concurrently, the engine is disabled or
-	// the planner has regressed into permanent serial fallback.
-	var captured *sim.Simulator
-	probe := core.RunConfig{
-		Workload: workload.TRFD4, System: core.Base, Scale: 10, Seed: 7,
-		IntraWorkers: 4,
-		Monitor:      func(s *sim.Simulator, _ sim.Params) { captured = s },
-	}
-	if _, err := core.Run(ctx, probe); err != nil {
-		t.Fatalf("engine probe: %v", err)
-	}
-	if captured == nil {
-		t.Fatal("engine probe: monitor never ran")
-	}
-	windows, parallelWindows, parallelRefs := captured.IntraStats()
-	if parallelWindows == 0 || parallelRefs == 0 {
-		t.Errorf("engine probe: %d windows but %d parallel (refs %d) — intra engine never ran a window concurrently",
-			windows, parallelWindows, parallelRefs)
 	}
 }
 

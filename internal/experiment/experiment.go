@@ -41,12 +41,6 @@ type Config struct {
 	// pinned by the streaming determinism tier — so this only trades
 	// peak memory and wall clock.
 	Stream bool
-	// IntraWorkers runs each single simulation on this many worker
-	// goroutines (core.RunConfig.IntraWorkers): processors advance
-	// concurrently through provably conflict-free time windows, byte-
-	// identical to the serial engine. 0 or 1 means serial. Orthogonal
-	// to Parallel/Workers, which fan out across simulations.
-	IntraWorkers int
 	// Compute, when non-nil, replaces core.Run as the execution of a
 	// cache miss. It runs beneath the memo and singleflight layers, so
 	// a caller (the ossimd cluster mode) can extend the dedup chain —
@@ -166,7 +160,7 @@ func (r *Runner) configFor(w workload.Name, sys core.System) core.RunConfig {
 	return core.RunConfig{
 		Workload: w, System: sys,
 		Scale: r.cfg.Scale, Seed: r.cfg.Seed,
-		Stream: r.cfg.Stream, IntraWorkers: r.cfg.IntraWorkers,
+		Stream: r.cfg.Stream,
 	}
 }
 

@@ -88,14 +88,13 @@ func (cr *CampaignRequest) plan() (*campaign.Plan, string, error) {
 		return nil, "", err
 	}
 	g := campaign.Grid{
-		L2Line:       cr.L2Line,
-		Scale:        cr.Scale,
-		Seed:         cr.Seed,
-		Stream:       cr.Stream,
-		IntraWorkers: cr.IntraWorkers,
-		MaxCells:     maxCampaignCells,
-		CPUs:         cr.CPUs,
-		Sharers:      cr.Sharers,
+		L2Line:   cr.L2Line,
+		Scale:    cr.Scale,
+		Seed:     cr.Seed,
+		Stream:   cr.Stream,
+		MaxCells: maxCampaignCells,
+		CPUs:     cr.CPUs,
+		Sharers:  cr.Sharers,
 	}
 	switch {
 	case len(cr.Workloads) > 0:

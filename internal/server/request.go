@@ -37,8 +37,6 @@ const (
 	maxAssoc = 64
 	// maxScale bounds requested scheduling rounds per workload.
 	maxScale = 1000
-	// maxIntraWorkers bounds a job's intra-run worker count.
-	maxIntraWorkers = 64
 	// maxSweepPoints bounds the grid of one sweep job.
 	maxSweepPoints = 64
 	// maxSweepSystems bounds the systems compared per sweep point.
@@ -202,7 +200,6 @@ func (rr *RunRequest) toConfig() (core.RunConfig, error) {
 		DeferredCopy: rr.DeferredCopy,
 		PureUpdate:   rr.PureUpdate,
 		Stream:       rr.Stream,
-		IntraWorkers: rr.IntraWorkers,
 	}
 	if rr.Machine != nil {
 		p, err := rr.Machine.toParams()
@@ -345,7 +342,6 @@ func (sr *SweepRequest) expand() ([]sweepPoint, error) {
 			cfg := core.RunConfig{
 				System: sys, Scale: sr.Scale, Seed: sr.Seed,
 				Machine: &machine, Stream: sr.Stream,
-				IntraWorkers: sr.IntraWorkers,
 			}
 			if g.spec != nil {
 				cfg.Scenario = g.spec

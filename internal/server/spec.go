@@ -83,11 +83,10 @@ type JobOptions struct {
 	// run (the canonical key ignores this flag), so it only trades the
 	// job's peak memory and wall clock.
 	Stream bool `json:"stream,omitempty"`
-	// IntraWorkers advances the processors of each single simulation
-	// concurrently on this many worker goroutines. Results are
-	// byte-identical to serial execution (the canonical key ignores
-	// this knob too), so it only trades the job's wall clock; 0 or 1
-	// means serial.
+	// IntraWorkers is deprecated: it selected the intra-run parallel
+	// engine, which has been removed. It is still decoded, so that
+	// requests carrying it are not rejected by the strict decoder, and
+	// then ignored; it will be dropped in the next release.
 	IntraWorkers int `json:"intra_workers,omitempty"`
 	// TimeoutMS optionally tightens the server's per-job deadline; it
 	// can never extend it.
@@ -101,9 +100,6 @@ func (o *JobOptions) validate() error {
 	}
 	if o.Seed < 0 {
 		return fieldErrf("seed", o.Seed, "must be non-negative")
-	}
-	if o.IntraWorkers < 0 || o.IntraWorkers > maxIntraWorkers {
-		return fieldErrf("intra_workers", o.IntraWorkers, "out of range [0, %d]", maxIntraWorkers)
 	}
 	if o.TimeoutMS < 0 {
 		return fieldErrf("timeout_ms", o.TimeoutMS, "must be non-negative")

@@ -258,6 +258,7 @@ func (s *Simulator) writeAccess(c *cpuState, r trace.Ref, mode int) {
 		Block: r.Block,
 	})
 	s.drainMask[c.id>>6] |= 1 << (uint(c.id) & 63)
+	s.drainAt[c.id] = 0
 	if s.obs != nil {
 		s.emit(Event{Kind: EvWBPush, CPU: c.id, Level: 1, Addr: r.Addr})
 	}
@@ -811,33 +812,51 @@ func (s *Simulator) noteDMABlock(c *cpuState, r trace.Ref, size uint64) {
 // advanceDrains retires write-buffer entries whose service starts by
 // the processor's current time. Buffer slots free when the downstream
 // unit takes the entry.
-func (s *Simulator) advanceDrains(c *cpuState) { s.advanceDrainsUntil(c, c.time) }
+func (s *Simulator) advanceDrains(c *cpuState) { s.probeDrains(c.id, c.time) }
 
-// advanceDrainsUntil drains c's write buffers up to the given horizon,
-// which may be another processor's clock (global time).
-func (s *Simulator) advanceDrainsUntil(c *cpuState, until uint64) {
-	if c.l1wb.Len() == 0 && c.l2wb.Len() == 0 {
-		// Nothing buffered: the common case, since step probes every
-		// processor's buffers before each reference.
+// probeDrains advances processor id's write buffers to the given
+// horizon unless its drain horizon lies beyond it — such a probe cannot
+// make progress, and skipping it leaves the processor's state
+// untouched. It then records the new horizon, dropping the processor
+// from drainMask once both buffers are empty.
+func (s *Simulator) probeDrains(id int, until uint64) {
+	if s.drainAt[id] > until {
 		return
 	}
+	at := s.advanceDrainsUntil(s.cpus[id], until)
+	s.drainAt[id] = at
+	if at == never {
+		s.drainMask[id>>6] &^= 1 << (uint(id) & 63)
+	}
+}
+
+// advanceDrainsUntil drains c's write buffers up to the given horizon,
+// which may be another processor's clock (global time). It returns c's
+// drain horizon afterwards: the earliest service start among its
+// buffer heads, or never once both buffers are empty.
+func (s *Simulator) advanceDrainsUntil(c *cpuState, until uint64) uint64 {
 	for {
+		next := never
 		progressed := false
 		if e, ok := c.l2wb.Peek(); ok {
 			start := max(c.wbFreeB, e.Ready)
 			if start <= until {
 				s.serviceL2WBHead(c)
 				progressed = true
+			} else {
+				next = start
 			}
 		}
 		if e, ok := c.l1wb.Peek(); ok {
 			start := max(c.wbFreeA, e.Ready)
 			if start <= until && s.serviceL1WBHead(c, false) {
 				progressed = true
+			} else {
+				next = min(next, start)
 			}
 		}
 		if !progressed {
-			return
+			return next
 		}
 	}
 }
@@ -878,6 +897,7 @@ func (s *Simulator) serviceL1WBHead(c *cpuState, force bool) bool {
 		return false
 	}
 	start := max(c.wbFreeA, e.Ready)
+	s.drainAt[c.id] = 0
 	l2line := c.l2.LineAddr(e.Addr)
 	st := c.l2.State(l2line)
 	switch {
@@ -942,6 +962,7 @@ func (s *Simulator) serviceL2WBHead(c *cpuState) uint64 {
 	if !ok {
 		return c.wbFreeB
 	}
+	s.drainAt[c.id] = 0
 	if s.obs != nil {
 		s.emit(Event{Kind: EvWBRetire, CPU: c.id, Level: 2, Addr: e.Addr})
 	}

@@ -183,14 +183,6 @@ type Params struct {
 	// it does not affect simulation results and is excluded from
 	// canonical run keys and the wire encoding.
 	Progress *Progress `json:"-"`
-	// IntraWorkers > 1 enables intra-run parallel execution: processors
-	// advance concurrently through bounded time windows that a
-	// conservative pre-scan has proven free of cross-processor coherence
-	// traffic, falling back to the serial engine for every other window
-	// (see parallel.go). Execution strategy only: results are
-	// byte-identical to the serial engine, so the field is excluded from
-	// canonical run keys. 0 or 1 means serial.
-	IntraWorkers int
 }
 
 // DefaultParams returns the paper's Base machine.
@@ -321,9 +313,6 @@ func (p Params) Validate() error {
 	}
 	if p.Block == BlockBypassPref && p.PrefBufLines <= 0 {
 		return fieldErr("PrefBufLines", p.PrefBufLines, "bypass+pref needs a prefetch buffer")
-	}
-	if p.IntraWorkers < 0 {
-		return fieldErr("IntraWorkers", p.IntraWorkers, "intra-run worker count must not be negative")
 	}
 	return nil
 }

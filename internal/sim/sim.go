@@ -41,29 +41,29 @@ type Simulator struct {
 	// when Params.RegionNamer is set.
 	conflicts map[ConflictPair]uint64
 
-	// runq holds the runnable processor ids — only runnable ones, so
-	// done and blocked processors cost nothing per step. At small
-	// machine sizes it is an unordered set selected from by linear
-	// scan (a handful of loads, cheaper than heap maintenance); past
-	// runqScanMax CPUs it is a binary min-heap keyed on (local clock,
-	// id), replacing the per-step scan that turned quadratic at
-	// directory-scale CPU counts. Both orders pick the same processor:
-	// smallest clock, ties to the lowest id. heapPos is each
-	// processor's index in runq, or -1 while it is done or blocked.
-	runq    []int32
-	heapPos []int32
-	useHeap bool
+	// runq is a tournament tree over the processors, keyed on (local
+	// clock, id) packed into one word (see runKey): leaf runqLeaves+i
+	// holds processor i's key (never while it is done or blocked),
+	// every inner node holds the smaller of its two children, and
+	// runq[1] is therefore the next processor to step — smallest clock,
+	// ties to the lowest id. A clock change replays one leaf-to-root
+	// path of inline compares.
+	runq       []uint64
+	runqLeaves int
 
 	// drainMask has one bit per processor, set while that processor has
 	// a nonempty write buffer. step probes only flagged processors (in
 	// ascending id order, matching the old full scan) instead of all N.
 	drainMask []uint64
+	// drainAt is, per processor, a lower bound on the earliest global
+	// time at which a probe of its write buffers can make progress: the
+	// smallest service start over its nonempty buffers' heads. Every
+	// push and service resets it to 0, and each probe recomputes it, so
+	// step can skip a flagged processor whose horizon lies in the
+	// future without touching its state.
+	drainAt []uint64
 
 	refs uint64
-
-	// intraStats is the parallel engine's window census of the last Run
-	// (see parallel.go); zero for serial runs.
-	intraStats intraStats
 }
 
 // ConflictPair names the two data structures involved in a
@@ -139,16 +139,16 @@ func New(p Params, sources []trace.Source) (*Simulator, error) {
 	for i, src := range sources {
 		s.cpus = append(s.cpus, newCPU(i, p, src))
 	}
-	s.useHeap = p.NumCPUs > runqScanMax
-	s.heapPos = make([]int32, p.NumCPUs)
-	s.runq = make([]int32, 0, p.NumCPUs)
-	for i := range s.cpus {
-		s.heapPos[i] = -1
+	s.runqLeaves = 1 << bits.Len(uint(p.NumCPUs-1))
+	s.runq = make([]uint64, 2*s.runqLeaves)
+	for i := range s.runq {
+		s.runq[i] = never
 	}
-	for i := range s.cpus {
-		s.runqPush(int32(i))
+	for _, c := range s.cpus {
+		s.runqSet(c)
 	}
 	s.drainMask = make([]uint64, (p.NumCPUs+63)/64)
+	s.drainAt = make([]uint64, p.NumCPUs)
 	return s, nil
 }
 
@@ -157,9 +157,6 @@ func New(p Params, sources []trace.Source) (*Simulator, error) {
 // ctxCheckStride steps, so an abort costs at most a few microseconds of
 // extra simulation); the error then wraps context.Cause(ctx).
 func (s *Simulator) Run(ctx context.Context) (*Result, error) {
-	if s.intraEligible() {
-		return s.runParallel(ctx)
-	}
 	for n := uint64(0); ; n++ {
 		if n&(ctxCheckStride-1) == 0 {
 			select {
@@ -168,18 +165,22 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 			default:
 			}
 		}
-		if len(s.runq) == 0 {
+		next := s.runq[1]
+		if next == never {
 			if s.allDone() {
 				break
 			}
 			return nil, s.deadlockError()
 		}
-		c := s.schedNext()
+		c := s.cpus[next&runIDMask]
 		if s.p.MaxRefs != 0 && s.refs >= s.p.MaxRefs {
 			return nil, fmt.Errorf("sim: exceeded MaxRefs=%d", s.p.MaxRefs)
 		}
+		if next>>runIDBits == runMaxTime {
+			return nil, fmt.Errorf("sim: cpu%d clock passed %d cycles", c.id, uint64(runMaxTime))
+		}
 		s.step(c)
-		s.runqFixAfterStep(c)
+		s.runqSet(c)
 		if s.p.Progress != nil && n&(progressStride-1) == 0 {
 			s.p.Progress.sample(s.refs, s.c.DReadMisses[trace.KindOS], c.time)
 		}
@@ -212,139 +213,44 @@ const (
 	progressStride = 256
 )
 
-// runqScanMax is the machine size up to which runnable selection is a
-// linear scan of the runnable set; above it the set is heap-ordered.
-const runqScanMax = 32
+// never is a time no clock reaches: the tree key of a processor that is
+// done or blocked, and the drain horizon of empty write buffers.
+const never = ^uint64(0)
 
-// nextRunnable returns the unblocked, unfinished processor with the
-// smallest local clock, or nil. Ties break toward the lowest id, the
-// order the original full linear scan produced.
-func (s *Simulator) nextRunnable() *cpuState {
-	if len(s.runq) == 0 {
-		return nil
-	}
-	return s.schedNext()
-}
+// A run key packs a processor's clock and id into one word, so a single
+// unsigned compare orders keys by (clock, id). runIDBits covers every
+// machine size Validate accepts; the array length below stops the build
+// if a larger machine is ever allowed. Clocks saturate at runMaxTime,
+// which keeps every order exact until the earliest clock reaches it;
+// Run fails there.
+const (
+	runIDBits  = 8
+	runIDMask  = 1<<runIDBits - 1
+	runMaxTime = never>>runIDBits - 1
+)
 
-// schedNext picks the runnable processor with the smallest (clock, id)
-// key. The caller guarantees the runnable set is nonempty.
-func (s *Simulator) schedNext() *cpuState {
-	if s.useHeap {
-		return s.cpus[s.runq[0]]
-	}
-	best := s.runq[0]
-	bt := s.cpus[best].time
-	for _, id := range s.runq[1:] {
-		if t := s.cpus[id].time; t < bt || (t == bt && id < best) {
-			best, bt = id, t
-		}
-	}
-	return s.cpus[best]
-}
+var _ [1<<runIDBits - max(MaxSnoopCPUs, MaxDirectoryCPUs)]struct{}
 
-// runLess orders the heap by (local clock, id): the strict < on time
-// means the earliest-pushed lowest id wins ties, byte-identical to the
-// linear scan it replaced.
-func (s *Simulator) runLess(a, b int32) bool {
-	ta, tb := s.cpus[a].time, s.cpus[b].time
-	return ta < tb || (ta == tb && a < b)
-}
-
-func (s *Simulator) runqSwap(i, j int) {
-	s.runq[i], s.runq[j] = s.runq[j], s.runq[i]
-	s.heapPos[s.runq[i]] = int32(i)
-	s.heapPos[s.runq[j]] = int32(j)
-}
-
-func (s *Simulator) runqUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.runLess(s.runq[i], s.runq[parent]) {
-			return
-		}
-		s.runqSwap(i, parent)
-		i = parent
-	}
-}
-
-func (s *Simulator) runqDown(i int) bool {
-	n := len(s.runq)
-	start := i
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && s.runLess(s.runq[r], s.runq[l]) {
-			m = r
-		}
-		if !s.runLess(s.runq[m], s.runq[i]) {
-			break
-		}
-		s.runqSwap(i, m)
-		i = m
-	}
-	return i > start
-}
-
-// runqPush inserts a (re)runnable processor.
-func (s *Simulator) runqPush(id int32) {
-	s.heapPos[id] = int32(len(s.runq))
-	s.runq = append(s.runq, id)
-	if s.useHeap {
-		s.runqUp(len(s.runq) - 1)
-	}
-}
-
-// runqRemove drops a processor that finished or blocked.
-func (s *Simulator) runqRemove(id int32) {
-	i := int(s.heapPos[id])
-	if i < 0 {
-		return
-	}
-	n := len(s.runq) - 1
-	s.runqSwap(i, n)
-	s.runq = s.runq[:n]
-	s.heapPos[id] = -1
-	if s.useHeap && i < n {
-		if !s.runqDown(i) {
-			s.runqUp(i)
-		}
-	}
-}
-
-// runqFixAfterStep restores heap order for the just-stepped processor:
-// it either left the runnable set (done, or blocked on a lock/barrier)
-// or its clock advanced. A barrier release inside the step can also
-// have moved it away from the root, so the repair starts from its
-// current position and sifts both ways.
-func (s *Simulator) runqFixAfterStep(c *cpuState) {
+// runKey returns c's tree key: never while it is done or blocked.
+func runKey(c *cpuState) uint64 {
 	if c.done || c.blocked {
-		s.runqRemove(int32(c.id))
-		return
+		return never
 	}
-	if !s.useHeap {
-		return
-	}
-	i := int(s.heapPos[c.id])
-	if !s.runqDown(i) {
-		s.runqUp(i)
-	}
+	return min(c.time, runMaxTime)<<runIDBits | uint64(c.id)
 }
 
-// runqRebuild reconstructs the runnable set from scratch — after a
-// parallel window, whose workers advance clocks (and can finish
-// processors) without touching the heap.
-func (s *Simulator) runqRebuild() {
-	s.runq = s.runq[:0]
-	for i := range s.heapPos {
-		s.heapPos[i] = -1
-	}
-	for _, c := range s.cpus {
-		if !c.done && !c.blocked {
-			s.runqPush(int32(c.id))
-		}
+// runqSet re-keys processor c from its live state and replays the
+// winners on the path from its leaf to the root. Every clock change of
+// a runnable processor must be followed by a runqSet before the next
+// step is chosen.
+func (s *Simulator) runqSet(c *cpuState) {
+	k := runKey(c)
+	i := s.runqLeaves + c.id
+	s.runq[i] = k
+	for i > 1 {
+		k = min(k, s.runq[i^1])
+		i >>= 1
+		s.runq[i] = k
 	}
 }
 
@@ -379,16 +285,14 @@ func (s *Simulator) deadlockError() error {
 func (s *Simulator) step(c *cpuState) {
 	// Only processors with buffered writes need probing; the bitmask
 	// walk visits them in ascending id, the order the old full scan
-	// used (drain order is observable through bus arbitration).
+	// used (drain order is observable through bus arbitration). A probe
+	// before a processor's drain horizon cannot make progress, so it is
+	// skipped.
 	for w, m := range s.drainMask {
 		for m != 0 {
 			b := bits.TrailingZeros64(m)
 			m &^= 1 << b
-			o := s.cpus[w*64+b]
-			s.advanceDrainsUntil(o, c.time)
-			if o.l1wb.Len() == 0 && o.l2wb.Len() == 0 {
-				s.drainMask[w] &^= 1 << b
-			}
+			s.probeDrains(w*64+b, c.time)
 		}
 	}
 	r, ok := c.src.Next()
@@ -490,12 +394,13 @@ func (s *Simulator) lockRelease(c *cpuState, r trace.Ref) {
 	s.c.Time[wmode].Sync += grant - w.arrived
 	wc.time = grant
 	wc.blocked = false
-	s.runqPush(int32(wc.id))
 	// The successful test&set happens now, with its coherence
 	// traffic (it invalidates the releaser's copy of the lock word,
-	// seeding the next coherence miss on the lock).
+	// seeding the next coherence miss on the lock). The write advances
+	// the grantee's clock, so it is re-keyed only afterwards.
 	s.c.DWrites[wmode]++
 	s.writeAccess(wc, w.ref, wmode)
+	s.runqSet(wc)
 }
 
 // barrierArrive blocks the processor until all participants arrive.
@@ -523,9 +428,9 @@ func (s *Simulator) barrierArrive(c *cpuState, r trace.Ref, mode int) {
 		wc.time = release
 		wc.blocked = false
 		if wc != c {
-			// c is still in the heap (it is mid-step); the others
-			// blocked on arrival and left it.
-			s.runqPush(int32(wc.id))
+			// c is re-keyed when its step ends; the others left the
+			// tree when they blocked on arrival.
+			s.runqSet(wc)
 		}
 	}
 	delete(s.barriers, r.SyncID)

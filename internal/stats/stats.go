@@ -146,14 +146,6 @@ func (b BlockOverhead) Total() uint64 {
 	return b.ReadStall + b.WriteStall + b.DisplStall + b.InstrExec
 }
 
-// Add accumulates o into b.
-func (b *BlockOverhead) Add(o BlockOverhead) {
-	b.ReadStall += o.ReadStall
-	b.WriteStall += o.WriteStall
-	b.DisplStall += o.DisplStall
-	b.InstrExec += o.InstrExec
-}
-
 // BlockOpStats aggregates the block-operation characteristics of
 // Table 3 and the reuse/displacement taxonomy of Section 4.1.3.
 type BlockOpStats struct {
@@ -181,24 +173,6 @@ type BlockOpStats struct {
 	OutsideDispl uint64
 	InsideReuse  uint64
 	OutsideReuse uint64
-}
-
-// Add accumulates o into b.
-func (b *BlockOpStats) Add(o BlockOpStats) {
-	b.Ops += o.Ops
-	b.Copies += o.Copies
-	b.SrcLinesTotal += o.SrcLinesTotal
-	b.SrcLinesCached += o.SrcLinesCached
-	b.DstLinesTotal += o.DstLinesTotal
-	b.DstLinesL2Owned += o.DstLinesL2Owned
-	b.DstLinesL2Shared += o.DstLinesL2Shared
-	b.SizePage += o.SizePage
-	b.SizeMid += o.SizeMid
-	b.SizeSmall += o.SizeSmall
-	b.InsideDispl += o.InsideDispl
-	b.OutsideDispl += o.OutsideDispl
-	b.InsideReuse += o.InsideReuse
-	b.OutsideReuse += o.OutsideReuse
 }
 
 // Counters is the full measurement record of one simulation run.
@@ -232,39 +206,6 @@ type Counters struct {
 	Bus bus.Stats
 	// Cycles is the final global cycle count (max over CPUs).
 	Cycles uint64
-}
-
-// Accumulate adds o's counts into c field by field. Cycles — a maximum
-// over processors rather than a sum — takes the larger value, and the
-// bus record delegates to bus.Stats.Accumulate. The intra-run parallel
-// engine merges its per-window worker counters through this method, so
-// it must cover every field; stats_test.go enforces that by reflection.
-func (c *Counters) Accumulate(o *Counters) {
-	for m := 0; m < NumModes; m++ {
-		c.Time[m].Add(o.Time[m])
-		c.Instrs[m] += o.Instrs[m]
-		c.DReads[m] += o.DReads[m]
-		c.DWrites[m] += o.DWrites[m]
-		c.DReadMisses[m] += o.DReadMisses[m]
-	}
-	c.Prefetches += o.Prefetches
-	c.LatePrefetches += o.LatePrefetches
-	for i := range c.OSMissBy {
-		c.OSMissBy[i] += o.OSMissBy[i]
-	}
-	for i := range c.OSCohBy {
-		c.OSCohBy[i] += o.OSCohBy[i]
-	}
-	c.OSHotSpotMisses += o.OSHotSpotMisses
-	for i := range c.OSSpotMisses {
-		c.OSSpotMisses[i] += o.OSSpotMisses[i]
-	}
-	c.Block.Add(o.Block)
-	c.BlockOverhead.Add(o.BlockOverhead)
-	c.Bus.Accumulate(o.Bus)
-	if o.Cycles > c.Cycles {
-		c.Cycles = o.Cycles
-	}
 }
 
 // TotalTime sums cycles across modes (all CPUs together).

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -123,56 +122,5 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 5 { // title, header, rule, 2 rows
 		t.Errorf("table has %d lines, want 5:\n%s", len(lines), out)
-	}
-}
-
-// fillDistinct sets every numeric leaf of v (recursively, through
-// structs and arrays) to a distinct nonzero value, so a field missed by
-// Accumulate cannot hide behind a zero or a coincidental collision.
-func fillDistinct(v reflect.Value, next *uint64) {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			fillDistinct(v.Field(i), next)
-		}
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			fillDistinct(v.Index(i), next)
-		}
-	case reflect.Uint64:
-		*next++
-		v.SetUint(*next)
-	default:
-		// Counters holds only uint64 leaves today; a new leaf kind must
-		// be added here and to Accumulate together.
-	}
-}
-
-// TestAccumulateCoversEveryField pins Accumulate's completeness: adding
-// a fully-populated Counters into a zero one must reproduce it exactly.
-// A field added to Counters (or bus.Stats) without an Accumulate line
-// shows up here as a mismatch at that field.
-func TestAccumulateCoversEveryField(t *testing.T) {
-	var full Counters
-	var n uint64
-	fillDistinct(reflect.ValueOf(&full).Elem(), &n)
-	if n == 0 {
-		t.Fatal("fillDistinct set no fields")
-	}
-	var got Counters
-	got.Accumulate(&full)
-	if got != full {
-		t.Errorf("Accumulate(zero <- full) != full:\ngot  %+v\nwant %+v", got, full)
-	}
-	// Accumulating twice must double every summed field (Cycles is a
-	// max, not a sum, and stays put).
-	var twice Counters
-	twice.Accumulate(&full)
-	twice.Accumulate(&full)
-	if twice.Cycles != full.Cycles {
-		t.Errorf("Cycles should take the max: got %d, want %d", twice.Cycles, full.Cycles)
-	}
-	if twice.TotalDReads() != 2*full.TotalDReads() {
-		t.Errorf("summed fields should double: got %d, want %d", twice.TotalDReads(), 2*full.TotalDReads())
 	}
 }

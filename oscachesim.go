@@ -181,18 +181,6 @@ func WithMachine(m MachineParams) Option {
 // simulation is cycle-ordered and inherently serial.
 func WithParallelism(p int) Option { return func(s *Sim) { s.workers = p } }
 
-// WithIntraParallelism runs each single simulation on n worker
-// goroutines: processors advance concurrently through provably
-// conflict-free time windows, with the serial engine covering the rest.
-// Results are byte-identical to serial execution — pinned by the
-// intra-run determinism tier — so this only trades wall clock; the
-// attainable speedup is bounded by how much of the workload's
-// reference stream is window-local (see EXPERIMENTS.md). 0 or 1 means
-// serial. Composes with [WithStreaming] and [WithParallelism].
-func WithIntraParallelism(n int) Option {
-	return func(s *Sim) { s.cfg.IntraWorkers = n }
-}
-
 // WithScenario replaces the Sim's named workload with a declarative
 // user-defined one; the workload passed to New is ignored. The spec's
 // content hash joins the canonical run key, so equal specs share
@@ -216,7 +204,11 @@ func WithStreaming() Option { return func(s *Sim) { s.cfg.Stream = true } }
 // DeferredCopy or PureUpdate); options applied after it still take
 // effect.
 func WithConfig(cfg RunConfig) Option {
-	return func(s *Sim) { w, sys := s.cfg.Workload, s.cfg.System; s.cfg = cfg; s.cfg.Workload, s.cfg.System = w, sys }
+	return func(s *Sim) {
+		w, sys := s.cfg.Workload, s.cfg.System
+		s.cfg = cfg
+		s.cfg.Workload, s.cfg.System = w, sys
+	}
 }
 
 // New builds a simulation of workload w under system s.
@@ -246,7 +238,7 @@ func (s *Sim) Run(ctx context.Context) (*Outcome, error) { return core.Run(ctx, 
 func (s *Sim) Compare(ctx context.Context, systems ...System) ([]*Outcome, error) {
 	r := experiment.NewRunnerContext(ctx, experiment.Config{
 		Scale: s.cfg.Scale, Seed: s.cfg.Seed, Parallel: true, Workers: s.workers,
-		Stream: s.cfg.Stream, IntraWorkers: s.cfg.IntraWorkers,
+		Stream: s.cfg.Stream,
 	})
 	cfgs := make([]core.RunConfig, len(systems))
 	for i, sys := range systems {
