@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -148,17 +147,14 @@ func main() {
 	title := fmt.Sprintf("campaign: OS time by %s (normalized per group)", *row)
 	fmt.Print(campaign.Chart(title, *row, grid))
 	if diff != nil {
-		fmt.Printf("\ndiff %s: %s -> %s\n", diff.axis, diff.from, diff.to)
-		for _, dr := range report.DiffCells(grid, diff.axis, diff.from, diff.to, campaign.DiffMetrics) {
-			fmt.Printf("  %-40s %-16s %14.6g -> %-14.6g %+8.2f%%\n",
-				coordText(dr.Coords), dr.Metric, dr.From, dr.To, dr.DeltaPct)
-		}
+		campaign.WriteDiffText(os.Stdout, diff.axis, diff.from, diff.to,
+			report.DiffCells(grid, diff.axis, diff.from, diff.to, campaign.DiffMetrics))
 	}
 	if *verbose {
 		fmt.Println()
 		for _, gc := range grid {
 			fmt.Printf("  %-50s os_cycles=%.0f d1_miss_rate=%.4f bus_bytes=%.0f\n",
-				coordText(gc.Coords), gc.Values["os_cycles"], gc.Values["d1_miss_rate"], gc.Values["bus_bytes"])
+				report.CoordText(gc.Coords, ""), gc.Values["os_cycles"], gc.Values["d1_miss_rate"], gc.Values["bus_bytes"])
 		}
 	}
 	st := r.Stats()
@@ -206,20 +202,6 @@ func parseDiff(p *campaign.Plan, arg string) (*diffSpec, error) {
 		}
 	}
 	return d, nil
-}
-
-// coordText renders coordinates as axis-sorted "axis=value" pairs.
-func coordText(coords map[string]string) string {
-	axes := make([]string, 0, len(coords))
-	for a := range coords {
-		axes = append(axes, a)
-	}
-	sort.Strings(axes)
-	parts := make([]string, len(axes))
-	for i, a := range axes {
-		parts[i] = a + "=" + coords[a]
-	}
-	return strings.Join(parts, " ")
 }
 
 func splitList(s string) []string {

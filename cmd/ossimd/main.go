@@ -25,7 +25,8 @@
 // API (see README.md for the full reference):
 //
 //	POST /v1/runs              submit one simulation
-//	POST /v1/sweeps            submit a geometry/system grid
+//	POST /v1/campaigns         submit a parameter grid (geometry, coherence,
+//	                           sharing degree x systems)
 //	GET  /v1/runs/{id}         job status and result (with stage breakdown)
 //	GET  /v1/runs/{id}/stream  NDJSON progress stream
 //	GET  /healthz              liveness
@@ -34,7 +35,8 @@
 //
 // The pre-v1 paths (/v1/run, /v1/sweep, /v1/jobs/{id}[/stream],
 // /metrics) have been removed; they answer 404 with a JSON error naming
-// the v1 successor.
+// the v1 successor. The retired /v1/sweeps routes answer 308 to their
+// /v1/campaigns counterparts for one release.
 //
 // Logs are structured (log/slog): request records with method, path,
 // status and latency, and job lifecycle records keyed by job id.

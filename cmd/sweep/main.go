@@ -28,6 +28,7 @@ import (
 	"syscall"
 	"time"
 
+	"oscachesim/internal/campaign"
 	"oscachesim/internal/core"
 	"oscachesim/internal/experiment"
 	"oscachesim/internal/prof"
@@ -71,13 +72,12 @@ func main() {
 	if axes != 1 {
 		fatal(fmt.Errorf("pass exactly one of -sizes, -linesizes or -sharers"))
 	}
-	if *sharers != "" && *scnArg == "" {
-		fatal(fmt.Errorf("-sharers sweeps a scenario's sharing degree; pass -scenario too"))
-	}
 	if *scnArg != "" && *wname != "" {
 		fatal(fmt.Errorf("pass either -workload or -scenario, not both"))
 	}
 
+	// Every cell carries the explicit base machine, as the sweep always
+	// has, so its canonical keys match earlier sweeps' cached results.
 	base := sim.DefaultParams()
 	if *ncpus != 0 {
 		base.NumCPUs = *ncpus
@@ -89,96 +89,40 @@ func main() {
 		}
 		base.Coherence = kind
 	}
-
-	var spec *scenario.Spec
-	if *scnArg != "" {
-		var err error
-		spec, err = scenario.Resolve(*scnArg)
+	g := campaign.Grid{
+		Base: &base, L2Line: *l2line, Scale: *scale, Seed: *seed, Stream: *stream,
+	}
+	switch {
+	case *scnArg != "":
+		spec, err := scenario.Resolve(*scnArg)
 		if err != nil {
 			fatal(err)
 		}
+		g.Scenario = spec
+	case *wname != "":
+		w, err := workload.ParseName(*wname)
+		if err != nil {
+			fatal(err)
+		}
+		g.Workloads = []workload.Name{w}
+	default:
+		g.Workloads = workload.Names()
 	}
-
-	var systems []core.System
 	for _, s := range strings.Split(*sysList, ",") {
 		sys, err := core.ParseSystem(strings.TrimSpace(s))
 		if err != nil {
 			fatal(err)
 		}
-		systems = append(systems, sys)
+		g.Systems = append(g.Systems, sys)
 	}
-	workloads := workload.Names()
-	if *wname != "" {
-		w, err := workload.ParseName(*wname)
-		if err != nil {
-			fatal(err)
-		}
-		workloads = []workload.Name{w}
+	g.L1SizesKB = uints(*sizes)
+	g.LineSizes = uints(*lines)
+	for _, d := range uints(*sharers) {
+		g.Sharers = append(g.Sharers, int(d))
 	}
-	if spec != nil {
-		// One scenario replaces the workload axis.
-		workloads = []workload.Name{workload.SpecWorkloadName(spec)}
-	}
-
-	// point is one grid cell: a machine geometry, and for sharing-degree
-	// sweeps the degree-derived scenario spec.
-	type point struct {
-		label string
-		p     sim.Params
-		spec  *scenario.Spec
-	}
-	var grid []point
-	switch {
-	case *sizes != "":
-		for _, tok := range strings.Split(*sizes, ",") {
-			kb, err := strconv.ParseUint(strings.TrimSpace(tok), 10, 32)
-			if err != nil {
-				fatal(err)
-			}
-			p := base
-			p.L1D.Size = kb * 1024
-			grid = append(grid, point{fmt.Sprintf("%dKB", kb), p, spec})
-		}
-	case *lines != "":
-		for _, tok := range strings.Split(*lines, ",") {
-			ls, err := strconv.ParseUint(strings.TrimSpace(tok), 10, 32)
-			if err != nil {
-				fatal(err)
-			}
-			p := base
-			p.L1D.LineSize = ls
-			p.L1I.LineSize = ls
-			p.L2.LineSize = *l2line
-			if p.L2.LineSize < ls {
-				p.L2.LineSize = ls
-			}
-			grid = append(grid, point{fmt.Sprintf("%dB", ls), p, spec})
-		}
-	default:
-		for _, tok := range strings.Split(*sharers, ",") {
-			d, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil {
-				fatal(err)
-			}
-			if d < 1 || d > base.NumCPUs {
-				fatal(fmt.Errorf("sharing degree %d outside [1, %d] (pass -cpus to widen the machine)", d, base.NumCPUs))
-			}
-			grid = append(grid, point{fmt.Sprintf("d=%d", d), base, spec.WithSharingDegree(d)})
-		}
-	}
-
-	cfgFor := func(w workload.Name, pt point, sys core.System) core.RunConfig {
-		p := pt.p
-		cfg := core.RunConfig{
-			System: sys, Scale: *scale, Seed: *seed,
-			Machine: &p, Stream: *stream,
-		}
-		if pt.spec != nil {
-			cfg.Scenario = pt.spec
-		} else {
-			cfg.Workload = w
-		}
-		return cfg
+	plan, err := campaign.NewPlan(g)
+	if err != nil {
+		fatal(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -187,18 +131,11 @@ func main() {
 		Scale: *scale, Seed: *seed, Parallel: *parallel, Workers: *workers, Stream: *stream,
 	})
 
-	// Warm the whole grid through the work-stealing scheduler, then
-	// render serially from the cache — the printed sweep is identical
-	// to a serial run, only the wall clock changes.
-	var cfgs []core.RunConfig
-	for _, w := range workloads {
-		for _, pt := range grid {
-			for _, sys := range systems {
-				cfgs = append(cfgs, cfgFor(w, pt, sys))
-			}
-		}
-	}
-	if _, err := r.RunConfigs(ctx, cfgs, nil); err != nil {
+	// Run the grid's unique cells through the work-stealing scheduler,
+	// then render serially, reading each cell back from the runner's
+	// cache — the printed sweep is identical to a serial run, and the
+	// closing line counts those reads as cache hits, as it always has.
+	if _, err := campaign.Run(ctx, r, plan, nil); err != nil {
 		if errors.Is(err, context.Canceled) {
 			fatal(fmt.Errorf("interrupted: %w", err))
 		}
@@ -209,31 +146,33 @@ func main() {
 	// metric. Scenario sweeps are user-level studies, so they
 	// normalize by total cycles and count all data-read misses.
 	metric := func(o *core.Outcome) (uint64, uint64) {
-		if spec != nil {
+		if g.Scenario != nil {
 			return o.Counters.Cycles, o.Counters.TotalDReadMisses()
 		}
 		return o.OSTime(), o.Counters.OSDReadMisses()
 	}
-	for _, w := range workloads {
-		fmt.Printf("== %s\n", w)
-		for _, pt := range grid {
-			var baseTime uint64
-			fmt.Printf("  %-6s", pt.label)
-			for i, sys := range systems {
-				o, err := r.OutcomeConfig(ctx, cfgFor(w, pt, sys))
-				if err != nil {
-					if errors.Is(err, context.Canceled) {
-						fmt.Println()
-						fatal(fmt.Errorf("interrupted: %w", err))
-					}
-					fatal(err)
-				}
-				t, misses := metric(o)
-				if i == 0 {
-					baseTime = t
-				}
-				fmt.Printf("  %s=%.3f (misses=%d)", sys, float64(t)/float64(baseTime), misses)
-			}
+	// Cells come system-innermost, so each run of len(g.Systems) cells
+	// is one printed row: a workload header whenever it changes, then
+	// the row's grid point and its systems normalized to the first.
+	var workloadLabel string
+	var baseTime uint64
+	for _, c := range plan.Cells {
+		if w := c.Coords[campaign.AxisWorkload]; w != workloadLabel {
+			workloadLabel = w
+			fmt.Printf("== %s\n", w)
+		}
+		o, err := r.OutcomeConfig(ctx, c.Cfg)
+		if err != nil {
+			fatal(err)
+		}
+		t, misses := metric(o)
+		i := c.Index % len(g.Systems)
+		if i == 0 {
+			baseTime = t
+			fmt.Printf("  %-6s", pointLabel(c.Coords))
+		}
+		fmt.Printf("  %s=%.3f (misses=%d)", c.Coords[campaign.AxisSystem], float64(t)/float64(baseTime), misses)
+		if i == len(g.Systems)-1 {
 			fmt.Println()
 		}
 	}
@@ -246,6 +185,34 @@ func main() {
 				ws.Busy.Round(time.Millisecond), ws.Idle.Round(time.Millisecond))
 		}
 	}
+}
+
+// pointLabel names a cell's grid point on the sweep's one geometry or
+// sharing axis: "32KB", "64B" or "d=4".
+func pointLabel(coords map[string]string) string {
+	if v, ok := coords[campaign.AxisL1KB]; ok {
+		return v + "KB"
+	}
+	if v, ok := coords[campaign.AxisLineB]; ok {
+		return v + "B"
+	}
+	return "d=" + coords[campaign.AxisSharers]
+}
+
+// uints parses a comma-separated flag value; empty yields nothing.
+func uints(s string) []uint64 {
+	if s == "" {
+		return nil
+	}
+	var out []uint64
+	for _, tok := range strings.Split(s, ",") {
+		n, err := strconv.ParseUint(strings.TrimSpace(tok), 10, 32)
+		if err != nil {
+			fatal(err)
+		}
+		out = append(out, n)
+	}
+	return out
 }
 
 func fatal(err error) {

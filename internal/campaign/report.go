@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"fmt"
+	"io"
+
 	"oscachesim/internal/report"
 	"oscachesim/internal/trace"
 )
@@ -49,4 +52,16 @@ func GridCells(cells []CellOutcome) []report.GridCell {
 // block's first bar.
 func Chart(title, rowAxis string, cells []report.GridCell) string {
 	return report.GridChart(title, rowAxis, TimeSegments, "os_cycles", cells)
+}
+
+// WriteDiffText renders an axis diff as text: a header naming the
+// compared values, then one aligned row per (coordinates, metric). It
+// is the diff section of both the CLI's output and the daemon's
+// format=text report.
+func WriteDiffText(w io.Writer, axis, from, to string, rows []report.DiffRow) {
+	fmt.Fprintf(w, "\ndiff %s: %s -> %s\n", axis, from, to)
+	for _, row := range rows {
+		fmt.Fprintf(w, "  %-40s %-16s %14.6g -> %-14.6g %+8.2f%%\n",
+			report.CoordText(row.Coords, ""), row.Metric, row.From, row.To, row.DeltaPct)
+	}
 }

@@ -22,10 +22,10 @@ type GridCell struct {
 	Values map[string]float64 `json:"values"`
 }
 
-// coordKey canonically renders a cell's coordinates with one axis
-// removed: "axis=value" pairs, axis-sorted, space-joined. Cells with
-// equal keys differ only on the dropped axis.
-func coordKey(coords map[string]string, drop string) string {
+// CoordText canonically renders a cell's coordinates with the drop
+// axis removed (none when drop is ""): "axis=value" pairs, axis-sorted,
+// space-joined. Cells with equal texts differ only on the dropped axis.
+func CoordText(coords map[string]string, drop string) string {
 	axes := make([]string, 0, len(coords))
 	for a := range coords {
 		if a != drop {
@@ -54,7 +54,7 @@ func GridChart(title, rowAxis string, segments []string, norm string, cells []Gr
 	var groups []*group
 	index := map[string]*group{}
 	for _, c := range cells {
-		key := coordKey(c.Coords, rowAxis)
+		key := CoordText(c.Coords, rowAxis)
 		g, ok := index[key]
 		if !ok {
 			g = &group{title: key}
@@ -119,7 +119,7 @@ func DiffCells(cells []GridCell, axis, from, to string, metrics []string) []Diff
 		if !ok || (v != from && v != to) {
 			continue
 		}
-		key := coordKey(c.Coords, axis)
+		key := CoordText(c.Coords, axis)
 		p, seen := pairs[key]
 		if !seen {
 			coords := make(map[string]string, len(c.Coords)-1)

@@ -16,8 +16,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"sort"
-	"strings"
 
 	"oscachesim/internal/campaign"
 	"oscachesim/internal/core"
@@ -67,7 +65,8 @@ type CampaignRequest struct {
 	SizesKB []uint64 `json:"sizes_kb,omitempty"`
 	// LineSizes sweeps the L1 line size.
 	LineSizes []uint64 `json:"line_sizes,omitempty"`
-	// L2Line is the L2 line size during a line-size axis.
+	// L2Line is the L2 line size during a line-size axis (0 keeps the
+	// base machine's, raised to the swept L1 line when smaller).
 	L2Line uint64 `json:"l2_line,omitempty"`
 	// Sharers sweeps the scenario's sharing degree (requires scenario).
 	Sharers []int `json:"sharers,omitempty"`
@@ -331,11 +330,10 @@ func (s *Server) handleKindStream(kind string) http.HandlerFunc {
 	}
 }
 
-// handleCancel is the uniform DELETE /v1/{runs,sweeps,campaigns}/{id}
+// handleCancel is the uniform DELETE /v1/{runs,campaigns}/{id}
 // lifecycle verb: a queued job is canceled in place (200), a running
-// one is signaled and winds down (202) — a grid keeps the cells or
-// points that already finished — and a terminal one is just reported
-// (200).
+// one is signaled and winds down (202) — a campaign keeps the cells
+// that already finished — and a terminal one is just reported (200).
 func (s *Server) handleCancel(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		job, ok := s.lookupKind(r.PathValue("id"), kind)
@@ -440,7 +438,7 @@ func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, table)
 		if dv != nil {
-			writeDiffText(w, dv)
+			campaign.WriteDiffText(w, dv.Axis, dv.From, dv.To, dv.Rows)
 		}
 		return
 	}
@@ -449,27 +447,4 @@ func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
 		CellsTotal: res.CellsTotal, CellsDone: res.CellsDone, UniqueCells: res.UniqueCells,
 		RowAxis: row, Table: table, Diff: dv, Cells: grid,
 	})
-}
-
-// writeDiffText renders the diff section of a format=text report.
-func writeDiffText(w io.Writer, dv *DiffView) {
-	fmt.Fprintf(w, "\ndiff %s: %s -> %s\n", dv.Axis, dv.From, dv.To)
-	for _, row := range dv.Rows {
-		fmt.Fprintf(w, "  %-40s %-16s %14.6g -> %-14.6g %+8.2f%%\n",
-			coordText(row.Coords), row.Metric, row.From, row.To, row.DeltaPct)
-	}
-}
-
-// coordText renders coordinates as axis-sorted "axis=value" pairs.
-func coordText(coords map[string]string) string {
-	axes := make([]string, 0, len(coords))
-	for a := range coords {
-		axes = append(axes, a)
-	}
-	sort.Strings(axes)
-	parts := make([]string, len(axes))
-	for i, a := range axes {
-		parts[i] = a + "=" + coords[a]
-	}
-	return strings.Join(parts, " ")
 }

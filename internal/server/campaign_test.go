@@ -422,7 +422,6 @@ func TestCampaignKindIsolation(t *testing.T) {
 		ts.URL + "/v1/campaigns/" + run.ID,
 		ts.URL + "/v1/campaigns/" + run.ID + "/stream",
 		ts.URL + "/v1/campaigns/" + run.ID + "/report",
-		ts.URL + "/v1/sweeps/" + run.ID,
 	} {
 		resp, err := http.Get(url)
 		if err != nil {
@@ -436,7 +435,7 @@ func TestCampaignKindIsolation(t *testing.T) {
 }
 
 // TestCollectionListings exercises GET /v1/runs pagination and state
-// filtering, and the per-kind separation of the three collections.
+// filtering, and the per-kind separation of the two collections.
 func TestCollectionListings(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 8})
 	var ids []string
@@ -471,18 +470,16 @@ func TestCollectionListings(t *testing.T) {
 	if len(list.Jobs) != 0 {
 		t.Errorf("state=failed lists %d jobs, want 0", len(list.Jobs))
 	}
-	// Runs do not leak into the other collections, and an empty
+	// Runs do not leak into the campaign collection, and an empty
 	// collection still renders a JSON array.
-	for _, url := range []string{ts.URL + "/v1/sweeps", ts.URL + "/v1/campaigns"} {
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if !strings.Contains(string(raw), `"jobs": []`) && !strings.Contains(string(raw), `"jobs":[]`) {
-			t.Errorf("GET %s: %s, want an empty jobs array", url, raw)
-		}
+	resp, err := http.Get(ts.URL + "/v1/campaigns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(raw), `"jobs": []`) && !strings.Contains(string(raw), `"jobs":[]`) {
+		t.Errorf("GET /v1/campaigns: %s, want an empty jobs array", raw)
 	}
 
 	// Bad filters are field-attributed 400s.

@@ -87,10 +87,9 @@ func TestConcurrentDuplicateRequests(t *testing.T) {
 	}
 }
 
-// TestSharedRunnerAcrossJobs checks that distinct jobs whose sweeps
-// overlap reuse the runner's memoized outcomes: a sweep covering a
-// point already simulated by a run job costs no second simulation of
-// that point.
+// TestSharedRunnerAcrossJobs checks that distinct jobs whose grids
+// overlap reuse the runner's memoized outcomes: a campaign covering a
+// point already simulated costs no second simulation of that point.
 func TestSharedRunnerAcrossJobs(t *testing.T) {
 	runner := experiment.NewRunner(experiment.Config{Seed: 1})
 	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 16, Runner: runner})
@@ -104,29 +103,29 @@ func TestSharedRunnerAcrossJobs(t *testing.T) {
 
 	// ...then the identical configuration again (different job key is
 	// impossible here; submit dedups, so force a second runner call by
-	// going through a sweep that contains only new geometry).
-	status, sw, _ := postJSON(t, ts.URL+"/v1/sweeps",
+	// going through a campaign that contains only new geometry).
+	status, camp, _ := postJSON(t, ts.URL+"/v1/campaigns",
 		`{"workload":"TRFD_4","systems":["Base"],"sizes_kb":[16],"scale":2,"seed":1}`)
 	if status != http.StatusAccepted {
-		t.Fatalf("sweep submit: HTTP %d", status)
+		t.Fatalf("campaign submit: HTTP %d", status)
 	}
-	if v := waitJob(t, ts.URL, sw.ID); v.State != JobDone {
-		t.Fatalf("sweep finished %s (%q)", v.State, v.Error)
+	if v := waitJob(t, ts.URL, camp.ID); v.State != JobDone {
+		t.Fatalf("campaign finished %s (%q)", v.State, v.Error)
 	}
-	execsAfterSweep := runner.Stats().Executions
-	if execsAfterSweep <= execsAfterRun {
-		t.Errorf("sweep executed nothing new (execs %d -> %d)", execsAfterRun, execsAfterSweep)
+	execsAfterCampaign := runner.Stats().Executions
+	if execsAfterCampaign <= execsAfterRun {
+		t.Errorf("campaign executed nothing new (execs %d -> %d)", execsAfterRun, execsAfterCampaign)
 	}
 
-	// Re-running the same sweep under a fresh server sharing the runner
-	// is answered entirely from the memo cache.
+	// Re-running the same campaign under a fresh server sharing the
+	// runner is answered entirely from the memo cache.
 	_, ts2 := newTestServer(t, Options{Workers: 2, QueueDepth: 16, Runner: runner})
-	_, sw2, _ := postJSON(t, ts2.URL+"/v1/sweeps",
+	_, camp2, _ := postJSON(t, ts2.URL+"/v1/campaigns",
 		`{"workload":"TRFD_4","systems":["Base"],"sizes_kb":[16],"scale":2,"seed":1}`)
-	if v := waitJob(t, ts2.URL, sw2.ID); v.State != JobDone {
-		t.Fatalf("repeat sweep finished %s (%q)", v.State, v.Error)
+	if v := waitJob(t, ts2.URL, camp2.ID); v.State != JobDone {
+		t.Fatalf("repeat campaign finished %s (%q)", v.State, v.Error)
 	}
-	if execs := runner.Stats().Executions; execs != execsAfterSweep {
-		t.Errorf("repeat sweep re-executed: execs %d -> %d", execsAfterSweep, execs)
+	if execs := runner.Stats().Executions; execs != execsAfterCampaign {
+		t.Errorf("repeat campaign re-executed: execs %d -> %d", execsAfterCampaign, execs)
 	}
 }

@@ -1,58 +1,37 @@
 package server
 
 import (
-	"reflect"
+	"encoding/json"
+	"net/http"
 	"strings"
 	"testing"
 )
 
-// TestIntraWorkersAcceptedAndIgnored pins the deprecation window of the
-// intra_workers job option: the strict decoder still accepts it on
-// runs, sweeps and campaigns — including values the removed engine
-// would have rejected — and it changes nothing about the planned work.
-func TestIntraWorkersAcceptedAndIgnored(t *testing.T) {
-	const run = `{"workload":"TRFD_4","system":"Base","scale":2,"seed":3`
-	want, _, err := decodeRunRequest(strings.NewReader(run + `}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []string{"0", "1", "4", "64", "-1", "1000"} {
-		got, _, err := decodeRunRequest(strings.NewReader(run + `,"intra_workers":` + n + `}`))
+// TestIntraWorkersRejected pins the end of the intra_workers
+// deprecation window: the job option of the removed intra-run engine
+// is now an unknown field, so the strict decoder answers 400
+// bad_request on both submitting resources.
+func TestIntraWorkersRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	for path, body := range map[string]string{
+		"/v1/runs":      `{"workload":"TRFD_4","system":"Base","scale":2,"intra_workers":2}`,
+		"/v1/campaigns": `{"workload":"TRFD_4","systems":["Base"],"scale":2,"intra_workers":2}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
-			t.Fatalf("run with intra_workers=%s rejected: %v", n, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("run with intra_workers=%s: config %+v, want %+v", n, got, want)
-		}
-	}
-
-	const sweep = `{"workload":"Shell","systems":["Base","BCPref"],"sizes_kb":[16,32],"scale":2`
-	wantPts, _, err := decodeSweepRequest(strings.NewReader(sweep + `}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPts, _, err := decodeSweepRequest(strings.NewReader(sweep + `,"intra_workers":8}`))
-	if err != nil {
-		t.Fatalf("sweep with intra_workers rejected: %v", err)
-	}
-	if !reflect.DeepEqual(gotPts, wantPts) {
-		t.Error("intra_workers changed the sweep grid")
-	}
-
-	const camp = `{"workload":"TRFD_4","systems":["Base","BCPref"],"cpus":[4,8],"scale":2`
-	plan := func(body string) []string {
-		t.Helper()
-		var cr CampaignRequest
-		if err := decodeJSON(strings.NewReader(body), &cr); err != nil {
-			t.Fatalf("campaign body rejected: %v", err)
-		}
-		p, _, err := cr.plan()
+		var eb ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
 		if err != nil {
-			t.Fatalf("campaign plan: %v", err)
+			t.Fatalf("%s: error body: %v", path, err)
 		}
-		return p.UniqueKeys
-	}
-	if got, want := plan(camp+`,"intra_workers":8}`), plan(camp+`}`); !reflect.DeepEqual(got, want) {
-		t.Errorf("intra_workers changed the campaign plan: %v, want %v", got, want)
+		if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_request" {
+			t.Errorf("%s: HTTP %d code %q, want 400 bad_request", path, resp.StatusCode, eb.Error.Code)
+		}
+		if !strings.Contains(eb.Error.Message, `unknown field "intra_workers"`) {
+			t.Errorf("%s: message %q does not name the unknown field", path, eb.Error.Message)
+		}
 	}
 }

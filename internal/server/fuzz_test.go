@@ -90,6 +90,63 @@ func FuzzDecodeRunRequest(f *testing.F) {
 	})
 }
 
+// FuzzDecodeCampaignRequest drives the /v1/campaigns body decoder and
+// planner — the daemon's only grid input surface — with arbitrary
+// bytes. The contract: decodeJSON plus CampaignRequest.plan never
+// panic, every rejection satisfies isRequestError (a 400, never a
+// 500), and every accepted plan stays within maxCampaignCells with each
+// cell's machine, when it carries one, passing sim.Params.Validate.
+func FuzzDecodeCampaignRequest(f *testing.F) {
+	seeds := []string{
+		``,
+		`{}`,
+		// The README/API.md worked example (Figure 3 at 4 and 16 CPUs).
+		`{"workload":"TRFD_4","systems":["Base","BCPref"],"cpus":[4,16],"coherence":["snoop","directory"],"scale":5,"seed":1,"diff":{"axis":"coherence","from":"snoop","to":"directory"}}`,
+		// The two former /v1/sweeps bodies (now campaign bodies).
+		`{"workload":"TRFD_4","systems":["Base","Blk_Dma"],"sizes_kb":[16,32,64]}`,
+		`{"scenario":{"preset":"sharing"},"sharers":[1,2,4,8,16],"systems":["Base"],"machine":{"num_cpus":16,"coherence":"directory"}}`,
+		`{"workloads":["TRFD_4","Shell"],"systems":["Base"],"line_sizes":[16,64],"l2_line":64,"row_axis":"line_b"}`,
+		`{"workload":"TRFD_4","systems":["Base"],"line_sizes":[16,32],"machine":{"l2_line":64}}`,
+		`{"workload":"TRFD_4","systems":["Base"],"cpus":[0]}`,
+		`{"workload":"TRFD_4","systems":["Base"],"cpus":[65],"coherence":["snoop"]}`,
+		`{"workload":"TRFD_4","systems":["Base"],"sizes_kb":[0]}`,
+		`{"workload":"TRFD_4","systems":["Base"],"sharers":[2]}`,
+		`{"scenario":{"preset":"sharing"},"systems":["Base"],"sharers":[-1,8]}`,
+		`{"workload":"TRFD_4","systems":["Base","Base","Base","Base","Base","Base","Base","Base"],"cpus":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33]}`,
+		`{"workload":"TRFD_4","systems":["Base"],"diff":{"axis":"system","from":"Base","to":"BCPref"}}`,
+		`{"workload":"TRFD_4","systems":["Base"],"intra_workers":2}`,
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cr CampaignRequest
+		if err := decodeJSON(bytes.NewReader(data), &cr); err != nil {
+			if !isRequestError(err) {
+				t.Fatalf("decode error is not a request error: %T %v", err, err)
+			}
+			return
+		}
+		p, _, err := cr.plan()
+		if err != nil {
+			if !isRequestError(err) {
+				t.Fatalf("plan error is not a request error: %T %v", err, err)
+			}
+			return
+		}
+		if len(p.Cells) == 0 || len(p.Cells) > maxCampaignCells {
+			t.Fatalf("accepted plan of %d cells, want 1..%d", len(p.Cells), maxCampaignCells)
+		}
+		for _, c := range p.Cells {
+			if c.Cfg.Machine != nil {
+				if verr := c.Cfg.Machine.Validate(); verr != nil {
+					t.Fatalf("accepted cell %v with an invalid machine: %v", c.Coords, verr)
+				}
+			}
+		}
+	})
+}
+
 // FuzzMachineSpec drives the machine-spec decoder with arbitrary
 // bytes. Its contract: MachineSpec.toParams never panics, every
 // rejection is a *RequestError, and anything accepted satisfies

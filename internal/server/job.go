@@ -40,19 +40,17 @@ func (s JobState) terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled
 }
 
-// Job is one unit of queued simulation work: a single run, a whole
-// sweep grid, or a campaign. A job is created by an accepted POST,
-// executed by exactly one worker, and observed concurrently by status
-// and stream handlers.
+// Job is one unit of queued simulation work: a single run or a
+// campaign. A job is created by an accepted POST, executed by exactly
+// one worker, and observed concurrently by status and stream handlers.
 type Job struct {
 	// Immutable after creation.
 	ID      string
-	Kind    string // "run", "sweep" or "campaign"
+	Kind    string // "run" or "campaign"
 	Key     string // canonical content address (deduplication key)
 	Timeout time.Duration
-	Request any          // the decoded request body, echoed in status
+	Request any // the decoded request body, echoed in status
 	Cfg     core.RunConfig
-	Points  []sweepPoint // sweep grid (Kind == "sweep")
 
 	// Campaign plan and report defaults (Kind == "campaign").
 	Plan    *campaign.Plan
@@ -67,18 +65,16 @@ type Job struct {
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
 
-	mu         sync.Mutex
-	state      JobState
-	created    time.Time
-	started    time.Time
-	finished   time.Time
-	err        string
-	result     *RunResult
-	sweep      *SweepResult
-	camp       *CampaignResult
-	grid       []report.GridCell
-	stages     *StageView
-	pointsDone int
+	mu       sync.Mutex
+	state    JobState
+	created  time.Time
+	started  time.Time
+	finished time.Time
+	err      string
+	result   *RunResult
+	camp     *CampaignResult
+	grid     []report.GridCell
+	stages   *StageView
 	// cancelFn aborts the running job's context; cancelAsked records
 	// a DELETE that raced ahead of the worker arming it.
 	cancelFn    context.CancelCauseFunc
@@ -144,28 +140,6 @@ func (j *Job) finishRun(res *RunResult, stages *StageView, err error) {
 	case errors.Is(err, errClientCanceled):
 		j.state = JobCanceled
 		j.err = err.Error()
-	default:
-		j.state = JobFailed
-		j.err = err.Error()
-	}
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// finishSweep completes a sweep job. A client cancellation keeps the
-// points that finished before the cancel (res may be partial).
-func (j *Job) finishSweep(res *SweepResult, stages *StageView, err error) {
-	j.mu.Lock()
-	j.finished = time.Now()
-	switch {
-	case err == nil:
-		j.state = JobDone
-		j.sweep = res
-		j.stages = stages
-	case errors.Is(err, errClientCanceled):
-		j.state = JobCanceled
-		j.err = err.Error()
-		j.sweep = res
 	default:
 		j.state = JobFailed
 		j.err = err.Error()
@@ -250,13 +224,6 @@ func (j *Job) signalCancel() {
 	}
 }
 
-// pointFinished advances the sweep progress counter.
-func (j *Job) pointFinished() {
-	j.mu.Lock()
-	j.pointsDone++
-	j.mu.Unlock()
-}
-
 // RunResult is the JSON summary of one completed simulation.
 type RunResult struct {
 	Workload        string  `json:"workload"`
@@ -305,7 +272,7 @@ func summarize(o *core.Outcome) *RunResult {
 // (core.StageTimings). Build and Stream are mutually exclusive:
 // materialized runs build, streaming runs stream (overlapped with
 // simulation, which is why TotalSeconds excludes stream time). For a
-// sweep job the fields are sums over its points.
+// campaign job the fields are sums over its executions.
 type StageView struct {
 	BuildSeconds    float64 `json:"build_seconds,omitempty"`
 	StreamSeconds   float64 `json:"stream_seconds,omitempty"`
@@ -325,19 +292,6 @@ func stageView(t core.StageTimings) *StageView {
 	}
 }
 
-// SweepPointResult is one cell of a sweep result.
-type SweepPointResult struct {
-	Label  string     `json:"label"`
-	System string     `json:"system"`
-	Result *RunResult `json:"result"`
-}
-
-// SweepResult is the JSON result of a sweep job.
-type SweepResult struct {
-	Workload string             `json:"workload"`
-	Points   []SweepPointResult `json:"points"`
-}
-
 // ProgressView is the progress section of a job's JSON view. GenRefs
 // tracks the workload generator: equal to TotalRefs for materialized
 // runs, advancing between Refs and TotalRefs while a streaming run's
@@ -351,8 +305,6 @@ type ProgressView struct {
 	RoundsTotal  int     `json:"rounds_total"`
 	OSReadMisses uint64  `json:"os_read_misses"`
 	Cycles       uint64  `json:"cycles"`
-	PointsDone   int     `json:"points_done,omitempty"`
-	PointsTotal  int     `json:"points_total,omitempty"`
 	// Campaign aggregate (Kind == "campaign"): grid cells credited and
 	// unique configurations executed, plus an ETA extrapolated from the
 	// unique-work completion rate.
@@ -366,18 +318,17 @@ type ProgressView struct {
 // JobView is the JSON rendering of a job returned by the status,
 // submit and stream endpoints.
 type JobView struct {
-	ID         string        `json:"id"`
-	Kind       string        `json:"kind"`
-	State      JobState      `json:"state"`
-	Deduped    bool          `json:"deduped,omitempty"`
-	Key        string        `json:"key"`
-	CreatedAt  time.Time     `json:"created_at"`
-	StartedAt  *time.Time    `json:"started_at,omitempty"`
-	FinishedAt *time.Time    `json:"finished_at,omitempty"`
-	Request    any           `json:"request,omitempty"`
-	Progress   *ProgressView `json:"progress,omitempty"`
-	Result     *RunResult    `json:"result,omitempty"`
-	Sweep      *SweepResult  `json:"sweep,omitempty"`
+	ID         string          `json:"id"`
+	Kind       string          `json:"kind"`
+	State      JobState        `json:"state"`
+	Deduped    bool            `json:"deduped,omitempty"`
+	Key        string          `json:"key"`
+	CreatedAt  time.Time       `json:"created_at"`
+	StartedAt  *time.Time      `json:"started_at,omitempty"`
+	FinishedAt *time.Time      `json:"finished_at,omitempty"`
+	Request    any             `json:"request,omitempty"`
+	Progress   *ProgressView   `json:"progress,omitempty"`
+	Result     *RunResult      `json:"result,omitempty"`
 	Campaign   *CampaignResult `json:"campaign,omitempty"`
 	// Stages is the completed job's wall-clock decomposition; for a
 	// deduplicated job it reports the execution that actually ran.
@@ -414,7 +365,6 @@ func (j *Job) view(deduped bool) *JobView {
 		CreatedAt: j.created,
 		Request:   j.Request,
 		Result:    j.result,
-		Sweep:     j.sweep,
 		Campaign:  j.camp,
 		Stages:    j.stages,
 		Error:     j.err,
@@ -446,16 +396,6 @@ func (j *Job) view(deduped bool) *JobView {
 		pv.Fraction = 1
 	}
 	pv.RoundsDone = int(pv.Fraction * float64(rt))
-	if j.Kind == "sweep" {
-		pv.PointsDone = j.pointsDone
-		pv.PointsTotal = len(j.Points)
-		if n := len(j.Points); n > 0 {
-			pv.Fraction = float64(j.pointsDone) / float64(n)
-			if j.state == JobDone {
-				pv.Fraction = 1
-			}
-		}
-	}
 	if j.Kind == "campaign" && j.Plan != nil {
 		cs := j.Camp.Snapshot()
 		pv.CellsDone = cs.CellsDone
@@ -489,12 +429,6 @@ func (j *Job) simSeconds() float64 {
 	switch {
 	case j.result != nil:
 		return j.result.SimSeconds
-	case j.sweep != nil:
-		var s float64
-		for _, p := range j.sweep.Points {
-			s += p.Result.SimSeconds
-		}
-		return s
 	case j.camp != nil:
 		var s float64
 		for _, c := range j.camp.Cells {

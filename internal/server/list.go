@@ -1,7 +1,7 @@
 package server
 
-// This file is the collection side of the v1 resources: GET /v1/runs,
-// /v1/sweeps and /v1/campaigns list their jobs in submission order
+// This file is the collection side of the v1 resources: GET /v1/runs
+// and /v1/campaigns list their jobs in submission order
 // with an optional state filter and cursor pagination. The cursor is
 // the last returned job's id — stable because jobs are append-only and
 // never renumbered within a server's lifetime.

@@ -246,7 +246,7 @@ func (mt *metrics) observeRunStages(st core.StageTimings) {
 }
 
 // observeRender records the result-rendering span of one completed
-// run or sweep point (rendering always happens server-side, so unlike
+// run or campaign (rendering always happens server-side, so unlike
 // the other stages it is observed per job, not per execution).
 func (mt *metrics) observeRender(d time.Duration) {
 	mt.stage["render"].ObserveDuration(d)

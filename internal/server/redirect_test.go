@@ -18,7 +18,7 @@ func TestLegacyPathsRemoved(t *testing.T) {
 		method, path, hint string
 	}{
 		{"POST", "/v1/run", "POST /v1/runs"},
-		{"POST", "/v1/sweep", "POST /v1/sweeps"},
+		{"POST", "/v1/sweep", "POST /v1/campaigns"},
 		{"GET", "/v1/jobs/j-000001", "GET /v1/runs/{id}"},
 		{"GET", "/v1/jobs/j-000001/stream", "GET /v1/runs/{id}/stream"},
 		{"GET", "/metrics", "GET /v1/metrics"},
@@ -58,6 +58,43 @@ func TestLegacyPathsRemoved(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestSweepAliasRedirects pins the retired sweep resource's one-release
+// window: each /v1/sweeps route answers 308 to its /v1/campaigns
+// counterpart with the query string kept, so a client that follows
+// redirects replays the request (body included) against campaigns.
+func TestSweepAliasRedirects(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	cases := []struct {
+		method, path, location string
+	}{
+		{"POST", "/v1/sweeps", "/v1/campaigns"},
+		{"GET", "/v1/sweeps?state=done&limit=2", "/v1/campaigns?state=done&limit=2"},
+		{"GET", "/v1/sweeps/j-000001", "/v1/campaigns/j-000001"},
+		{"GET", "/v1/sweeps/j-000001/stream", "/v1/campaigns/j-000001/stream"},
+		{"DELETE", "/v1/sweeps/j-000001", "/v1/campaigns/j-000001"},
+	}
+	for _, tc := range cases {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusPermanentRedirect {
+			t.Errorf("%s %s: status %d, want 308", tc.method, tc.path, resp.StatusCode)
+		}
+		if loc := resp.Header.Get("Location"); loc != tc.location {
+			t.Errorf("%s %s: Location %q, want %q", tc.method, tc.path, loc, tc.location)
+		}
 	}
 }
 

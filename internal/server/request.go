@@ -5,23 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"oscachesim/internal/core"
 	"oscachesim/internal/scenario"
-	"oscachesim/internal/sim"
-	"oscachesim/internal/workload"
 )
 
 // This file is the daemon's external input surface: the JSON request
-// bodies of POST /v1/runs and POST /v1/sweeps, their decoding, and the
-// validation that turns them into core.RunConfig values. The fragments
-// every request shares — machine geometry, workload selection, job
-// options, the FieldError shape — live in spec.go; this file composes
-// them. Everything here must hold up under arbitrary bytes — the fuzz
-// target FuzzDecodeRunRequest drives decodeRunRequest with adversarial
-// input and requires a clean client error (never a panic, never an
-// unvalidated configuration).
+// body of POST /v1/runs, its decoding, and the validation that turns it
+// into a core.RunConfig value. The fragments every request shares —
+// machine geometry, workload selection, job options, the FieldError
+// shape — live in spec.go; this file and campaign.go compose them.
+// Everything here must hold up under arbitrary bytes — the fuzz
+// targets FuzzDecodeRunRequest and FuzzDecodeCampaignRequest drive the
+// decoders with adversarial input and require a clean client error
+// (never a panic, never an unvalidated configuration).
 
 // Request size and parameter bounds. They exist to keep one request
 // from monopolizing the daemon: a simulated cache's line array is
@@ -37,10 +34,6 @@ const (
 	maxAssoc = 64
 	// maxScale bounds requested scheduling rounds per workload.
 	maxScale = 1000
-	// maxSweepPoints bounds the grid of one sweep job.
-	maxSweepPoints = 64
-	// maxSweepSystems bounds the systems compared per sweep point.
-	maxSweepSystems = 8
 	// maxScenarioRounds bounds a scenario request's effective rounds
 	// (spec rounds x scale).
 	maxScenarioRounds = 8192
@@ -126,27 +119,6 @@ type RunRequest struct {
 	Machine      *MachineSpec `json:"machine,omitempty"`
 }
 
-// SweepRequest is the body of POST /v1/sweeps: one workload (or
-// scenario) simulated under each system at each grid point. Exactly
-// one of SizesKB, LineSizes and Sharers must be set; Sharers sweeps a
-// scenario's sharing degree and therefore requires Scenario.
-type SweepRequest struct {
-	WorkloadSpec
-	JobOptions
-	Systems   []string `json:"systems"`
-	SizesKB   []uint64 `json:"sizes_kb,omitempty"`
-	LineSizes []uint64 `json:"line_sizes,omitempty"`
-	// Sharers sweeps the scenario's sharing degree: one grid point per
-	// degree, each within [1, the machine's CPU count].
-	Sharers []int `json:"sharers,omitempty"`
-	// L2Line is the L2 line size during a line-size sweep (default 32,
-	// raised to the swept L1 line when smaller).
-	L2Line uint64 `json:"l2_line,omitempty"`
-	// Machine optionally overrides the base machine at every grid
-	// point (a sharing-degree sweep past 4 CPUs needs a wider machine).
-	Machine *MachineSpec `json:"machine,omitempty"`
-}
-
 // decodeJSON strictly decodes one JSON document from r into v:
 // unknown fields and trailing garbage are errors.
 func decodeJSON(r io.Reader, v any) error {
@@ -209,148 +181,4 @@ func (rr *RunRequest) toConfig() (core.RunConfig, error) {
 		cfg.Machine = p
 	}
 	return cfg, nil
-}
-
-func clampTimeout(ms int64, serverMax time.Duration) time.Duration {
-	if ms <= 0 {
-		return serverMax
-	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > serverMax {
-		return serverMax
-	}
-	return d
-}
-
-// sweepPoint is one (geometry, system) cell of a sweep grid.
-type sweepPoint struct {
-	Label  string
-	System core.System
-	Cfg    core.RunConfig
-}
-
-// decodeSweepRequest decodes and validates a /v1/sweeps body and
-// expands it into the grid of runs it describes.
-func decodeSweepRequest(r io.Reader) ([]sweepPoint, *SweepRequest, error) {
-	var sr SweepRequest
-	if err := decodeJSON(r, &sr); err != nil {
-		return nil, nil, err
-	}
-	points, err := sr.expand()
-	if err != nil {
-		return nil, nil, err
-	}
-	return points, &sr, nil
-}
-
-// expand validates the sweep and produces its grid.
-func (sr *SweepRequest) expand() ([]sweepPoint, error) {
-	if err := sr.JobOptions.validate(); err != nil {
-		return nil, err
-	}
-	w, spec, err := sr.WorkloadSpec.resolve(sr.Scale)
-	if err != nil {
-		return nil, err
-	}
-	if len(sr.Systems) == 0 {
-		return nil, reqErrf("sweep needs at least one system")
-	}
-	if len(sr.Systems) > maxSweepSystems {
-		return nil, reqErrf("sweep of %d systems exceeds the maximum %d", len(sr.Systems), maxSweepSystems)
-	}
-	axes := 0
-	for _, n := range []int{len(sr.SizesKB), len(sr.LineSizes), len(sr.Sharers)} {
-		if n > 0 {
-			axes++
-		}
-	}
-	if axes != 1 {
-		return nil, reqErrf("pass exactly one of sizes_kb, line_sizes or sharers")
-	}
-	if len(sr.Sharers) > 0 && spec == nil {
-		return nil, reqErrf("sharers sweeps a scenario's sharing degree; pass scenario too")
-	}
-	var systems []core.System
-	for _, name := range sr.Systems {
-		sys, err := core.ParseSystem(name)
-		if err != nil {
-			return nil, reqErrf("%v", err)
-		}
-		systems = append(systems, sys)
-	}
-
-	base := sim.DefaultParams()
-	if sr.Machine != nil {
-		p, err := sr.Machine.toParams()
-		if err != nil {
-			return nil, err
-		}
-		base = *p
-	}
-	type geo struct {
-		label string
-		p     *sim.Params
-		spec  *scenario.Spec
-	}
-	var grid []geo
-	for _, kb := range sr.SizesKB {
-		if kb == 0 || kb > maxCacheKB {
-			return nil, reqErrf("sizes_kb value %d out of range [1, %d]", kb, maxCacheKB)
-		}
-		p := base
-		p.L1D.Size = kb * 1024
-		if err := p.Validate(); err != nil {
-			return nil, reqErrf("invalid geometry %dKB: %v", kb, err)
-		}
-		grid = append(grid, geo{fmt.Sprintf("%dKB", kb), &p, spec})
-	}
-	for _, line := range sr.LineSizes {
-		if line == 0 || line > maxLineBytes {
-			return nil, reqErrf("line_sizes value %d out of range [1, %d]", line, maxLineBytes)
-		}
-		p := base
-		p.L1D.LineSize = line
-		p.L1I.LineSize = line
-		p.L2.LineSize = sr.L2Line
-		if p.L2.LineSize == 0 {
-			p.L2.LineSize = 32
-		}
-		if p.L2.LineSize < line {
-			p.L2.LineSize = line
-		}
-		if err := p.Validate(); err != nil {
-			return nil, reqErrf("invalid geometry %dB lines: %v", line, err)
-		}
-		grid = append(grid, geo{fmt.Sprintf("%dB", line), &p, spec})
-	}
-	for _, d := range sr.Sharers {
-		if d < 1 || d > base.NumCPUs {
-			return nil, reqErrf("sharers value %d outside [1, %d] (override machine.num_cpus to widen)",
-				d, base.NumCPUs)
-		}
-		p := base
-		grid = append(grid, geo{fmt.Sprintf("d=%d", d), &p, spec.WithSharingDegree(d)})
-	}
-	if len(grid)*len(systems) > maxSweepPoints {
-		return nil, reqErrf("sweep of %d points exceeds the maximum %d", len(grid)*len(systems), maxSweepPoints)
-	}
-
-	var points []sweepPoint
-	for _, g := range grid {
-		for _, sys := range systems {
-			machine := *g.p
-			cfg := core.RunConfig{
-				System: sys, Scale: sr.Scale, Seed: sr.Seed,
-				Machine: &machine, Stream: sr.Stream,
-			}
-			if g.spec != nil {
-				cfg.Scenario = g.spec
-				cfg.Workload = workload.SpecWorkloadName(g.spec)
-			} else {
-				cfg.Workload = w
-			}
-			points = append(points, sweepPoint{Label: g.label, System: sys, Cfg: cfg})
-		}
-	}
-	return points, nil
 }

@@ -24,14 +24,13 @@ type storedCampaignView struct {
 }
 
 // ResultView is the body of GET /v1/results/{key}: the stored result
-// document. Exactly one of Result, Sweep, Campaign is set, per Kind.
+// document. Exactly one of Result, Campaign is set, per Kind.
 type ResultView struct {
 	Key        string          `json:"key"`
 	Kind       string          `json:"kind"`
 	SimVersion string          `json:"sim_version"`
 	StoredAt   time.Time       `json:"stored_at"`
 	Result     *RunResult      `json:"result,omitempty"`
-	Sweep      *SweepResult    `json:"sweep,omitempty"`
 	Campaign   *CampaignResult `json:"campaign,omitempty"`
 }
 
@@ -51,12 +50,6 @@ func resultView(rec *store.Record) (*ResultView, bool) {
 			return nil, false
 		}
 		v.Result = summarize(o)
-	case "sweep":
-		var res SweepResult
-		if err := json.Unmarshal(rec.View, &res); err != nil {
-			return nil, false
-		}
-		v.Sweep = &res
 	case "campaign":
 		var sv storedCampaignView
 		if err := json.Unmarshal(rec.View, &sv); err != nil || sv.Result == nil {
@@ -75,6 +68,11 @@ func resultView(rec *store.Record) (*ResultView, bool) {
 // without transferring the result.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	rec := s.store.Get(r.PathValue("key"))
+	if rec != nil && rec.Kind != "run" && rec.Kind != "campaign" {
+		// A record of a retired job kind (a "sweep" left in an older
+		// results.log) is not servable: answer as if it were absent.
+		rec = nil
+	}
 	if rec == nil {
 		if r.Method == http.MethodHead {
 			w.WriteHeader(http.StatusNotFound)
@@ -116,12 +114,6 @@ func (s *Server) jobFromStoreLocked(job *Job) bool {
 			return false
 		}
 		job.finishRun(summarize(o), nil, nil)
-	case "sweep":
-		var res SweepResult
-		if err := json.Unmarshal(rec.View, &res); err != nil {
-			return false
-		}
-		job.finishSweep(&res, nil, nil)
 	case "campaign":
 		var sv storedCampaignView
 		if err := json.Unmarshal(rec.View, &sv); err != nil || sv.Result == nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"oscachesim/internal/cluster"
 	"oscachesim/internal/core"
@@ -87,12 +88,11 @@ func TestResultsResource(t *testing.T) {
 
 // TestRestartServesFromStore is the crash-recovery contract: a daemon
 // restarted over the same store directory answers previously computed
-// runs, sweeps and campaigns terminal with "deduped": true and zero
+// runs and campaigns terminal with "deduped": true and zero
 // simulation.
 func TestRestartServesFromStore(t *testing.T) {
 	dir := t.TempDir()
 	runReq := runBody(77)
-	sweepReq := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base","Blk_Dma"],"sizes_kb":[16,32],"scale":%d,"seed":2}`, testScale)
 	campReq := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base","BCPref"],"scale":%d,"seed":3}`, testScale)
 
 	st1, err := store.Open(dir, nil)
@@ -102,7 +102,7 @@ func TestRestartServesFromStore(t *testing.T) {
 	s1, ts1 := newTestServer(t, Options{Workers: 2, QueueDepth: 8, Store: st1})
 	var keys []string
 	for path, body := range map[string]string{
-		"/v1/runs": runReq, "/v1/sweeps": sweepReq, "/v1/campaigns": campReq,
+		"/v1/runs": runReq, "/v1/campaigns": campReq,
 	} {
 		_, sub, _ := postJSON(t, ts1.URL+path, body)
 		if v := waitJob(t, ts1.URL, sub.ID); v.State != JobDone {
@@ -127,12 +127,12 @@ func TestRestartServesFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Stats().Replayed < 3 {
-		t.Fatalf("replayed %d records, want >= 3 (run, sweep, campaign)", st2.Stats().Replayed)
+	if st2.Stats().Replayed < 2 {
+		t.Fatalf("replayed %d records, want >= 2 (run, campaign)", st2.Stats().Replayed)
 	}
 	s2, ts2 := newTestServer(t, Options{Workers: 2, QueueDepth: 8, Store: st2})
 	for path, body := range map[string]string{
-		"/v1/runs": runReq, "/v1/sweeps": sweepReq, "/v1/campaigns": campReq,
+		"/v1/runs": runReq, "/v1/campaigns": campReq,
 	} {
 		status, sub, _ := postJSON(t, ts2.URL+path, body)
 		if status != http.StatusOK {
@@ -145,10 +145,6 @@ func TestRestartServesFromStore(t *testing.T) {
 		case "/v1/runs":
 			if sub.Result == nil || sub.Result.Cycles == 0 {
 				t.Fatalf("run served from store has no result: %+v", sub)
-			}
-		case "/v1/sweeps":
-			if sub.Sweep == nil || len(sub.Sweep.Points) != 4 {
-				t.Fatalf("sweep served from store has %d points, want 4", len(sub.Sweep.Points))
 			}
 		case "/v1/campaigns":
 			if sub.Campaign == nil || sub.Campaign.CellsDone != 2 {
@@ -186,9 +182,57 @@ func TestRestartServesFromStore(t *testing.T) {
 	}
 }
 
+// TestRetiredSweepRecordNotFound: a "sweep" record, as the retired
+// sweep job kind appended to results.log, is not a servable result
+// after a restart — GET and HEAD /v1/results/{key} both answer 404,
+// GET with the not_found envelope.
+func TestRetiredSweepRecordNotFound(t *testing.T) {
+	dir := t.TempDir()
+	const key = "sweep:0c5f9a"
+	st1, err := store.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Put(&store.Record{Key: key, Kind: "sweep", SimVersion: core.SimVersion,
+		StoredAt: time.Now().UTC(), View: json.RawMessage(`{"workload":"TRFD_4","points":[]}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.Get(key) == nil {
+		t.Fatal("the sweep record was not replayed")
+	}
+	_, ts := newTestServer(t, Options{Workers: 1, Store: st2})
+
+	resp, err := http.Get(ts.URL + "/v1/results/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb ErrorBody
+	err = json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || err != nil || eb.Error.Code != "not_found" {
+		t.Errorf("GET: HTTP %d code %q (decode err %v), want 404 not_found", resp.StatusCode, eb.Error.Code, err)
+	}
+	req, _ := http.NewRequest(http.MethodHead, ts.URL+"/v1/results/"+key, nil)
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("HEAD: HTTP %d, want 404", resp.StatusCode)
+	}
+}
+
 // TestEvery429CarriesRetryAfter audits backpressure uniformly: every
-// path that can answer 429 — run, sweep and campaign submission plus
-// the forwarded-compute endpoint — must advertise Retry-After.
+// path that can answer 429 — run and campaign submission plus the
+// forwarded-compute endpoint — must advertise Retry-After.
 func TestEvery429CarriesRetryAfter(t *testing.T) {
 	started := make(chan string, 16)
 	release := make(chan struct{})
@@ -214,7 +258,6 @@ func TestEvery429CarriesRetryAfter(t *testing.T) {
 		name, path, body string
 	}{
 		{"run", "/v1/runs", runBody(3)},
-		{"sweep", "/v1/sweeps", fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base"],"sizes_kb":[16,32],"scale":%d}`, testScale)},
 		{"campaign", "/v1/campaigns", fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base","BCPref"],"scale":%d}`, testScale)},
 	}
 	for _, tc := range submits {
@@ -268,11 +311,11 @@ func TestEvery429CarriesRetryAfter(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCancelRunAndSweep pins the uniform DELETE lifecycle on the two
-// kinds that gained it: queued → canceled in place (200), running →
-// signaled and wound down (202 then terminal "canceled"), terminal →
-// reported as-is (200), unknown or wrong-kind id → 404.
-func TestCancelRunAndSweep(t *testing.T) {
+// TestCancelRunAndCampaign pins the uniform DELETE lifecycle on both
+// job kinds: queued → canceled in place (200), running → signaled and
+// wound down (202 then terminal "canceled"), terminal → reported as-is
+// (200), unknown or wrong-kind id → 404.
+func TestCancelRunAndCampaign(t *testing.T) {
 	started := make(chan string, 8)
 	release := make(chan struct{})
 	_, ts := newTestServer(t, Options{
@@ -325,25 +368,25 @@ func TestCancelRunAndSweep(t *testing.T) {
 	}
 	waitJob(t, ts.URL, retry.ID)
 
-	// Sweeps: wrong-kind and unknown ids 404; a running sweep cancels
-	// with 202 and winds down canceled.
-	if status, _ := del("/v1/sweeps/" + queued.ID); status != http.StatusNotFound {
+	// Campaigns: wrong-kind and unknown ids 404; a running campaign
+	// cancels with 202 and winds down canceled.
+	if status, _ := del("/v1/campaigns/" + queued.ID); status != http.StatusNotFound {
 		t.Fatalf("cross-kind cancel: HTTP %d, want 404", status)
 	}
 	if status, _ := del("/v1/runs/j-999999"); status != http.StatusNotFound {
 		t.Fatalf("unknown id cancel: HTTP %d, want 404", status)
 	}
-	sweepReq := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base"],"sizes_kb":[16,32],"scale":%d,"seed":9}`, testScale)
-	_, sweep, _ := postJSON(t, ts.URL+"/v1/sweeps", sweepReq)
+	campReq := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base"],"sizes_kb":[16,32],"scale":%d,"seed":9}`, testScale)
+	_, camp, _ := postJSON(t, ts.URL+"/v1/campaigns", campReq)
 	<-started
-	if status, _ := del("/v1/sweeps/" + sweep.ID); status != http.StatusAccepted {
-		t.Fatalf("sweep cancel: HTTP %d, want 202", status)
+	if status, _ := del("/v1/campaigns/" + camp.ID); status != http.StatusAccepted {
+		t.Fatalf("campaign cancel: HTTP %d, want 202", status)
 	}
-	if v := waitJob(t, ts.URL, sweep.ID); v.State != JobCanceled {
-		t.Fatalf("canceled sweep wound down %s", v.State)
+	if v := waitJob(t, ts.URL, camp.ID); v.State != JobCanceled {
+		t.Fatalf("canceled campaign wound down %s", v.State)
 	}
 	// A terminal job: DELETE just reports it.
-	if status, v := del("/v1/sweeps/" + sweep.ID); status != http.StatusOK || v.State != JobCanceled {
+	if status, v := del("/v1/campaigns/" + camp.ID); status != http.StatusOK || v.State != JobCanceled {
 		t.Fatalf("terminal cancel: HTTP %d state %s, want 200 canceled", status, v.State)
 	}
 }

@@ -6,6 +6,11 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"oscachesim/internal/core"
+	"oscachesim/internal/scenario"
+	"oscachesim/internal/sim"
+	"oscachesim/internal/workload"
 )
 
 // TestRunScenarioPreset submits a scenario run by preset name and
@@ -131,57 +136,49 @@ func TestRunScenarioDedup(t *testing.T) {
 	waitJob(t, ts.URL, v1.ID)
 }
 
-// TestSweepSharers submits a sharing-degree sweep on a widened
-// directory machine and checks per-point labels and results.
+// TestSweepSharers pins the retired sweep resource's alias on the
+// sharing axis: the former sharing-degree sweep body, posted to
+// /v1/sweeps with a 16-CPU directory machine, follows the 308 and
+// becomes a campaign whose cells match core.Run at each degree.
 func TestSweepSharers(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
-	body := `{"scenario":{"preset":"sharing"},"systems":["Base"],"sharers":[1,2,4],
-		"machine":{"num_cpus":8,"coherence":"directory"},"seed":1}`
-	status, v, _ := postJSON(t, ts.URL+"/v1/sweeps", body)
-	if status != http.StatusAccepted {
-		t.Fatalf("HTTP %d", status)
+	spec, err := scenario.Preset("sharing")
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := waitJob(t, ts.URL, v.ID)
-	if done.State != JobDone {
-		t.Fatalf("job state %s (error %q)", done.State, done.Error)
+	p := sim.DefaultParams()
+	p.NumCPUs, p.Coherence = 16, sim.CoherenceDirectory
+	var want []core.RunConfig
+	for _, d := range []int{1, 2, 4, 8, 16} {
+		machine := p
+		ds := spec.WithSharingDegree(d)
+		want = append(want, core.RunConfig{
+			Workload: workload.SpecWorkloadName(ds), Scenario: ds,
+			System: core.Base, Scale: 1, Seed: 1, Machine: &machine,
+		})
 	}
-	if done.Sweep == nil || len(done.Sweep.Points) != 3 {
-		t.Fatalf("sweep = %+v", done.Sweep)
-	}
-	for i, want := range []string{"d=1", "d=2", "d=4"} {
-		if done.Sweep.Points[i].Label != want {
-			t.Errorf("point %d label %q, want %q", i, done.Sweep.Points[i].Label, want)
-		}
-		if done.Sweep.Points[i].Result == nil {
-			t.Errorf("point %d has no result", i)
-		}
-	}
-	if !strings.HasPrefix(done.Sweep.Workload, "scenario:sharing") {
-		t.Errorf("sweep workload label %q", done.Sweep.Workload)
-	}
+	body := `{"scenario":{"preset":"sharing"},"systems":["Base"],"sharers":[1,2,4,8,16],
+		"machine":{"num_cpus":16,"coherence":"directory"},"scale":1,"seed":1}`
+	checkSweepAlias(t, ts.URL, body, want)
 }
 
-// TestSweepSharersRejections pins the sweep-side validation.
+// TestSweepSharersRejections pins validation of former sweep bodies
+// through the alias: the campaign decoder rejects them with 400 and,
+// where one field is at fault, its dotted path.
 func TestSweepSharersRejections(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
-		name, body, want string
+		name, body, want, field string
 	}{
 		{"sharers without scenario",
 			`{"workload":"TRFD_4","systems":["Base"],"sharers":[1,2]}`,
-			"pass scenario"},
+			"pass a scenario", "sharers"},
 		{"degree past machine width",
 			`{"scenario":{"preset":"sharing"},"systems":["Base"],"sharers":[8]}`,
-			"outside [1, 4]"},
-		{"two axes",
-			`{"scenario":{"preset":"sharing"},"systems":["Base"],"sharers":[1],"sizes_kb":[32]}`,
-			"exactly one"},
-		{"no axis",
-			`{"workload":"TRFD_4","systems":["Base"]}`,
-			"exactly one"},
+			"outside [1, 4]", "sharers[0]"},
 		{"workload and scenario",
 			`{"workload":"TRFD_4","scenario":{"preset":"sharing"},"systems":["Base"],"sharers":[1]}`,
-			"not both"},
+			"not both", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -199,6 +196,9 @@ func TestSweepSharersRejections(t *testing.T) {
 			}
 			if !strings.Contains(eb.Error.Message, tc.want) {
 				t.Fatalf("error %q does not mention %q", eb.Error.Message, tc.want)
+			}
+			if eb.Error.Field != tc.field {
+				t.Fatalf("error field %q, want %q", eb.Error.Field, tc.field)
 			}
 		})
 	}

@@ -15,20 +15,15 @@
 // Endpoints (v1 resource surface; API.md is the committed contract):
 //
 //	POST   /v1/runs                   submit one simulation       -> JobView
-//	POST   /v1/sweeps                 submit a one-axis grid      -> JobView
 //	POST   /v1/campaigns              submit a parameter grid     -> JobView
 //	GET    /v1/runs                   list jobs (?state=, ?cursor=, ?limit=)
-//	GET    /v1/sweeps                 list sweep jobs
 //	GET    /v1/campaigns              list campaign jobs
 //	GET    /v1/runs/{id}              job status, progress and result
-//	GET    /v1/sweeps/{id}            sweep status (kind-checked)
 //	GET    /v1/campaigns/{id}         campaign status (kind-checked)
 //	GET    /v1/runs/{id}/stream       NDJSON progress, then the final view
-//	GET    /v1/sweeps/{id}/stream     same, kind-checked
 //	GET    /v1/campaigns/{id}/stream  same; aggregate cell progress + ETA
 //	GET    /v1/campaigns/{id}/report  comparison table + axis diff
 //	DELETE /v1/runs/{id}              cancel (uniform across kinds)
-//	DELETE /v1/sweeps/{id}            cancel (mid-grid keeps partial points)
 //	DELETE /v1/campaigns/{id}         cancel (mid-grid keeps partial cells)
 //	GET    /v1/results/{key}          stored result by content address
 //	HEAD   /v1/results/{key}          existence probe, no body
@@ -42,7 +37,10 @@
 // The pre-resource paths (POST /v1/run, POST /v1/sweep,
 // GET /v1/jobs/{id}[/stream], GET /metrics) were redirected with 308
 // for one release and have now been removed: they answer 404 with a
-// JSON error naming the v1 successor.
+// JSON error naming the v1 successor. The sweep resource is retired
+// the same way: a sweep body is a one-axis campaign body, so for one
+// release every /v1/sweeps route answers 308 to its /v1/campaigns
+// counterpart.
 //
 // Every client-facing error (400, 404, 429, 503) carries the uniform
 // envelope {"error": {"code": "...", "message": "..."}}. A full queue
@@ -53,14 +51,12 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -212,20 +208,15 @@ type route struct {
 func (s *Server) routes() []route {
 	return []route{
 		{"POST /v1/runs", "/v1/runs", s.handleRun},
-		{"POST /v1/sweeps", "/v1/sweeps", s.handleSweep},
 		{"POST /v1/campaigns", "/v1/campaigns", s.handleCampaign},
 		{"GET /v1/runs", "/v1/runs", s.handleList("run")},
-		{"GET /v1/sweeps", "/v1/sweeps", s.handleList("sweep")},
 		{"GET /v1/campaigns", "/v1/campaigns", s.handleList("campaign")},
 		{"GET /v1/runs/{id}", "/v1/runs/{id}", s.handleJob},
-		{"GET /v1/sweeps/{id}", "/v1/sweeps/{id}", s.handleKindJob("sweep")},
 		{"GET /v1/campaigns/{id}", "/v1/campaigns/{id}", s.handleKindJob("campaign")},
 		{"GET /v1/runs/{id}/stream", "/v1/runs/{id}/stream", s.handleStream},
-		{"GET /v1/sweeps/{id}/stream", "/v1/sweeps/{id}/stream", s.handleKindStream("sweep")},
 		{"GET /v1/campaigns/{id}/stream", "/v1/campaigns/{id}/stream", s.handleKindStream("campaign")},
 		{"GET /v1/campaigns/{id}/report", "/v1/campaigns/{id}/report", s.handleCampaignReport},
 		{"DELETE /v1/runs/{id}", "/v1/runs/{id}", s.handleCancel("run")},
-		{"DELETE /v1/sweeps/{id}", "/v1/sweeps/{id}", s.handleCancel("sweep")},
 		{"DELETE /v1/campaigns/{id}", "/v1/campaigns/{id}", s.handleCancel("campaign")},
 		{"GET /v1/results/{key}", "/v1/results/{key}", s.handleResult},
 		{"HEAD /v1/results/{key}", "/v1/results/{key}", s.handleResult},
@@ -278,10 +269,25 @@ func (s *Server) Handler() http.Handler {
 		}
 	}
 	mux.HandleFunc("POST /v1/run", gone("POST /v1/runs"))
-	mux.HandleFunc("POST /v1/sweep", gone("POST /v1/sweeps"))
+	mux.HandleFunc("POST /v1/sweep", gone("POST /v1/campaigns"))
 	mux.HandleFunc("GET /v1/jobs/{id}", gone("GET /v1/runs/{id}"))
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", gone("GET /v1/runs/{id}/stream"))
 	mux.HandleFunc("GET /metrics", gone("GET /v1/metrics"))
+
+	// Retired sweep resource (one-release 308 window): a sweep body is
+	// already a valid campaign body, so each route is replayed verbatim
+	// against its /v1/campaigns counterpart, query string kept.
+	toCampaigns := func(w http.ResponseWriter, r *http.Request) {
+		u := *r.URL
+		u.Path = "/v1/campaigns" + strings.TrimPrefix(r.URL.Path, "/v1/sweeps")
+		u.RawPath = ""
+		http.Redirect(w, r, u.RequestURI(), http.StatusPermanentRedirect)
+	}
+	mux.HandleFunc("POST /v1/sweeps", toCampaigns)
+	mux.HandleFunc("GET /v1/sweeps", toCampaigns)
+	mux.HandleFunc("GET /v1/sweeps/{id}", toCampaigns)
+	mux.HandleFunc("GET /v1/sweeps/{id}/stream", toCampaigns)
+	mux.HandleFunc("DELETE /v1/sweeps/{id}", toCampaigns)
 	return mux
 }
 
@@ -408,44 +414,6 @@ func (s *Server) execute(job *Job) {
 			sv = stageView(st)
 		}
 		s.finalize(job, func() { job.finishRun(res, sv, err) }, err)
-	case "sweep":
-		res := &SweepResult{Workload: string(job.Points[0].Cfg.Workload)}
-		var agg core.StageTimings
-		var err error
-		for _, pt := range job.Points {
-			var o *core.Outcome
-			cfg := pt.Cfg
-			cfg.OnStages = s.metrics.observeRunStages
-			o, err = s.run(ctx, cfg)
-			if err != nil {
-				break
-			}
-			t0 := time.Now()
-			res.Points = append(res.Points, SweepPointResult{
-				Label:  pt.Label,
-				System: pt.System.String(),
-				Result: summarize(o),
-			})
-			render := time.Since(t0)
-			s.metrics.observeRender(render)
-			agg.Build += o.Stages.Build
-			agg.Stream += o.Stages.Stream
-			agg.Simulate += o.Stages.Simulate
-			agg.Render += render
-			job.pointFinished()
-		}
-		var sv *StageView
-		switch {
-		case err == nil:
-			sv = stageView(agg)
-			s.putViewRecord(job.Key, "sweep", res)
-		case canceledErr(err):
-			// Keep the points that finished before the cancel.
-			err = errClientCanceled
-		default:
-			res = nil
-		}
-		s.finalize(job, func() { job.finishSweep(res, sv, err) }, err)
 	case "campaign":
 		cells, err := campaign.Run(ctx, s.campaignRunner(), job.Plan, job.Camp)
 		t0 := time.Now()
@@ -472,8 +440,8 @@ func (s *Server) execute(job *Job) {
 	}
 }
 
-// putViewRecord persists a grid job's rendered result (sweep or
-// campaign) so a restarted daemon answers the same grid from disk.
+// putViewRecord persists a campaign's rendered result so a restarted
+// daemon answers the same grid from disk.
 func (s *Server) putViewRecord(key, kind string, view any) {
 	raw, err := json.Marshal(view)
 	if err != nil {
@@ -589,34 +557,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	job.Cfg = cfg
 	job.Request = rr
 	s.respondSubmit(w, job)
-}
-
-// handleSweep accepts a sweep grid as one job.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	points, sr, err := decodeSweepRequest(r.Body)
-	if err != nil {
-		s.clientError(w, err)
-		return
-	}
-	// The sweep's content address is the ordered hash of its points'.
-	key := "sweep:" + sweepKey(points)
-	job := newJob("", "sweep", key, clampTimeout(sr.TimeoutMS, s.opts.JobTimeout))
-	job.Points = points
-	job.Cfg = points[0].Cfg
-	job.Request = sr
-	s.respondSubmit(w, job)
-}
-
-// sweepKey hashes a grid's canonical keys in order. Each point key
-// already embeds core.SimVersion, so the sweep address also rolls over
-// on simulator changes.
-func sweepKey(points []sweepPoint) string {
-	h := sha256.New()
-	for _, pt := range points {
-		io.WriteString(h, pt.Cfg.CanonicalKey())
-		io.WriteString(h, "\n")
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // respondSubmit runs the shared submit path and writes the response.

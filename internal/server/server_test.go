@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"oscachesim/internal/core"
+	"oscachesim/internal/sim"
 )
 
 // testScale keeps simulations fast: two scheduling rounds.
@@ -227,40 +228,92 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestSweepJob pins the retired sweep resource's one-release alias on
+// the geometry axes: a former sweep body posted to /v1/sweeps follows
+// the 308 to /v1/campaigns and becomes a campaign job whose cells are
+// exactly the configurations the body names, each with core.Run's
+// counters; an identical second POST dedupes onto it. The line-size
+// body leaves l2_line unset, so every cell keeps the base machine's
+// 64-byte L2 line (the sweep kind used to force 32 there).
 func TestSweepJob(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 8})
-	body := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base","Blk_Dma"],"sizes_kb":[16,32],"scale":%d,"seed":1}`, testScale)
-	status, sub, _ := postJSON(t, ts.URL+"/v1/sweeps", body)
-	if status != http.StatusAccepted {
-		t.Fatalf("sweep submit: HTTP %d, want 202", status)
+	cfg := func(sys core.System, edit func(*sim.Params)) core.RunConfig {
+		p := sim.DefaultParams()
+		edit(&p)
+		return core.RunConfig{Workload: "TRFD_4", System: sys, Scale: testScale, Seed: 1, Machine: &p}
 	}
-	if sub.Kind != "sweep" {
-		t.Fatalf("kind %q", sub.Kind)
-	}
-	v := waitJob(t, ts.URL, sub.ID)
-	if v.State != JobDone {
-		t.Fatalf("sweep finished %s (error %q)", v.State, v.Error)
-	}
-	if v.Sweep == nil || len(v.Sweep.Points) != 4 {
-		t.Fatalf("sweep result %+v, want 4 points", v.Sweep)
-	}
-	if v.Progress.PointsDone != 4 || v.Progress.PointsTotal != 4 {
-		t.Errorf("sweep progress %+v", v.Progress)
-	}
-	for _, p := range v.Sweep.Points {
-		if p.Result == nil || p.Result.Cycles == 0 {
-			t.Errorf("empty sweep point %+v", p)
+	var sizes, lines []core.RunConfig
+	for _, kb := range []uint64{16, 32, 64} {
+		for _, sys := range []core.System{core.Base, core.BlkDma} {
+			sizes = append(sizes, cfg(sys, func(p *sim.Params) { p.L1D.Size = kb * 1024 }))
 		}
 	}
+	for _, line := range []uint64{16, 32} {
+		lines = append(lines, cfg(core.Base, func(p *sim.Params) {
+			p.L1D.LineSize, p.L1I.LineSize, p.L2.LineSize = line, line, 64
+		}))
+	}
+	sizesBody := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base","Blk_Dma"],"sizes_kb":[16,32,64],"scale":%d,"seed":1}`, testScale)
+	linesBody := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base"],"line_sizes":[16,32],"machine":{"l2_line":64},"scale":%d,"seed":1}`, testScale)
 
-	for _, bad := range []string{
-		`{"workload":"TRFD_4","systems":["Base"]}`,                              // no grid
-		`{"workload":"TRFD_4","systems":["Base"],"sizes_kb":[16],"line_sizes":[32]}`, // both grids
-		`{"workload":"TRFD_4","systems":[],"sizes_kb":[16]}`,                    // no systems
-	} {
-		status, _, _ := postJSON(t, ts.URL+"/v1/sweeps", bad)
-		if status != http.StatusBadRequest {
-			t.Errorf("bad sweep %q: HTTP %d, want 400", bad, status)
+	checkSweepAlias(t, ts.URL, sizesBody, sizes)
+	// The line-size grid, first submitted directly as a campaign: the
+	// alias then dedupes onto that very job.
+	status, sub, _ := postJSON(t, ts.URL+"/v1/campaigns", linesBody)
+	if status != http.StatusAccepted {
+		t.Fatalf("line-size campaign: HTTP %d, want 202", status)
+	}
+	checkCells(t, waitJob(t, ts.URL, sub.ID), lines)
+	if id := checkSweepAlias(t, ts.URL, linesBody, lines); id != sub.ID {
+		t.Errorf("line-size body via /v1/sweeps got job %s, want the campaign %s", id, sub.ID)
+	}
+}
+
+// checkSweepAlias posts a former sweep body to /v1/sweeps (the client
+// follows the 308), checks the campaign job's cells against want, and
+// checks an identical second POST answers 200 deduped. It returns the
+// job id.
+func checkSweepAlias(t *testing.T, base, body string, want []core.RunConfig) string {
+	t.Helper()
+	status, sub, _ := postJSON(t, base+"/v1/sweeps", body)
+	if status != http.StatusAccepted && status != http.StatusOK {
+		t.Fatalf("POST /v1/sweeps: HTTP %d", status)
+	}
+	if sub.Kind != "campaign" || !strings.HasPrefix(sub.Key, "campaign:") {
+		t.Fatalf("POST /v1/sweeps made kind %q key %q, want a campaign", sub.Kind, sub.Key)
+	}
+	checkCells(t, waitJob(t, base, sub.ID), want)
+	status, again, _ := postJSON(t, base+"/v1/sweeps", body)
+	if status != http.StatusOK || !again.Deduped || again.ID != sub.ID {
+		t.Errorf("second POST: HTTP %d deduped %v id %s, want 200 dedup onto %s",
+			status, again.Deduped, again.ID, sub.ID)
+	}
+	return sub.ID
+}
+
+// checkCells requires a done campaign whose cells are want, in order:
+// each cell's key is the configuration's canonical key and its result
+// is core.Run's for that configuration.
+func checkCells(t *testing.T, v *JobView, want []core.RunConfig) {
+	t.Helper()
+	if v.State != JobDone || v.Campaign == nil {
+		t.Fatalf("campaign finished %s (error %q)", v.State, v.Error)
+	}
+	if len(v.Campaign.Cells) != len(want) {
+		t.Fatalf("%d cells, want %d", len(v.Campaign.Cells), len(want))
+	}
+	for i, cfg := range want {
+		cell := v.Campaign.Cells[i]
+		if cell.Key != cfg.CanonicalKey() {
+			t.Errorf("cell %d %v: key is not its configuration's", i, cell.Coords)
+			continue
+		}
+		o, err := core.Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := *cell.Result, *summarize(o); got != want {
+			t.Errorf("cell %d %v: result %+v, core.Run %+v", i, cell.Coords, got, want)
 		}
 	}
 }

@@ -2,10 +2,9 @@ package server
 
 // This file is the shared request vocabulary of the v1 API: the
 // machine-spec, workload-selection and job-option fragments that
-// RunRequest, SweepRequest and CampaignRequest embed verbatim, plus
-// the dotted-path FieldError every validator speaks. One decoder
-// (decodeJSON), one validator per fragment, one error shape across all
-// three resources.
+// RunRequest and CampaignRequest embed verbatim, plus the dotted-path
+// FieldError every validator speaks. One decoder (decodeJSON), one
+// validator per fragment, one error shape across both resources.
 
 import (
 	"errors"
@@ -83,11 +82,6 @@ type JobOptions struct {
 	// run (the canonical key ignores this flag), so it only trades the
 	// job's peak memory and wall clock.
 	Stream bool `json:"stream,omitempty"`
-	// IntraWorkers is deprecated: it selected the intra-run parallel
-	// engine, which has been removed. It is still decoded, so that
-	// requests carrying it are not rejected by the strict decoder, and
-	// then ignored; it will be dropped in the next release.
-	IntraWorkers int `json:"intra_workers,omitempty"`
 	// TimeoutMS optionally tightens the server's per-job deadline; it
 	// can never extend it.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -110,7 +104,10 @@ func (o *JobOptions) validate() error {
 // timeout returns the request's effective deadline under the server
 // maximum.
 func (o *JobOptions) timeout(serverMax time.Duration) time.Duration {
-	return clampTimeout(o.TimeoutMS, serverMax)
+	if o.TimeoutMS <= 0 {
+		return serverMax
+	}
+	return min(time.Duration(o.TimeoutMS)*time.Millisecond, serverMax)
 }
 
 // WorkloadSpec selects what to simulate: one built-in profile by name,

@@ -1,6 +1,6 @@
 // Package store is the daemon's durable content-addressed result
-// store: every completed simulation outcome (and every rendered sweep
-// or campaign view) is appended to an integrity-checked on-disk log
+// store: every completed simulation outcome (and every rendered
+// campaign view) is appended to an integrity-checked on-disk log
 // keyed by its canonical key, so results survive a restart and warm
 // the dedup cache on boot — the paper's remove-redundant-work lesson
 // applied across process lifetimes, not just across requests.
@@ -52,15 +52,17 @@ const logName = "results.log"
 const maxRecordPayload = 1 << 26
 
 // Record is one stored result. A "run" record carries the counters
-// needed to reconstruct a servable core.Outcome; "sweep" and
-// "campaign" records carry their rendered API view (the server's
-// SweepResult / stored campaign body) as raw JSON, since those shapes
-// belong to the API layer, not this package.
+// needed to reconstruct a servable core.Outcome; a "campaign" record
+// carries its rendered API view (the server's stored campaign body) as
+// raw JSON, since that shape belongs to the API layer, not this
+// package. Kind is opaque here: logs written before the sweep job kind
+// was retired may still hold "sweep" records, which the server does not
+// serve.
 type Record struct {
 	// Key is the content address (core.RunConfig.CanonicalKey for
-	// runs; the server's "sweep:..."/"campaign:..." hashes otherwise).
+	// runs; the server's "campaign:..." hashes otherwise).
 	Key string `json:"key"`
-	// Kind is "run", "sweep" or "campaign".
+	// Kind is "run" or "campaign".
 	Kind string `json:"kind"`
 	// SimVersion is the simulator semantics the result was computed
 	// under. Replay drops records from other versions: their keys can
@@ -78,7 +80,7 @@ type Record struct {
 	GenStalls  uint64          `json:"gen_stalls,omitempty"`
 	GenStallNS int64           `json:"gen_stall_ns,omitempty"`
 
-	// View payload (Kind == "sweep" or "campaign"): the rendered API
+	// View payload (Kind == "campaign"): the rendered API
 	// result, opaque to this package.
 	View json.RawMessage `json:"view,omitempty"`
 }
