@@ -92,7 +92,9 @@ func BenchmarkUpdateTraffic(b *testing.B) { benchExperiment(b, "update-traffic")
 // cyclicSource replays a reference slice in a loop, drawing from a
 // budget shared by all processors, so a fixed-size trace can feed a
 // simulator exactly b.N references. The simulator is single-goroutine,
-// so the plain shared counter is safe.
+// so the plain shared counter is safe. Like the production sources it
+// reads in batches, so the benchmark times the simulator's own refill
+// path rather than the Next-only adapter.
 type cyclicSource struct {
 	refs   []trace.Ref
 	pos    int
@@ -100,16 +102,18 @@ type cyclicSource struct {
 }
 
 func (s *cyclicSource) Next() (trace.Ref, bool) {
-	if *s.budget <= 0 || len(s.refs) == 0 {
-		return trace.Ref{}, false
-	}
-	*s.budget--
-	r := s.refs[s.pos]
-	s.pos++
+	var r [1]trace.Ref
+	return r[0], s.Read(r[:]) == 1
+}
+
+func (s *cyclicSource) Read(dst []trace.Ref) int {
+	n := copy(dst[:min(int64(len(dst)), max(*s.budget, 0))], s.refs[s.pos:])
+	*s.budget -= int64(n)
+	s.pos += n
 	if s.pos == len(s.refs) {
 		s.pos = 0
 	}
-	return r, true
+	return n
 }
 
 // BenchmarkSimulatorThroughput measures the simulator's steady-state
@@ -166,6 +170,35 @@ func benchThroughput(b *testing.B, p sim.Params) {
 		b.Fatalf("simulated %d refs, want %d", res.Refs, b.N)
 	}
 	b.ReportMetric(float64(res.Refs)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
+}
+
+// BenchmarkSimulatorReplayDir64 replays one full, pre-built 64-CPU
+// TRFD_4 trace on the 64-CPU directory machine: each iteration builds a
+// simulator over fresh SliceSources and runs it to the end of the
+// trace. Unlike the cyclic SimulatorThroughput loop, whose small trace
+// stays cache-resident, the replay streams ~90 MB of references
+// through 64 interleaved per-CPU cursors, so it sees the simulator's
+// own trace-fetch cost (EXPERIMENTS.md, "Reference delivery"). Scale 3
+// is the dir64-stream benchmark's. Its name stays outside the
+// SimulatorThroughput pattern the CI floor step counts.
+func BenchmarkSimulatorReplayDir64(b *testing.B) {
+	p := dirParams(64)
+	built := workload.BuildN(workload.TRFD4, kernel.OptConfig{}, 3, 1, p.NumCPUs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var refs uint64
+	for i := 0; i < b.N; i++ {
+		s, err := sim.New(p, built.Sources())
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs += res.Refs
+	}
+	b.ReportMetric(float64(refs)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
 }
 
 // BenchmarkEndToEndRun measures a complete run — workload generation

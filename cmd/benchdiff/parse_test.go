@@ -31,13 +31,13 @@ func TestParseLine(t *testing.T) {
 
 func TestDiffGate(t *testing.T) {
 	oldRes := map[string]Result{
-		"BenchmarkA": {NsPerOp: 100, AllocsPerOp: 100, BytesPerOp: 1000},
-		"BenchmarkB": {NsPerOp: 100, AllocsPerOp: 0, BytesPerOp: 0},
+		"BenchmarkA":    {NsPerOp: 100, AllocsPerOp: 100, BytesPerOp: 1000},
+		"BenchmarkB":    {NsPerOp: 100, AllocsPerOp: 0, BytesPerOp: 0},
 		"BenchmarkGone": {NsPerOp: 1, AllocsPerOp: 1},
 	}
 	newRes := map[string]Result{
-		"BenchmarkA": {NsPerOp: 90, AllocsPerOp: 109, BytesPerOp: 900}, // +9%: within threshold
-		"BenchmarkB": {NsPerOp: 100, AllocsPerOp: 0, BytesPerOp: 0},
+		"BenchmarkA":   {NsPerOp: 90, AllocsPerOp: 109, BytesPerOp: 900}, // +9%: within threshold
+		"BenchmarkB":   {NsPerOp: 100, AllocsPerOp: 0, BytesPerOp: 0},
 		"BenchmarkNew": {NsPerOp: 1, AllocsPerOp: 1},
 	}
 	rep := diff(oldRes, newRes, 0.10)

@@ -25,10 +25,10 @@ import (
 
 func main() {
 	var (
-		wname  = flag.String("workload", string(workload.TRFD4), "workload to generate")
-		sname  = flag.String("system", "Base", "system whose kernel build to trace")
-		scale  = flag.Int("scale", 0, "scheduling rounds (0 = default)")
-		seed   = flag.Int64("seed", 1, "deterministic seed")
+		wname   = flag.String("workload", string(workload.TRFD4), "workload to generate")
+		sname   = flag.String("system", "Base", "system whose kernel build to trace")
+		scale   = flag.Int("scale", 0, "scheduling rounds (0 = default)")
+		seed    = flag.Int64("seed", 1, "deterministic seed")
 		out     = flag.String("out", "", "write the generated trace to this file")
 		in      = flag.String("in", "", "read and summarize a trace file instead of generating (format auto-detected)")
 		nprint  = flag.Int("print", 0, "print the first N references")

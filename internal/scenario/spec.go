@@ -334,7 +334,7 @@ func (p *Phase) validate(path string) error {
 			return fieldErr(fmt.Sprintf("%s.block_sizes[%d].bytes", path, j), sc.Bytes,
 				fmt.Sprintf("must be in [1, %d]", MaxBlockBytes))
 		}
-		if sc.Weight <= 0 || bad(sc.Weight / (sc.Weight + 1)) {
+		if sc.Weight <= 0 || bad(sc.Weight/(sc.Weight+1)) {
 			return fieldErr(fmt.Sprintf("%s.block_sizes[%d].weight", path, j), sc.Weight,
 				"weight must be positive and finite")
 		}

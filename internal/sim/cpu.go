@@ -15,7 +15,10 @@ type invalRecord struct {
 // cpuState is one simulated processor with its private hierarchy.
 type cpuState struct {
 	id  int
-	src trace.Source
+	src trace.BatchSource
+	// win[pos:n] are the processor's next references, read ahead of
+	// execution by one batch read of src (see next).
+	pos, n int
 	// time is the processor's local clock in CPU cycles.
 	time uint64
 	done bool
@@ -68,6 +71,34 @@ type cpuState struct {
 	blkIsCopy   bool
 
 	refs uint64
+
+	win [refWindow]trace.Ref
+}
+
+// refWindow is the number of references one batch read fetches into a
+// processor's window. The read-ahead stays within the processor's own
+// stream, so it changes no executed reference and no order; what it
+// changes is the simulator's own memory traffic. With many interleaved
+// per-CPU streams the hardware prefetcher cannot follow them, and a
+// reference-at-a-time fetch takes each new trace line as a serial
+// demand miss; one copy of 32 refs (1280 B, ~20 cache lines) puts
+// those misses in flight together. Windows of 16 and 64 measured
+// within noise of 32 on the 64-CPU machine (EXPERIMENTS.md, "Reference
+// delivery").
+const refWindow = 32
+
+// next returns the processor's next reference, refilling its window
+// with one batch read when it runs dry, or false at the end of its
+// stream.
+func (c *cpuState) next() (trace.Ref, bool) {
+	if c.pos == c.n {
+		c.pos, c.n = 0, c.src.Read(c.win[:])
+		if c.n == 0 {
+			return trace.Ref{}, false
+		}
+	}
+	c.pos++
+	return c.win[c.pos-1], true
 }
 
 // pendingFill is an in-flight prefetch.
@@ -84,7 +115,7 @@ const emptyReg = ^uint64(0)
 func newCPU(id int, p Params, src trace.Source) *cpuState {
 	c := &cpuState{
 		id:             id,
-		src:            src,
+		src:            trace.Batched(src),
 		l1i:            cache.New(p.L1I),
 		l1d:            cache.New(p.L1D),
 		l2:             cache.New(p.L2),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,11 +77,14 @@ func probeOf(c *cpuState) drainProbe {
 }
 
 // TestSchedulerInvariants drives the step loop by hand over random
-// synchronization-heavy traces and checks, before every step, the two
+// synchronization-heavy traces and checks, before every step, the
 // facts the serial loop's speed rests on: the tournament tree's root is
 // the brute-force argmin of live (clock, id) over runnable processors,
-// and every write-buffer probe the drain horizon skips would have made
-// no progress.
+// every write-buffer probe the drain horizon skips would have made no
+// progress, and every processor's reference window holds exactly the
+// next unexecuted references of its own stream. Even processors read
+// SliceSources and odd ones adapter-wrapped FuncSources, so both batch
+// paths feed the windows.
 func TestSchedulerInvariants(t *testing.T) {
 	for _, n := range []int{4, 33, 64} {
 		for _, coh := range []CoherenceKind{CoherenceSnoop, CoherenceDirectory} {
@@ -102,15 +106,16 @@ func checkSchedulerInvariants(t *testing.T, n int, coh CoherenceKind, seed int64
 	// a lock grant's write, common.
 	p.L1WriteBufDepth = 1 + int(seed)%2
 	p.L2WriteBufDepth = 1
-	srcs := make([]trace.Source, n)
-	for i, refs := range schedTraces(rng, n, 6) {
-		srcs[i] = trace.NewSliceSource(refs)
+	traces := schedTraces(rng, n, 6)
+	srcs := funcSources(traces)
+	for i := 0; i < n; i += 2 {
+		srcs[i] = trace.NewSliceSource(traces[i])
 	}
 	s, err := New(p, srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var skipped int
+	var skipped, maxAhead int
 	for step := 0; ; step++ {
 		next := s.runq[1]
 		want := -1
@@ -127,6 +132,15 @@ func checkSchedulerInvariants(t *testing.T, n int, coh CoherenceKind, seed int64
 				t.Fatalf("step %d: empty runnable set, want cpu%d (all done: %t)", step, want, s.allDone())
 			}
 			break
+		}
+		for _, o := range s.cpus {
+			ahead := o.win[o.pos:o.n]
+			maxAhead = max(maxAhead, len(ahead))
+			if len(ahead) > refWindow || o.refs+uint64(len(ahead)) > uint64(len(traces[o.id])) ||
+				!slices.Equal(ahead, traces[o.id][o.refs:o.refs+uint64(len(ahead))]) {
+				t.Fatalf("step %d: cpu%d window holds %d refs that are not refs %d.. of its stream",
+					step, o.id, len(ahead), o.refs)
+			}
 		}
 		c := s.cpus[next&runIDMask]
 		if c.id != want || next>>runIDBits != c.time {
@@ -149,6 +163,9 @@ func checkSchedulerInvariants(t *testing.T, n int, coh CoherenceKind, seed int64
 		s.runqSet(c)
 	}
 	s.finish()
+	if maxAhead < 2 {
+		t.Error("no window ever held more than one reference: the window check is vacuous")
+	}
 	if skipped == 0 {
 		t.Error("no probe was ever skipped: the drain-horizon check is vacuous")
 	}

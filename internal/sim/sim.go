@@ -295,7 +295,7 @@ func (s *Simulator) step(c *cpuState) {
 			s.probeDrains(w*64+b, c.time)
 		}
 	}
-	r, ok := c.src.Next()
+	r, ok := c.next()
 	if !ok {
 		c.done = true
 		s.finishBlock(c)

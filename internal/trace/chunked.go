@@ -382,7 +382,7 @@ func decodeRecord(data []byte, prevAddr *[256]uint64) (Ref, int, error) {
 
 // FileSource replays a chunked trace with bounded memory: exactly one
 // decoded chunk (a pooled batch) is resident at a time, whatever the
-// file size. It implements Source; after Next returns false, Err
+// file size. It implements BatchSource; once the stream has ended, Err
 // distinguishes a clean end of stream from corruption.
 type FileSource struct {
 	cr  *ChunkReader
@@ -396,23 +396,34 @@ func NewFileSource(r io.Reader) *FileSource {
 	return &FileSource{cr: NewChunkReader(r), cur: GetBatch(DefaultChunkRefs)[:0]}
 }
 
-// Next implements Source.
-func (s *FileSource) Next() (Ref, bool) {
+// Read implements BatchSource. A batch that reaches the end of the
+// decoded chunk comes back short; the next Read decodes the next chunk
+// into the same buffer.
+func (s *FileSource) Read(dst []Ref) int {
 	for s.pos >= len(s.cur) {
 		if s.err != nil {
-			return Ref{}, false
+			return 0
 		}
 		chunk, err := s.cr.ReadChunk(s.cur)
 		if err != nil {
 			s.err = err
 			s.release()
-			return Ref{}, false
+			return 0
 		}
 		s.cur, s.pos = chunk, 0
 	}
-	r := s.cur[s.pos]
-	s.pos++
-	return r, true
+	n := copy(dst, s.cur[s.pos:])
+	s.pos += n
+	return n
+}
+
+// Next implements Source.
+func (s *FileSource) Next() (Ref, bool) {
+	var r [1]Ref
+	if s.Read(r[:]) == 0 {
+		return Ref{}, false
+	}
+	return r[0], true
 }
 
 // Err returns nil after a clean end of stream, or the decode error

@@ -25,9 +25,11 @@ const (
 	// maxPooledBatches bounds the free-list length; a parallel sweep
 	// releases at most a few batches per worker between builds.
 	maxPooledBatches = 64
-	// maxPooledRefs bounds one pooled batch's capacity (× 16 B/ref);
-	// larger arrays come from one-off giant runs and are left to the
-	// collector.
+	// maxPooledRefs bounds one pooled batch's capacity: 1<<24 refs ×
+	// 40 B/ref (unsafe.Sizeof(Ref{}), pinned by TestRefSize) is 640 MiB.
+	// Larger arrays come from one-off giant runs and are left to the
+	// collector. The free-list as a whole may therefore pin up to
+	// maxPooledBatches × 640 MiB = 40 GiB in the worst case.
 	maxPooledRefs = 1 << 24
 )
 

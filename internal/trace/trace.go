@@ -247,6 +247,59 @@ type Source interface {
 	Next() (Ref, bool)
 }
 
+// BatchSource is a Source that also delivers references in batches.
+// Read copies the stream's next references into a prefix of dst, which
+// must not be empty, and returns how many it copied: at least one while
+// the stream has data left, 0 only at its end. Read and Next advance
+// the same stream position.
+//
+// A batch read is how the simulator fetches references: one copy of
+// many consecutive refs lets their memory loads overlap, where a Next
+// per reference leaves each trace-line miss on the critical path.
+type BatchSource interface {
+	Source
+	Read(dst []Ref) int
+}
+
+// Batched returns src as a BatchSource: src itself when it already
+// reads in batches, otherwise an adapter that fills each batch with
+// calls to src.Next and stops calling it once it has reported the end
+// of the stream.
+func Batched(src Source) BatchSource {
+	if b, ok := src.(BatchSource); ok {
+		return b
+	}
+	return &nextBatcher{src: src}
+}
+
+// nextBatcher adapts a Next-only Source to BatchSource.
+type nextBatcher struct {
+	src   Source
+	ended bool
+}
+
+// Next implements Source.
+func (b *nextBatcher) Next() (Ref, bool) {
+	if b.ended {
+		return Ref{}, false
+	}
+	r, ok := b.src.Next()
+	b.ended = !ok
+	return r, ok
+}
+
+// Read implements BatchSource.
+func (b *nextBatcher) Read(dst []Ref) int {
+	for i := range dst {
+		r, ok := b.Next()
+		if !ok {
+			return i
+		}
+		dst[i] = r
+	}
+	return len(dst)
+}
+
 // SliceSource adapts an in-memory slice of references to the Source
 // interface.
 type SliceSource struct {
@@ -265,6 +318,13 @@ func (s *SliceSource) Next() (Ref, bool) {
 	r := s.refs[s.pos]
 	s.pos++
 	return r, true
+}
+
+// Read implements BatchSource.
+func (s *SliceSource) Read(dst []Ref) int {
+	n := copy(dst, s.refs[s.pos:])
+	s.pos += n
+	return n
 }
 
 // Reset rewinds the source to the beginning of the slice.
@@ -292,21 +352,6 @@ type FuncSource func() (Ref, bool)
 // Next implements Source.
 func (f FuncSource) Next() (Ref, bool) { return f() }
 
-// Concat returns a Source that replays each input source to exhaustion
-// in order.
-func Concat(sources ...Source) Source {
-	i := 0
-	return FuncSource(func() (Ref, bool) {
-		for i < len(sources) {
-			if r, ok := sources[i].Next(); ok {
-				return r, true
-			}
-			i++
-		}
-		return Ref{}, false
-	})
-}
-
 // SplitByCPU partitions a merged reference stream into per-processor
 // streams, preserving each processor's program order. It is how a
 // trace file captured as one stream (cmd/tracedump writes one) is fed
@@ -324,20 +369,4 @@ func SplitByCPU(src Source, numCPUs int) [][]Ref {
 		}
 		per[c] = append(per[c], r)
 	}
-}
-
-// Filter returns a Source that yields only references for which keep
-// returns true.
-func Filter(src Source, keep func(Ref) bool) Source {
-	return FuncSource(func() (Ref, bool) {
-		for {
-			r, ok := src.Next()
-			if !ok {
-				return Ref{}, false
-			}
-			if keep(r) {
-				return r, true
-			}
-		}
-	})
 }

@@ -97,27 +97,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := NewSliceSource([]Ref{{Addr: 1}, {Addr: 2}})
-	b := NewSliceSource(nil)
-	c := NewSliceSource([]Ref{{Addr: 3}})
-	got := Collect(Concat(a, b, c))
-	want := []Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Concat = %v, want %v", got, want)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	src := NewSliceSource([]Ref{
-		{Addr: 1, Op: OpRead}, {Addr: 2, Op: OpWrite}, {Addr: 3, Op: OpRead},
-	})
-	got := Collect(Filter(src, func(r Ref) bool { return r.Op == OpRead }))
-	if len(got) != 2 || got[0].Addr != 1 || got[1].Addr != 3 {
-		t.Errorf("Filter = %v", got)
-	}
-}
-
 func randomRef(rng *rand.Rand) Ref {
 	r := Ref{
 		Addr:  rng.Uint64() & 0xffff_ffff,
