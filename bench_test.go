@@ -5,7 +5,7 @@ package oscachesim
 // regeneration harness). Each iteration rebuilds the workloads and
 // re-simulates from scratch; benchScale keeps a full `go test -bench`
 // pass tractable while preserving the published shapes. Use
-// cmd/tables and cmd/figures for full-scale runs.
+// cmd/paper for full-scale runs.
 
 import (
 	"context"
@@ -32,7 +32,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := experiment.NewRunner(experiment.Config{Scale: benchScale, Seed: 1, Parallel: true})
+		r := experiment.NewRunner(experiment.Config{Scale: benchScale, Seed: 1, Workers: runtime.GOMAXPROCS(0)})
 		out, err := e.Render(r)
 		if err != nil {
 			b.Fatal(err)
@@ -283,7 +283,7 @@ func BenchmarkScenarioBuild(b *testing.B) {
 // cache each iteration — the workload of `cmd/sweep`. The serial and
 // parallel variants quantify the scheduler's wall-clock win; their
 // outputs are verified identical by TestParallelSchedulerDeterminism.
-func benchSweep(b *testing.B, parallel bool) {
+func benchSweep(b *testing.B, workers int) {
 	b.Helper()
 	var cfgs []RunConfig
 	for _, w := range Workloads() {
@@ -297,7 +297,7 @@ func benchSweep(b *testing.B, parallel bool) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := experiment.NewRunner(experiment.Config{Scale: benchScale, Seed: 1, Parallel: parallel})
+		r := experiment.NewRunner(experiment.Config{Scale: benchScale, Seed: 1, Workers: workers})
 		if _, err := r.RunConfigs(context.Background(), cfgs, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func benchSweep(b *testing.B, parallel bool) {
 }
 
 // BenchmarkSweepSerial is the geometry sweep on one worker.
-func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, false) }
+func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, 1) }
 
 // TestSweepAllocBudget pins BenchmarkSweepSerial's steady-state heap
 // traffic. The sweep's trace batches recycle through the explicit
@@ -347,16 +347,16 @@ func TestSweepAllocBudget(t *testing.T) {
 }
 
 // BenchmarkSweepParallel is the same sweep across GOMAXPROCS workers.
-func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, true) }
+func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, runtime.GOMAXPROCS(0)) }
 
 // --- Ablation benchmarks -------------------------------------------------
 //
-// One benchmark per design-choice study (see DESIGN.md and cmd/ablate):
+// One benchmark per design-choice study (see DESIGN.md and cmd/paper):
 // they exercise the full sensitivity sweep each iteration.
 
 func benchAblation(b *testing.B, id string) {
 	b.Helper()
-	e, err := experiment.FindAblation(id)
+	e, err := experiment.Find(id)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 //
 // The same grids are served over HTTP by ossimd's POST /v1/campaigns;
 // this command is the offline equivalent, sharing the planner and the
-// work-stealing memoizing runner.
+// memoizing runner's worker pool.
 //
 // Usage:
 //
@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -55,8 +56,7 @@ func main() {
 		scale    = flag.Int("scale", 0, "scheduling rounds (0 = default)")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		maxCells = flag.Int("maxcells", 0, "grid-size bound (0 = the default 256)")
-		parallel = flag.Bool("parallel", true, "fan unique cells across workers")
-		workers  = flag.Int("workers", 0, "worker count when parallel (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "simulations run at once (1 = serial; output is identical)")
 		stream   = flag.Bool("stream", false, "generate each workload concurrently with its simulation")
 		verbose  = flag.Bool("v", false, "print per-cell coordinates and raw metrics")
 	)
@@ -125,7 +125,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	r := experiment.NewRunnerContext(ctx, experiment.Config{
-		Scale: *scale, Seed: *seed, Parallel: *parallel, Workers: *workers, Stream: *stream,
+		Scale: *scale, Seed: *seed, Workers: *workers, Stream: *stream,
 	})
 
 	fmt.Fprintf(os.Stderr, "campaign: %d cells (%d unique) across axes %v\n",

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -39,23 +40,22 @@ import (
 
 func main() {
 	var (
-		sizes    = flag.String("sizes", "", "comma-separated L1D sizes in KB to sweep")
-		lines    = flag.String("linesizes", "", "comma-separated L1D line sizes in bytes to sweep")
-		l2line   = flag.Uint64("l2line", 32, "L2 line size in bytes during a line-size sweep")
-		sysList  = flag.String("systems", "Base,Blk_Dma,BCPref", "comma-separated systems")
-		ncpus    = flag.Int("cpus", 0, "processor count at every grid point (0 = the paper's 4)")
-		cohname  = flag.String("coherence", "", "coherence protocol at every grid point: snoop (default) or directory")
-		wname    = flag.String("workload", "", "workload (default: all four)")
-		scnArg   = flag.String("scenario", "", "declarative scenario: a spec file path or a preset name (replaces -workload)")
-		sharers  = flag.String("sharers", "", "comma-separated sharing degrees to sweep (requires -scenario)")
-		scale    = flag.Int("scale", 0, "scheduling rounds (0 = default)")
-		seed     = flag.Int64("seed", 1, "deterministic seed")
-		parallel = flag.Bool("parallel", true, "fan grid points across workers (output is identical to serial)")
-		workers  = flag.Int("workers", 0, "worker count when parallel (0 = GOMAXPROCS)")
-		stream   = flag.Bool("stream", false, "generate each workload concurrently with its simulation in bounded chunks (identical output, flat memory)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
-		verbose  = flag.Bool("v", false, "append per-worker scheduler stats (busy/idle time, runs, steals)")
+		sizes   = flag.String("sizes", "", "comma-separated L1D sizes in KB to sweep")
+		lines   = flag.String("linesizes", "", "comma-separated L1D line sizes in bytes to sweep")
+		l2line  = flag.Uint64("l2line", 32, "L2 line size in bytes during a line-size sweep")
+		sysList = flag.String("systems", "Base,Blk_Dma,BCPref", "comma-separated systems")
+		ncpus   = flag.Int("cpus", 0, "processor count at every grid point (0 = the paper's 4)")
+		cohname = flag.String("coherence", "", "coherence protocol at every grid point: snoop (default) or directory")
+		wname   = flag.String("workload", "", "workload (default: all four)")
+		scnArg  = flag.String("scenario", "", "declarative scenario: a spec file path or a preset name (replaces -workload)")
+		sharers = flag.String("sharers", "", "comma-separated sharing degrees to sweep (requires -scenario)")
+		scale   = flag.Int("scale", 0, "scheduling rounds (0 = default)")
+		seed    = flag.Int64("seed", 1, "deterministic seed")
+		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "simulations run at once (1 = serial; output is identical)")
+		stream  = flag.Bool("stream", false, "generate each workload concurrently with its simulation in bounded chunks (identical output, flat memory)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+		memProf = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
+		verbose = flag.Bool("v", false, "append per-worker pool stats (busy/idle time, runs)")
 	)
 	flag.Parse()
 	stopProfiles, err := prof.Start(*cpuProf, *memProf)
@@ -128,10 +128,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	r := experiment.NewRunnerContext(ctx, experiment.Config{
-		Scale: *scale, Seed: *seed, Parallel: *parallel, Workers: *workers, Stream: *stream,
+		Scale: *scale, Seed: *seed, Workers: *workers, Stream: *stream,
 	})
 
-	// Run the grid's unique cells through the work-stealing scheduler,
+	// Run the grid's unique cells through the runner's worker pool,
 	// then render serially, reading each cell back from the runner's
 	// cache — the printed sweep is identical to a serial run, and the
 	// closing line counts those reads as cache hits, as it always has.
@@ -180,8 +180,8 @@ func main() {
 	fmt.Printf("-- %d simulations, %d cache hits\n", st.Executions, st.Hits+st.Joins)
 	if *verbose {
 		for i, ws := range r.LastSchedulerStats() {
-			fmt.Printf("   worker %d: runs=%d steals=%d busy=%s idle=%s\n",
-				i, ws.Runs, ws.Steals,
+			fmt.Printf("   worker %d: runs=%d busy=%s idle=%s\n",
+				i, ws.Runs,
 				ws.Busy.Round(time.Millisecond), ws.Idle.Round(time.Millisecond))
 		}
 	}

@@ -5,7 +5,7 @@
 //
 // Cells sharing a canonical key (core.RunConfig.CanonicalKey) are
 // planned once: NewPlan groups duplicates so Run hands the
-// work-stealing experiment runner only the unique configurations and
+// experiment runner's worker pool only the unique configurations and
 // fans each result back to every cell that asked for it. Progress
 // aggregates across the whole grid (cells done/total, per-stage wall
 // clock from core.StageTimings, an ETA from the unique-work completion

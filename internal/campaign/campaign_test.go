@@ -299,7 +299,7 @@ func TestRunCancellationMidGrid(t *testing.T) {
 }
 
 // TestRunRealRunner runs a tiny grid end to end on the real
-// work-stealing runner and checks the report projections.
+// experiment runner and checks the report projections.
 func TestRunRealRunner(t *testing.T) {
 	g := Grid{
 		Workloads: []workload.Name{"TRFD_4"},

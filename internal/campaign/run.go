@@ -11,8 +11,9 @@ import (
 )
 
 // ConfigRunner is the fan-out surface Run drives — the per-completion
-// variant of the work-stealing scheduler. *experiment.Runner satisfies
-// it; tests substitute deterministic stubs.
+// entry point of the experiment runner's worker pool.
+// *experiment.Runner satisfies it; tests substitute deterministic
+// stubs.
 type ConfigRunner interface {
 	RunConfigsEach(ctx context.Context, cfgs []core.RunConfig, prog *sim.Progress, each func(idx int, o *core.Outcome)) ([]*core.Outcome, error)
 }

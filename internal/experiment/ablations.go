@@ -44,20 +44,6 @@ func Ablations() []Experiment {
 	}
 }
 
-// FindAblation returns the ablation with the given id.
-func FindAblation(id string) (Experiment, error) {
-	for _, e := range Ablations() {
-		if e.ID == id {
-			return e, nil
-		}
-	}
-	var ids []string
-	for _, e := range Ablations() {
-		ids = append(ids, e.ID)
-	}
-	return Experiment{}, fmt.Errorf("experiment: unknown ablation %q (have %s)", id, strings.Join(ids, ", "))
-}
-
 // AblationWriteBuffers sweeps the depths of the two write buffers on
 // the workload with the heaviest block-write pressure (TRFD_4's
 // page-sized operations).

@@ -16,11 +16,11 @@ func TestAblationsListed(t *testing.T) {
 			t.Errorf("incomplete ablation %+v", e)
 		}
 	}
-	if _, err := FindAblation("update-set"); err != nil {
-		t.Errorf("FindAblation(update-set): %v", err)
+	if _, err := Find("update-set"); err != nil {
+		t.Errorf("Find(update-set): %v", err)
 	}
-	if _, err := FindAblation("nope"); err == nil {
-		t.Error("FindAblation accepted junk")
+	if _, err := Find("nope"); err == nil {
+		t.Error("Find accepted junk")
 	}
 }
 

@@ -11,12 +11,13 @@ import (
 )
 
 // TestParallelSchedulerDeterminism renders every experiment twice —
-// once with a serial runner and once through the work-stealing
-// scheduler — and requires byte-identical output. This is the
+// once with a serial runner and once on a runner that has already
+// rendered them all on a four-worker pool, the cmd/paper path — and
+// requires byte-identical output. This is the
 // guarantee the parallel sweep rests on: the schedule may reorder
 // *when* simulations run, but never what they compute, so `sweep
-// -parallel` and the golden files stay interchangeable. The test runs
-// under -race in CI, which also exercises the scheduler's deques and
+// -workers N` and the golden files stay interchangeable. The test runs
+// under -race in CI, which also exercises the pool's shared index and
 // the Runner cache under real contention.
 func TestParallelSchedulerDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -25,10 +26,9 @@ func TestParallelSchedulerDeterminism(t *testing.T) {
 	cfg := TestConfig()
 	serial := NewRunner(cfg)
 	pcfg := cfg
-	pcfg.Parallel = true
 	pcfg.Workers = 4
 	parallel := NewRunner(pcfg)
-	if err := parallel.WarmUp(AllPairs()); err != nil {
+	if err := parallel.RenderEach(All(), func(int, string) {}); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range All() {
@@ -61,7 +61,6 @@ func TestStreamingDeterminism(t *testing.T) {
 	materialized := NewRunner(cfg)
 	scfg := cfg
 	scfg.Stream = true
-	scfg.Parallel = true
 	scfg.Workers = 4
 	streaming := NewRunner(scfg)
 	for _, e := range All() {
@@ -84,7 +83,7 @@ func TestStreamingDeterminism(t *testing.T) {
 // which worker ran them, and a shared Progress accumulates every
 // completed run's reference total.
 func TestRunConfigsOrderAndProgress(t *testing.T) {
-	r := NewRunner(Config{Scale: 3, Seed: 1, Parallel: true, Workers: 3})
+	r := NewRunner(Config{Scale: 3, Seed: 1, Workers: 3})
 	var cfgs []core.RunConfig
 	for _, sys := range []core.System{core.Base, core.BlkDma, core.BCPref, core.Base} {
 		cfgs = append(cfgs, core.RunConfig{Workload: workload.Shell, System: sys, Scale: 3, Seed: 1})
@@ -115,7 +114,7 @@ func TestRunConfigsOrderAndProgress(t *testing.T) {
 // TestRunConfigsCancellation checks that a failing configuration
 // cancels the remaining work and surfaces its error.
 func TestRunConfigsCancellation(t *testing.T) {
-	r := NewRunner(Config{Scale: 3, Seed: 1, Parallel: true, Workers: 2})
+	r := NewRunner(Config{Scale: 3, Seed: 1, Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfgs := []core.RunConfig{
@@ -132,7 +131,7 @@ func TestRunConfigsCancellation(t *testing.T) {
 // TestDirectoryDeterminism pins the generalized machine to the same
 // reproducibility bar as the paper's: a 16-CPU directory-coherent run
 // must be byte-identical whether it executes serially, through the
-// work-stealing scheduler, or on the streaming pipeline. Under -race
+// worker pool, or on the streaming pipeline. Under -race
 // in CI this also exercises the per-home port timelines and the
 // directory map under real scheduler contention.
 func TestDirectoryDeterminism(t *testing.T) {
@@ -165,7 +164,7 @@ func TestDirectoryDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewRunner(Config{Scale: 2, Seed: 1, Parallel: true, Workers: 4})
+	r := NewRunner(Config{Scale: 2, Seed: 1, Workers: 4})
 	par := base
 	par.Machine = machine()
 	outs, err := r.RunConfigs(context.Background(), []core.RunConfig{par}, nil)

@@ -12,6 +12,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -28,12 +29,10 @@ type Config struct {
 	Scale int
 	// Seed drives all generation deterministically.
 	Seed int64
-	// Parallel runs independent simulations on multiple goroutines
-	// via the work-stealing scheduler (parallel.go). Outcomes are
-	// byte-identical to a serial run; only wall-clock changes.
-	Parallel bool
-	// Workers is the scheduler width when Parallel is set; 0 means
-	// GOMAXPROCS.
+	// Workers is the width of the worker pool (pool.go) that runs
+	// independent simulations and experiment renders; 1 or less means
+	// serial, so the zero Config is serial. Outcomes are
+	// byte-identical at every width; only wall-clock changes.
 	Workers int
 	// Stream generates each workload concurrently with its simulation
 	// in bounded chunks (core.RunConfig.Stream) instead of
@@ -53,14 +52,14 @@ type Config struct {
 
 // DefaultConfig returns the configuration used for the published
 // EXPERIMENTS.md numbers.
-func DefaultConfig() Config { return Config{Scale: 0, Seed: 1, Parallel: true} }
+func DefaultConfig() Config { return Config{Scale: 0, Seed: 1, Workers: runtime.GOMAXPROCS(0)} }
 
 // TestConfig returns the reduced, fully deterministic configuration the
 // test suite standardizes on: a small fixed scale so the whole
 // evaluation grid runs in seconds, a pinned seed, and serial execution
 // so runs are reproducible independent of scheduling. The golden files
 // under testdata/golden were rendered with exactly this configuration.
-func TestConfig() Config { return Config{Scale: 5, Seed: 1, Parallel: false} }
+func TestConfig() Config { return Config{Scale: 5, Seed: 1, Workers: 1} }
 
 // Runner memoizes simulation outcomes across experiments. The cache is
 // content-addressed — keyed by core.RunConfig.CanonicalKey, the same
@@ -85,6 +84,10 @@ type flight struct {
 	done chan struct{}
 	o    *core.Outcome
 	err  error
+	// aborted marks a failure that happened while the starter's own
+	// context was done: the starter's cancellation, not the
+	// configuration's, so a joiner still wanting the outcome retries.
+	aborted bool
 }
 
 // CacheStats counts the Runner's cache traffic.
@@ -196,7 +199,9 @@ func (r *Runner) OutcomeOn(w workload.Name, sys core.System, p sim.Params) (*cor
 // configuration. Concurrent calls with equal canonical keys share one
 // simulation. ctx bounds this caller's wait and the simulation itself
 // when this caller starts it; the Runner's own context, if canceled,
-// stops everything.
+// stops everything. A joiner whose starter was canceled while the
+// joiner's own ctx is live does not inherit that cancellation: it
+// retries, starting the simulation itself if no one else has.
 //
 // Configurations carrying a Monitor bypass the cache: an attached
 // observer must see a real run.
@@ -206,20 +211,27 @@ func (r *Runner) OutcomeConfig(ctx context.Context, cfg core.RunConfig) (*core.O
 	}
 	key := cfg.CanonicalKey()
 	r.mu.Lock()
-	if o, ok := r.done[key]; ok {
-		r.stats.Hits++
-		r.mu.Unlock()
-		return o, nil
-	}
-	if f, ok := r.inflight[key]; ok {
+	for {
+		if o, ok := r.done[key]; ok {
+			r.stats.Hits++
+			r.mu.Unlock()
+			return o, nil
+		}
+		f, ok := r.inflight[key]
+		if !ok {
+			break
+		}
 		r.stats.Joins++
 		r.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.o, f.err
+			if !f.aborted || ctx.Err() != nil {
+				return f.o, f.err
+			}
 		case <-ctx.Done():
 			return nil, context.Cause(ctx)
 		}
+		r.mu.Lock()
 	}
 	f := &flight{done: make(chan struct{})}
 	r.inflight[key] = f
@@ -227,6 +239,7 @@ func (r *Runner) OutcomeConfig(ctx context.Context, cfg core.RunConfig) (*core.O
 	r.mu.Unlock()
 
 	f.o, f.err = r.compute()(ctx, cfg)
+	f.aborted = f.err != nil && ctx.Err() != nil
 	r.mu.Lock()
 	delete(r.inflight, key)
 	if f.err == nil {
@@ -235,36 +248,6 @@ func (r *Runner) OutcomeConfig(ctx context.Context, cfg core.RunConfig) (*core.O
 	r.mu.Unlock()
 	close(f.done)
 	return f.o, f.err
-}
-
-// Pair names one (workload, system) simulation.
-type Pair struct {
-	Workload workload.Name
-	System   core.System
-}
-
-// WarmUp runs the given pairs through the work-stealing scheduler
-// (serially when the config says so) so later experiment renders hit
-// the cache. The first error, if any, is returned.
-func (r *Runner) WarmUp(pairs []Pair) error {
-	cfgs := make([]core.RunConfig, len(pairs))
-	for i, pr := range pairs {
-		cfgs[i] = r.configFor(pr.Workload, pr.System)
-	}
-	_, err := r.RunConfigs(r.ctx, cfgs, nil)
-	return err
-}
-
-// AllPairs returns every (workload, system) combination — the full
-// evaluation grid.
-func AllPairs() []Pair {
-	var pairs []Pair
-	for _, w := range workload.Names() {
-		for _, sys := range core.Systems() {
-			pairs = append(pairs, Pair{w, sys})
-		}
-	}
-	return pairs
 }
 
 // Experiment names one regenerable table or figure.
@@ -296,15 +279,14 @@ func All() []Experiment {
 	}
 }
 
-// Find returns the experiment with the given id.
+// Find returns the paper experiment or ablation study with the given
+// id; the two registries' ids are disjoint.
 func Find(id string) (Experiment, error) {
-	for _, e := range All() {
+	var ids []string
+	for _, e := range append(All(), Ablations()...) {
 		if e.ID == id {
 			return e, nil
 		}
-	}
-	var ids []string
-	for _, e := range All() {
 		ids = append(ids, e.ID)
 	}
 	sort.Strings(ids)

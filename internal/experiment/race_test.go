@@ -7,39 +7,38 @@ import (
 	"oscachesim/internal/workload"
 )
 
-// TestRunnerParallelWarmUp drives the concurrent warm-up path — the
-// only place the Runner runs simulations on multiple goroutines — so
-// `go test -race` can observe the memoization cache and the semaphore
+// TestRunnerParallelWarmUp drives a concurrent warm-up through the
+// worker pool so `go test -race` can observe the memoization cache
 // under real contention. The pair list deliberately repeats entries:
 // concurrent requests for the same key race to fill the same cache
 // slot.
 func TestRunnerParallelWarmUp(t *testing.T) {
-	r := NewRunner(Config{Scale: 3, Seed: 1, Parallel: true})
-	pairs := []Pair{
-		{workload.Shell, core.Base},
-		{workload.Shell, core.BlkDma},
-		{workload.TRFD4, core.Base},
-		{workload.TRFD4, core.BCPref},
-		{workload.Shell, core.Base}, // duplicate: same-key contention
-		{workload.TRFD4, core.Base},
+	r := NewRunner(Config{Scale: 3, Seed: 1, Workers: 4})
+	cfgs := []core.RunConfig{
+		r.configFor(workload.Shell, core.Base),
+		r.configFor(workload.Shell, core.BlkDma),
+		r.configFor(workload.TRFD4, core.Base),
+		r.configFor(workload.TRFD4, core.BCPref),
+		r.configFor(workload.Shell, core.Base), // duplicate: same-key contention
+		r.configFor(workload.TRFD4, core.Base),
 	}
-	if err := r.WarmUp(pairs); err != nil {
+	if _, err := r.RunConfigs(r.ctx, cfgs, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Post-warm-up reads must hit the cache and agree with a serial
 	// runner on the same configuration.
-	serial := NewRunner(Config{Scale: 3, Seed: 1, Parallel: false})
-	for _, pr := range pairs {
-		a, err := r.Outcome(pr.Workload, pr.System)
+	serial := NewRunner(Config{Scale: 3, Seed: 1})
+	for _, cfg := range cfgs {
+		a, err := r.Outcome(cfg.Workload, cfg.System)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := serial.Outcome(pr.Workload, pr.System)
+		b, err := serial.Outcome(cfg.Workload, cfg.System)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a.Counters != b.Counters {
-			t.Errorf("%s/%s: parallel and serial runs disagree", pr.Workload, pr.System)
+			t.Errorf("%s/%s: parallel and serial runs disagree", cfg.Workload, cfg.System)
 		}
 	}
 }
@@ -50,7 +49,7 @@ func TestRunnerParallelWarmUp(t *testing.T) {
 // nonzero wherever runs happened. Exercised in parallel and serial
 // form (the serial path reports a single worker).
 func TestSchedulerStats(t *testing.T) {
-	r := NewRunner(Config{Scale: 3, Seed: 1, Parallel: true, Workers: 2})
+	r := NewRunner(Config{Scale: 3, Seed: 1, Workers: 2})
 	if r.LastSchedulerStats() != nil {
 		t.Error("stats present before any RunConfigs call")
 	}
@@ -73,20 +72,17 @@ func TestSchedulerStats(t *testing.T) {
 		if ws.Runs > 0 && ws.Busy <= 0 {
 			t.Errorf("worker %d ran %d configs with no busy time", i, ws.Runs)
 		}
-		if ws.Steals > ws.Runs {
-			t.Errorf("worker %d stole %d of %d runs", i, ws.Steals, ws.Runs)
-		}
 	}
 	if totalRuns != len(cfgs) {
 		t.Errorf("workers report %d runs, want %d", totalRuns, len(cfgs))
 	}
 
-	serial := NewRunner(Config{Scale: 3, Seed: 1, Parallel: false})
+	serial := NewRunner(Config{Scale: 3, Seed: 1})
 	if _, err := serial.RunConfigs(serial.ctx, cfgs[:2], nil); err != nil {
 		t.Fatal(err)
 	}
 	sched = serial.LastSchedulerStats()
-	if len(sched) != 1 || sched[0].Runs != 2 || sched[0].Steals != 0 {
+	if len(sched) != 1 || sched[0].Runs != 2 {
 		t.Errorf("serial stats = %+v, want one worker with 2 runs", sched)
 	}
 }

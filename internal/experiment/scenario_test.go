@@ -25,8 +25,8 @@ func scenarioCfg(t *testing.T, name string, sys core.System) core.RunConfig {
 func TestScenarioDeterminism(t *testing.T) {
 	ctx := context.Background()
 	serial := NewRunner(Config{Seed: 1})
-	parallel := NewRunner(Config{Seed: 1, Parallel: true, Workers: 4})
-	streaming := NewRunner(Config{Seed: 1, Parallel: true, Workers: 4, Stream: true})
+	parallel := NewRunner(Config{Seed: 1, Workers: 4})
+	streaming := NewRunner(Config{Seed: 1, Workers: 4, Stream: true})
 	for _, name := range scenario.PresetNames() {
 		want, err := serial.OutcomeConfig(ctx, scenarioCfg(t, name, core.Base))
 		if err != nil {

@@ -136,10 +136,9 @@ func TestRunScenarioDedup(t *testing.T) {
 	waitJob(t, ts.URL, v1.ID)
 }
 
-// TestSweepSharers pins the retired sweep resource's alias on the
-// sharing axis: the former sharing-degree sweep body, posted to
-// /v1/sweeps with a 16-CPU directory machine, follows the 308 and
-// becomes a campaign whose cells match core.Run at each degree.
+// TestSweepSharers pins the former sharing-degree sweep body, posted
+// to /v1/campaigns with a 16-CPU directory machine: it becomes a
+// campaign whose cells match core.Run at each degree.
 func TestSweepSharers(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	spec, err := scenario.Preset("sharing")
@@ -159,11 +158,11 @@ func TestSweepSharers(t *testing.T) {
 	}
 	body := `{"scenario":{"preset":"sharing"},"systems":["Base"],"sharers":[1,2,4,8,16],
 		"machine":{"num_cpus":16,"coherence":"directory"},"scale":1,"seed":1}`
-	checkSweepAlias(t, ts.URL, body, want)
+	checkSweepCampaign(t, ts.URL, body, want)
 }
 
 // TestSweepSharersRejections pins validation of former sweep bodies
-// through the alias: the campaign decoder rejects them with 400 and,
+// posted to /v1/campaigns: the campaign decoder rejects them with 400 and,
 // where one field is at fault, its dotted path.
 func TestSweepSharersRejections(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
@@ -182,7 +181,7 @@ func TestSweepSharersRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}

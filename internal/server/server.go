@@ -35,12 +35,11 @@
 //	GET    /healthz                   liveness and drain state
 //
 // The pre-resource paths (POST /v1/run, POST /v1/sweep,
-// GET /v1/jobs/{id}[/stream], GET /metrics) were redirected with 308
-// for one release and have now been removed: they answer 404 with a
-// JSON error naming the v1 successor. The sweep resource is retired
-// the same way: a sweep body is a one-axis campaign body, so for one
-// release every /v1/sweeps route answers 308 to its /v1/campaigns
-// counterpart.
+// GET /v1/jobs/{id}[/stream], GET /metrics) and the retired sweep
+// resource (/v1/sweeps[/{id}[/stream]]) were redirected with 308 for
+// one release and have now been removed: they answer 404 with a JSON
+// error naming the v1 successor. A former sweep body is a one-axis
+// campaign body, so those clients post it to /v1/campaigns.
 //
 // Every client-facing error (400, 404, 429, 503) carries the uniform
 // envelope {"error": {"code": "...", "message": "..."}}. A full queue
@@ -56,7 +55,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -273,21 +271,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", gone("GET /v1/runs/{id}"))
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", gone("GET /v1/runs/{id}/stream"))
 	mux.HandleFunc("GET /metrics", gone("GET /v1/metrics"))
-
-	// Retired sweep resource (one-release 308 window): a sweep body is
-	// already a valid campaign body, so each route is replayed verbatim
-	// against its /v1/campaigns counterpart, query string kept.
-	toCampaigns := func(w http.ResponseWriter, r *http.Request) {
-		u := *r.URL
-		u.Path = "/v1/campaigns" + strings.TrimPrefix(r.URL.Path, "/v1/sweeps")
-		u.RawPath = ""
-		http.Redirect(w, r, u.RequestURI(), http.StatusPermanentRedirect)
-	}
-	mux.HandleFunc("POST /v1/sweeps", toCampaigns)
-	mux.HandleFunc("GET /v1/sweeps", toCampaigns)
-	mux.HandleFunc("GET /v1/sweeps/{id}", toCampaigns)
-	mux.HandleFunc("GET /v1/sweeps/{id}/stream", toCampaigns)
-	mux.HandleFunc("DELETE /v1/sweeps/{id}", toCampaigns)
+	mux.HandleFunc("POST /v1/sweeps", gone("POST /v1/campaigns"))
+	mux.HandleFunc("GET /v1/sweeps", gone("GET /v1/campaigns"))
+	mux.HandleFunc("GET /v1/sweeps/{id}", gone("GET /v1/campaigns/{id}"))
+	mux.HandleFunc("GET /v1/sweeps/{id}/stream", gone("GET /v1/campaigns/{id}/stream"))
+	mux.HandleFunc("DELETE /v1/sweeps/{id}", gone("DELETE /v1/campaigns/{id}"))
 	return mux
 }
 

@@ -228,10 +228,9 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestSweepJob pins the retired sweep resource's one-release alias on
-// the geometry axes: a former sweep body posted to /v1/sweeps follows
-// the 308 to /v1/campaigns and becomes a campaign job whose cells are
-// exactly the configurations the body names, each with core.Run's
+// TestSweepJob pins the former sweep bodies on the geometry axes,
+// now posted to /v1/campaigns: each becomes a campaign job whose cells
+// are exactly the configurations the body names, each with core.Run's
 // counters; an identical second POST dedupes onto it. The line-size
 // body leaves l2_line unset, so every cell keeps the base machine's
 // 64-byte L2 line (the sweep kind used to force 32 there).
@@ -256,39 +255,28 @@ func TestSweepJob(t *testing.T) {
 	sizesBody := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base","Blk_Dma"],"sizes_kb":[16,32,64],"scale":%d,"seed":1}`, testScale)
 	linesBody := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base"],"line_sizes":[16,32],"machine":{"l2_line":64},"scale":%d,"seed":1}`, testScale)
 
-	checkSweepAlias(t, ts.URL, sizesBody, sizes)
-	// The line-size grid, first submitted directly as a campaign: the
-	// alias then dedupes onto that very job.
-	status, sub, _ := postJSON(t, ts.URL+"/v1/campaigns", linesBody)
-	if status != http.StatusAccepted {
-		t.Fatalf("line-size campaign: HTTP %d, want 202", status)
-	}
-	checkCells(t, waitJob(t, ts.URL, sub.ID), lines)
-	if id := checkSweepAlias(t, ts.URL, linesBody, lines); id != sub.ID {
-		t.Errorf("line-size body via /v1/sweeps got job %s, want the campaign %s", id, sub.ID)
-	}
+	checkSweepCampaign(t, ts.URL, sizesBody, sizes)
+	checkSweepCampaign(t, ts.URL, linesBody, lines)
 }
 
-// checkSweepAlias posts a former sweep body to /v1/sweeps (the client
-// follows the 308), checks the campaign job's cells against want, and
-// checks an identical second POST answers 200 deduped. It returns the
-// job id.
-func checkSweepAlias(t *testing.T, base, body string, want []core.RunConfig) string {
+// checkSweepCampaign posts a former sweep body to /v1/campaigns,
+// checks the campaign job's cells against want, and checks an
+// identical second POST answers 200 deduped.
+func checkSweepCampaign(t *testing.T, base, body string, want []core.RunConfig) {
 	t.Helper()
-	status, sub, _ := postJSON(t, base+"/v1/sweeps", body)
+	status, sub, _ := postJSON(t, base+"/v1/campaigns", body)
 	if status != http.StatusAccepted && status != http.StatusOK {
-		t.Fatalf("POST /v1/sweeps: HTTP %d", status)
+		t.Fatalf("POST /v1/campaigns: HTTP %d", status)
 	}
 	if sub.Kind != "campaign" || !strings.HasPrefix(sub.Key, "campaign:") {
-		t.Fatalf("POST /v1/sweeps made kind %q key %q, want a campaign", sub.Kind, sub.Key)
+		t.Fatalf("POST /v1/campaigns made kind %q key %q, want a campaign", sub.Kind, sub.Key)
 	}
 	checkCells(t, waitJob(t, base, sub.ID), want)
-	status, again, _ := postJSON(t, base+"/v1/sweeps", body)
+	status, again, _ := postJSON(t, base+"/v1/campaigns", body)
 	if status != http.StatusOK || !again.Deduped || again.ID != sub.ID {
 		t.Errorf("second POST: HTTP %d deduped %v id %s, want 200 dedup onto %s",
 			status, again.Deduped, again.ID, sub.ID)
 	}
-	return sub.ID
 }
 
 // checkCells requires a done campaign whose cells are want, in order:

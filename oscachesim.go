@@ -19,13 +19,14 @@
 //	    100*(1-float64(outs[1].OSTime())/float64(outs[0].OSTime())))
 //
 // The cmd directory provides ready-made tools: ossim (single runs),
-// tables and figures (regenerate the paper's evaluation), sweep
-// (cache-geometry grids), campaign (batch experiment grids with
+// paper (regenerates the paper's evaluation and the ablation studies),
+// sweep (cache-geometry grids), campaign (batch experiment grids with
 // comparison reports), and tracedump (trace inspection).
 package oscachesim
 
 import (
 	"context"
+	"runtime"
 
 	"oscachesim/internal/campaign"
 	"oscachesim/internal/core"
@@ -236,8 +237,12 @@ func (s *Sim) Run(ctx context.Context) (*Outcome, error) { return core.Run(ctx, 
 // workload, scale, seed and machine, so outcomes are directly
 // comparable — and byte-identical to running them serially.
 func (s *Sim) Compare(ctx context.Context, systems ...System) ([]*Outcome, error) {
+	workers := s.workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	r := experiment.NewRunnerContext(ctx, experiment.Config{
-		Scale: s.cfg.Scale, Seed: s.cfg.Seed, Parallel: true, Workers: s.workers,
+		Scale: s.cfg.Scale, Seed: s.cfg.Seed, Workers: workers,
 		Stream: s.cfg.Stream,
 	})
 	cfgs := make([]core.RunConfig, len(systems))
@@ -289,9 +294,9 @@ type CampaignProgress = campaign.Progress
 func NewCampaignPlan(g CampaignGrid) (*CampaignPlan, error) { return campaign.NewPlan(g) }
 
 // RunCampaign fans a plan's unique configurations across the runner's
-// work-stealing workers and returns one outcome per cell in grid
-// order. On cancellation the returned slice holds the cells that
-// completed, alongside the error.
+// worker pool and returns one outcome per cell in grid order. On
+// cancellation the returned slice holds the cells that completed,
+// alongside the error.
 func RunCampaign(ctx context.Context, r *ExperimentRunner, p *CampaignPlan, prog *CampaignProgress) ([]CellOutcome, error) {
 	return campaign.Run(ctx, r, p, prog)
 }
