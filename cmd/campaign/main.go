@@ -57,7 +57,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		maxCells = flag.Int("maxcells", 0, "grid-size bound (0 = the default 256)")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "simulations run at once (1 = serial; output is identical)")
-		stream   = flag.Bool("stream", false, "generate each workload concurrently with its simulation")
+		stream   = flag.Bool("stream", false, "always generate each workload concurrently with its simulation, single-round runs too (multi-round runs stream anyway; identical output)")
 		verbose  = flag.Bool("v", false, "print per-cell coordinates and raw metrics")
 	)
 	flag.Parse()

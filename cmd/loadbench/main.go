@@ -58,7 +58,7 @@ func main() {
 		seeds   = flag.Int64("seeds", 5, "rotate seeds 1..N (1 = all requests identical)")
 		poll    = flag.Duration("poll", 25*time.Millisecond, "job status poll interval")
 		timeout = flag.Duration("timeout", 5*time.Minute, "per-request end-to-end budget")
-		stream  = flag.Bool("stream", false, "request streaming generation (stream:true) so the daemon's workers exercise the chunked pipeline")
+		stream  = flag.Bool("stream", false, "request streaming generation (stream:true) so every run, single-round ones too, takes the daemon's chunked pipeline (the daemon streams multi-round runs anyway)")
 
 		clusterList  = flag.String("cluster", "", "comma-separated node base URLs, coordinator first; submissions go to the coordinator and the per-node execution table is reported")
 		expectUnique = flag.Int("expect-unique", -1, "assert total cluster-wide simulation executions equal this (exactly-once audit); -1 disables")

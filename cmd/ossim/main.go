@@ -41,7 +41,7 @@ func main() {
 		pureUp  = flag.Bool("pure-update", false, "use the update protocol on every page")
 		tfile   = flag.String("trace", "", "simulate this captured trace file instead of generating a workload")
 		docheck = flag.Bool("check", false, "run the differential oracle in lockstep and fail on any divergence")
-		stream  = flag.Bool("stream", false, "generate the workload concurrently with the simulation in bounded chunks (identical output, flat memory)")
+		stream  = flag.Bool("stream", false, "always generate the workload concurrently with the simulation in bounded chunks, single-round runs too (multi-round runs stream anyway; identical output, flat memory)")
 		verbose = flag.Bool("v", false, "append the per-stage timing breakdown (and generator stalls when streaming)")
 		ncpus   = flag.Int("cpus", 0, "processor count (0 = the paper's 4; directory coherence allows up to 256)")
 		cohname = flag.String("coherence", "", "coherence protocol: snoop (default) or directory")

@@ -52,7 +52,7 @@ func run(args []string, stdout io.Writer) error {
 		scale   = fs.Int("scale", 0, "scheduling rounds per workload (0 = default)")
 		seed    = fs.Int64("seed", 1, "deterministic seed")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "experiments rendered at once (1 = serial; output is identical)")
-		stream  = fs.Bool("stream", false, "generate workloads concurrently with simulation in bounded chunks (identical output, flat memory)")
+		stream  = fs.Bool("stream", false, "always generate workloads concurrently with simulation in bounded chunks, single-round runs too (multi-round runs stream anyway; identical output, flat memory)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -52,7 +52,7 @@ func main() {
 		scale   = flag.Int("scale", 0, "scheduling rounds (0 = default)")
 		seed    = flag.Int64("seed", 1, "deterministic seed")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "simulations run at once (1 = serial; output is identical)")
-		stream  = flag.Bool("stream", false, "generate each workload concurrently with its simulation in bounded chunks (identical output, flat memory)")
+		stream  = flag.Bool("stream", false, "always generate each workload concurrently with its simulation in bounded chunks, single-round runs too (multi-round runs stream anyway; identical output, flat memory)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProf = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 		verbose = flag.Bool("v", false, "append per-worker pool stats (busy/idle time, runs)")

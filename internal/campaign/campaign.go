@@ -100,6 +100,8 @@ type Grid struct {
 	// means the paper's machine.
 	Base *sim.Params
 	// Scale, Seed and Stream apply to every cell (core.RunConfig).
+	// Stream forces the chunk pipeline; without it a cell streams only
+	// when it is multi-round.
 	Scale  int
 	Seed   int64
 	Stream bool

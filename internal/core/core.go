@@ -173,13 +173,15 @@ type RunConfig struct {
 	// primary-cache eviction is attributed to the (evictor, victim)
 	// data-structure pair.
 	TrackConflicts bool
-	// Stream generates the workload on a producer goroutine overlapped
-	// with the simulation, holding only O(NumCPUs × chunk budget) trace
-	// references in memory instead of the whole trace. The simulated
-	// reference sequences are byte-identical to the materialized path,
-	// so Stream is an execution strategy, not a configuration: it is
-	// excluded from CanonicalKey. Incompatible with Monitor (which
-	// needs replayable materialized sources).
+	// Stream always generates the workload on a producer goroutine
+	// overlapped with the simulation, holding only O(NumCPUs × chunk
+	// budget) trace references in memory instead of the whole trace —
+	// the bounded-memory choice. Without it Run still streams every
+	// multi-round run, for the overlap; Stream adds single-round runs.
+	// The simulated reference sequences are byte-identical to the
+	// materialized path, so Stream is an execution strategy, not a
+	// configuration: it is excluded from CanonicalKey. Ignored with
+	// Monitor (which needs replayable materialized sources).
 	Stream bool
 	// Monitor, when non-nil, is called with the freshly built simulator
 	// before Run starts, letting callers attach an observer (the
@@ -203,7 +205,8 @@ type RunConfig struct {
 // the paper's monitor attributes stall time to miss categories.
 type StageTimings struct {
 	// Build is the materialized workload-generation time (zero for
-	// streaming runs, whose generation overlaps simulation).
+	// streamed runs, whose generation overlaps simulation: by default
+	// every multi-round run without a Monitor).
 	Build time.Duration
 	// Stream is the streaming producer's wall time, from launch to the
 	// pipeline closing. It overlaps Simulate — the overlap is the
@@ -299,11 +302,13 @@ func machineParams(cfg RunConfig) sim.Params {
 // Run executes one configuration. Cancellation of ctx aborts the
 // simulation promptly; the returned error then wraps context.Cause(ctx).
 //
-// With cfg.Stream set the workload is generated concurrently with the
-// simulation in bounded chunks (see workload.Stream); the results are
-// byte-identical to the materialized path. Monitor forces the
-// materialized path regardless, because a monitor may hold the
-// simulator (and its replayable sources) after Run returns.
+// Run generates the workload concurrently with the simulation in
+// bounded chunks (see workload.Stream) when cfg.Stream is set, and on
+// its own whenever the run generates more than one scheduling round
+// (see rounds). The results are byte-identical to the materialized
+// path. Monitor forces the materialized path regardless, because a
+// monitor may hold the simulator (and its replayable sources) after
+// Run returns.
 func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -314,7 +319,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		}
 		cfg.Workload = workload.SpecWorkloadName(cfg.Scenario)
 	}
-	if cfg.Stream && cfg.Monitor == nil {
+	if cfg.Monitor == nil && (cfg.Stream || rounds(cfg) > 1) {
 		return runStreaming(ctx, cfg)
 	}
 
@@ -371,6 +376,25 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		Conflicts: res.Conflicts,
 		Stages:    stages,
 	}, nil
+}
+
+// rounds is the number of scheduling rounds cfg generates, derived as
+// the generators derive it: Scale rounds of a classic workload
+// (0 = workload.DefaultScale), or the scenario's phase rounds, each
+// multiplied by Scale (<= 0 means 1). Run streams a multi-round run
+// because generating the later rounds overlaps simulating the earlier
+// ones on a second processor (and on one processor it measured no
+// slower). A single-round run has nothing to overlap — the simulator
+// waits for each CPU's first chunk and round 0 is generated CPU by
+// CPU — so it is built whole, which measured faster.
+func rounds(cfg RunConfig) int {
+	if cfg.Scenario != nil {
+		return cfg.Scenario.TotalRounds() * max(cfg.Scale, 1)
+	}
+	if cfg.Scale <= 0 {
+		return workload.DefaultScale
+	}
+	return cfg.Scale
 }
 
 // runStreaming executes one configuration with generation overlapped

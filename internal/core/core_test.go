@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"oscachesim/internal/scenario"
 	"oscachesim/internal/sim"
 	"oscachesim/internal/stats"
 	"oscachesim/internal/workload"
@@ -213,7 +214,7 @@ func TestRunStreamingMatchesMaterialized(t *testing.T) {
 		{Workload: workload.TRFD4, System: BCohRelUp, Scale: testScale, Seed: 3, PureUpdate: true},
 	}
 	for _, cfg := range cfgs {
-		mat, err := Run(context.Background(), cfg)
+		mat, err := Run(context.Background(), materialized(cfg))
 		if err != nil {
 			t.Fatalf("%v materialized: %v", cfg.System, err)
 		}
@@ -236,6 +237,13 @@ func TestRunStreamingMatchesMaterialized(t *testing.T) {
 			t.Errorf("%v: Stream leaked into CanonicalKey", cfg.System)
 		}
 	}
+}
+
+// materialized returns cfg with a no-op Monitor, which keeps Run on the
+// materialized path for any round count.
+func materialized(cfg RunConfig) RunConfig {
+	cfg.Monitor = func(*sim.Simulator, sim.Params) {}
+	return cfg
 }
 
 // TestHeadlineRobustAcrossSeeds guards the paper's headline against
@@ -264,12 +272,13 @@ func TestHeadlineRobustAcrossSeeds(t *testing.T) {
 // TestRunStageTimings pins the stage-timing contract of Run: a
 // materialized run records Build and Simulate (no Stream), a streaming
 // run records Stream and Simulate (no Build), and OnStages fires
-// exactly once with the outcome's own timings.
+// exactly once with the outcome's own timings. The run is single-round,
+// so it is materialized unless Stream is set.
 func TestRunStageTimings(t *testing.T) {
 	var fired int
 	var got StageTimings
 	cfg := RunConfig{
-		Workload: workload.TRFD4, System: Base, Scale: testScale, Seed: 1,
+		Workload: workload.TRFD4, System: Base, Scale: 1, Seed: 1,
 		OnStages: func(s StageTimings) { fired++; got = s },
 	}
 	o, err := Run(context.Background(), cfg)
@@ -310,5 +319,72 @@ func TestRunStageTimings(t *testing.T) {
 	}
 	if so.Stages.Build != 0 {
 		t.Errorf("streaming run recorded build time: %+v", so.Stages)
+	}
+}
+
+// TestRunPathSelection pins which pipeline Run picks, read off the
+// stage timings (Build for materialized, Stream for streamed): a
+// single-round run is materialized, a multi-round run streams, a
+// Monitor forces the materialized path, and Stream streams even a
+// single-round run.
+func TestRunPathSelection(t *testing.T) {
+	mix := preset(t, "os-mix")
+	one := &scenario.Spec{Name: "one-round", Phases: []scenario.Phase{{Rounds: 1}}}
+	cases := []struct {
+		name   string
+		cfg    RunConfig
+		stream bool
+	}{
+		{"scale 1", RunConfig{Workload: workload.Shell, Scale: 1}, false},
+		{"multi-round", RunConfig{Workload: workload.Shell, Scale: testScale}, true},
+		{"monitor", materialized(RunConfig{Workload: workload.Shell, Scale: testScale}), false},
+		{"monitor with stream", materialized(RunConfig{Workload: workload.Shell, Scale: testScale, Stream: true}), false},
+		{"stream at scale 1", RunConfig{Workload: workload.Shell, Scale: 1, Stream: true}, true},
+		{"one-round scenario", RunConfig{Scenario: one}, false},
+		{"multi-round scenario", RunConfig{Scenario: mix}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.System, c.cfg.Seed = BlkDma, 1
+			o, err := Run(context.Background(), c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := o.Stages
+			if c.stream && (st.Stream <= 0 || st.Build != 0) {
+				t.Errorf("stages %+v, want a streamed run (Stream>0, Build==0)", st)
+			}
+			if !c.stream && (st.Build <= 0 || st.Stream != 0) {
+				t.Errorf("stages %+v, want a materialized run (Build>0, Stream==0)", st)
+			}
+		})
+	}
+}
+
+// TestRounds pins the round count the path selection reads against
+// the generators' own derivation.
+func TestRounds(t *testing.T) {
+	spec := &scenario.Spec{Name: "r", Phases: []scenario.Phase{{Rounds: 2}, {Rounds: 3}}}
+	cases := []struct {
+		cfg  RunConfig
+		want int
+	}{
+		{RunConfig{Workload: workload.Shell}, workload.DefaultScale},
+		{RunConfig{Workload: workload.Shell, Scale: -1}, workload.DefaultScale},
+		{RunConfig{Workload: workload.Shell, Scale: 1}, 1},
+		{RunConfig{Workload: workload.Shell, Scale: 8}, 8},
+		{RunConfig{Scenario: spec}, 5},
+		{RunConfig{Scenario: spec, Scale: -1}, 5},
+		{RunConfig{Scenario: spec, Scale: 3}, 15},
+	}
+	for _, c := range cases {
+		if got := rounds(c.cfg); got != c.want {
+			t.Errorf("rounds(scale %d, scenario %v) = %d, want %d", c.cfg.Scale, c.cfg.Scenario != nil, got, c.want)
+		}
+		if c.cfg.Scenario != nil {
+			if gen := scenario.NewGenerator(spec, 4, c.cfg.Scale).TotalRounds(); gen != c.want {
+				t.Errorf("scale %d: generator makes %d rounds, want %d", c.cfg.Scale, gen, c.want)
+			}
+		}
 	}
 }

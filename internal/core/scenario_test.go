@@ -70,7 +70,7 @@ func TestRunScenario(t *testing.T) {
 // counters exactly (the canonical key ignores Stream for this reason).
 func TestRunScenarioStreamIdentical(t *testing.T) {
 	base := RunConfig{Scenario: preset(t, "os-mix"), System: BCPref, Seed: 3}
-	a, err := Run(context.Background(), base)
+	a, err := Run(context.Background(), materialized(base))
 	if err != nil {
 		t.Fatal(err)
 	}

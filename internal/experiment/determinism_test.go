@@ -46,12 +46,15 @@ func TestParallelSchedulerDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamingDeterminism renders every experiment twice — once on the
-// materialized trace path and once on the streaming pipeline — and
-// requires byte-identical reports. This is the streaming determinism
-// tier: Stream changes only when refs exist, never which refs or what
-// they cost, so streamed sweeps remain interchangeable with the golden
-// files. The streaming runner is also parallel, so under -race this
+// TestStreamingDeterminism renders every experiment twice — once on a
+// serial reference runner and once with Stream set on four workers —
+// and requires byte-identical reports. The reference runner's runs are
+// multi-round, so core.Run streams them too and this compares two
+// streamed renders; the equivalence of the streamed and materialized
+// paths is carried by the golden files, which were generated
+// materialized, and by core's TestRunStreamingMatchesMaterialized.
+// Stream changes only when refs exist, never which refs or what they
+// cost. The streaming runner is also parallel, so under -race this
 // doubles as a contention test of the producer/consumer pipeline.
 func TestStreamingDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -130,8 +133,9 @@ func TestRunConfigsCancellation(t *testing.T) {
 
 // TestDirectoryDeterminism pins the generalized machine to the same
 // reproducibility bar as the paper's: a 16-CPU directory-coherent run
-// must be byte-identical whether it executes serially, through the
-// worker pool, or on the streaming pipeline. Under -race
+// must be byte-identical whether it executes serially on the
+// materialized path, through the worker pool, or on the streaming
+// pipeline. Under -race
 // in CI this also exercises the per-home port timelines and the
 // directory map under real scheduler contention.
 func TestDirectoryDeterminism(t *testing.T) {
@@ -148,7 +152,11 @@ func TestDirectoryDeterminism(t *testing.T) {
 		Workload: workload.Shell, System: core.BlkDma, Scale: 2, Seed: 1,
 		Machine: machine(),
 	}
-	want, err := core.Run(context.Background(), base)
+	// A no-op Monitor keeps the serial reference on the materialized
+	// path, which core.Run would otherwise leave for the streamed one.
+	ref := base
+	ref.Monitor = func(*sim.Simulator, sim.Params) {}
+	want, err := core.Run(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}

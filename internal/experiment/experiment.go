@@ -34,11 +34,12 @@ type Config struct {
 	// serial, so the zero Config is serial. Outcomes are
 	// byte-identical at every width; only wall-clock changes.
 	Workers int
-	// Stream generates each workload concurrently with its simulation
-	// in bounded chunks (core.RunConfig.Stream) instead of
-	// materializing it first. Results are byte-identical either way —
-	// pinned by the streaming determinism tier — so this only trades
-	// peak memory and wall clock.
+	// Stream always generates each workload concurrently with its
+	// simulation in bounded chunks (core.RunConfig.Stream) instead of
+	// materializing it first; without it core.Run streams only
+	// multi-round runs. Results are byte-identical either way — pinned
+	// by the streaming determinism tier — so this only trades peak
+	// memory and wall clock.
 	Stream bool
 	// Compute, when non-nil, replaces core.Run as the execution of a
 	// cache miss. It runs beneath the memo and singleflight layers, so

@@ -6,6 +6,7 @@ import (
 
 	"oscachesim/internal/core"
 	"oscachesim/internal/scenario"
+	"oscachesim/internal/sim"
 )
 
 func scenarioCfg(t *testing.T, name string, sys core.System) core.RunConfig {
@@ -28,7 +29,11 @@ func TestScenarioDeterminism(t *testing.T) {
 	parallel := NewRunner(Config{Seed: 1, Workers: 4})
 	streaming := NewRunner(Config{Seed: 1, Workers: 4, Stream: true})
 	for _, name := range scenario.PresetNames() {
-		want, err := serial.OutcomeConfig(ctx, scenarioCfg(t, name, core.Base))
+		// A no-op Monitor keeps the serial run materialized; the
+		// presets are multi-round, so core.Run would otherwise stream it.
+		ref := scenarioCfg(t, name, core.Base)
+		ref.Monitor = func(*sim.Simulator, sim.Params) {}
+		want, err := serial.OutcomeConfig(ctx, ref)
 		if err != nil {
 			t.Fatalf("%s serial: %v", name, err)
 		}

@@ -126,13 +126,14 @@ type Kernel struct {
 	// last fork copy: forking chains (parent forks child forks
 	// grandchild) make it the source of the next copy, which is the
 	// mechanism behind the inside-reuse misses of Section 4.1.3.
-	lastForkDst []uint64
+	// Indexed by Emitter.CPU, so every uint8 CPU id has a slot.
+	lastForkDst [256]uint64
 
 	// bufCursor is the slowly-drifting buffer-cache locality window.
 	bufCursor int
 	// forkWindow is the per-CPU moving window of parent pages that
-	// unchained forks copy.
-	forkWindow []int
+	// unchained forks copy, indexed like lastForkDst.
+	forkWindow [256]int
 
 	// Deferred-copy study state (Table 4).
 	dcopy DeferredCopyStats
@@ -166,12 +167,10 @@ func New(opt OptConfig) *Kernel {
 		panic(err) // static region; cannot fail
 	}
 	return &Kernel{
-		Opt:         opt,
-		Layout:      Layout{Privatized: opt.Privatize, Relocated: opt.Relocate},
-		alloc:       alloc,
-		blockSeq:    0,
-		lastForkDst: make([]uint64, 64),
-		forkWindow:  make([]int, 64),
+		Opt:      opt,
+		Layout:   Layout{Privatized: opt.Privatize, Relocated: opt.Relocate},
+		alloc:    alloc,
+		blockSeq: 0,
 	}
 }
 

@@ -385,6 +385,42 @@ func TestForkChainReusesDestination(t *testing.T) {
 	t.Fatal("chained fork emitted no source reads")
 }
 
+// TestForkHighCPU forks on processors past 64, which machines of up to
+// 256 CPUs reach: every uint8 CPU id must have its own fork state.
+func TestForkHighCPU(t *testing.T) {
+	for _, cpu := range []int{64, 255} {
+		k := New(OptConfig{})
+		rng := rand.New(rand.NewSource(5))
+		e := newEmitter(cpu)
+		k.Fork(e, rng, 1, 2, 1, false, 0, 0)
+		dst := k.lastForkDst[cpu]
+		if dst == 0 {
+			t.Fatalf("cpu %d: no fork destination recorded", cpu)
+		}
+		if k.forkWindow[cpu] != 1 {
+			t.Errorf("cpu %d: fork window %d, want 1", cpu, k.forkWindow[cpu])
+		}
+		if k.lastForkDst[0] != 0 || k.forkWindow[0] != 0 {
+			t.Errorf("cpu %d: fork state leaked into cpu 0", cpu)
+		}
+		e2 := newEmitter(cpu)
+		k.Fork(e2, rng, 2, 3, 1, true, 0, 0)
+		found := false
+		for _, r := range e2.Refs {
+			if r.Op == trace.OpRead && r.Role == trace.BlockSrc {
+				found = true
+				if memory.PageOf(r.Addr) != dst {
+					t.Errorf("cpu %d: chained fork src %#x, want page %#x", cpu, r.Addr, dst)
+				}
+				break
+			}
+		}
+		if !found {
+			t.Errorf("cpu %d: chained fork emitted no source reads", cpu)
+		}
+	}
+}
+
 func TestGangBarrierShape(t *testing.T) {
 	k := New(OptConfig{})
 	e := newEmitter(1)

@@ -98,11 +98,11 @@ func (k *Kernel) Fork(e *Emitter, rng *rand.Rand, parent, child, nPages int, cha
 	// from the parent's recent use.
 	for p := 0; p < nPages; p++ {
 		src := uint64(0)
-		if chain && k.lastForkDst[int(e.CPU)] != 0 {
-			src = k.lastForkDst[int(e.CPU)]
+		if chain && k.lastForkDst[e.CPU] != 0 {
+			src = k.lastForkDst[e.CPU]
 		} else {
-			k.forkWindow[int(e.CPU)] = (k.forkWindow[int(e.CPU)] + 1) % 48
-			src = UserData(parent) + uint64(k.forkWindow[int(e.CPU)])*memory.PageSize
+			k.forkWindow[e.CPU] = (k.forkWindow[e.CPU] + 1) % 48
+			src = UserData(parent) + uint64(k.forkWindow[e.CPU])*memory.PageSize
 			k.Warm(e, rng, src, memory.PageSize, srcWarm, false, trace.KindUser, trace.ClassUserData)
 		}
 		dst := k.AllocPage()
@@ -112,7 +112,7 @@ func (k *Kernel) Fork(e *Emitter, rng *rand.Rand, parent, child, nPages int, cha
 			SrcClass: trace.ClassUserData, DstClass: trace.ClassUserData,
 			WrittenLater: true,
 		})
-		k.lastForkDst[int(e.CPU)] = dst
+		k.lastForkDst[e.CPU] = dst
 	}
 
 	// Enter the child on the run queue.

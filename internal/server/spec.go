@@ -77,10 +77,11 @@ type JobOptions struct {
 	Scale int `json:"scale,omitempty"`
 	// Seed drives all generation deterministically.
 	Seed int64 `json:"seed,omitempty"`
-	// Stream generates each workload concurrently with its simulation
-	// in bounded chunks. Results are byte-identical to a materialized
-	// run (the canonical key ignores this flag), so it only trades the
-	// job's peak memory and wall clock.
+	// Stream always generates each workload concurrently with its
+	// simulation in bounded chunks (core.RunConfig.Stream); without it
+	// only multi-round runs stream. Results are byte-identical to a
+	// materialized run (the canonical key ignores this flag), so it
+	// only trades the job's peak memory and wall clock.
 	Stream bool `json:"stream,omitempty"`
 	// TimeoutMS optionally tightens the server's per-job deadline; it
 	// can never extend it.

@@ -194,11 +194,13 @@ func WithScenario(spec *Scenario) Option {
 	return func(s *Sim) { s.cfg.Scenario = spec }
 }
 
-// WithStreaming generates the workload concurrently with the
+// WithStreaming always generates the workload concurrently with the
 // simulation in bounded chunks, so peak trace memory stays
-// O(chunk budget) no matter how large WithScale is. Results are
-// byte-identical to the materialized default; only memory and wall
-// clock change.
+// O(chunk budget) no matter how large WithScale is. Without it a run
+// of more than one scheduling round streams anyway
+// (core.RunConfig.Stream); WithStreaming adds single-round runs.
+// Results are byte-identical to the materialized path; only memory
+// and wall clock change.
 func WithStreaming() Option { return func(s *Sim) { s.cfg.Stream = true } }
 
 // WithConfig replaces the whole run configuration (study knobs like
