@@ -92,18 +92,11 @@ func BenchmarkUpdateTraffic(b *testing.B) { benchExperiment(b, "update-traffic")
 // cyclicSource replays a reference slice in a loop, drawing from a
 // budget shared by all processors, so a fixed-size trace can feed a
 // simulator exactly b.N references. The simulator is single-goroutine,
-// so the plain shared counter is safe. Like the production sources it
-// reads in batches, so the benchmark times the simulator's own refill
-// path rather than the Next-only adapter.
+// so the plain shared counter is safe.
 type cyclicSource struct {
 	refs   []trace.Ref
 	pos    int
 	budget *int64
-}
-
-func (s *cyclicSource) Next() (trace.Ref, bool) {
-	var r [1]trace.Ref
-	return r[0], s.Read(r[:]) == 1
 }
 
 func (s *cyclicSource) Read(dst []trace.Ref) int {

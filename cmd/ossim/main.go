@@ -154,11 +154,14 @@ func runTraceFile(ctx context.Context, path string, system core.System, docheck,
 	defer f.Close()
 	p := sim.DefaultParams()
 	system.Apply(&p)
-	src, err := trace.OpenSource(f) // flat or chunked, auto-detected
+	src, err := trace.OpenSource(f)
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", path, err))
 	}
-	per := trace.SplitByCPU(src, p.NumCPUs)
+	per, err := trace.SplitByCPU(src, p.NumCPUs)
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", path, err))
+	}
 	srcs := make([]trace.Source, len(per))
 	for i, refs := range per {
 		srcs[i] = trace.NewSliceSource(refs)

@@ -1,16 +1,14 @@
 // Command tracedump generates, saves, inspects and summarizes
-// reference traces in the library's binary trace formats: the flat
-// stream format and (with -chunked) the chunked delta format, whose
-// per-chunk CRC-protected headers allow seekable, bounded-memory
-// replay. Reading auto-detects the format from the file header.
+// reference traces in the library's chunked trace format, whose
+// per-chunk CRC-protected headers allow bounded-memory replay and turn
+// a truncated or corrupt file into an error.
 //
 // Usage:
 //
-//	tracedump -workload TRFD_4 -out trfd.trc          # generate + save
-//	tracedump -workload TRFD_4 -chunked -out trfd.trk # chunked format
-//	tracedump -in trfd.trc                            # summarize a file
-//	tracedump -in trfd.trc -print 20                  # print refs
-//	tracedump -workload Shell                         # summarize directly
+//	tracedump -workload TRFD_4 -out trfd.trk # generate + save
+//	tracedump -in trfd.trk                   # summarize a file
+//	tracedump -in trfd.trk -print 20         # print refs
+//	tracedump -workload Shell                # summarize directly
 package main
 
 import (
@@ -25,18 +23,20 @@ import (
 
 func main() {
 	var (
-		wname   = flag.String("workload", string(workload.TRFD4), "workload to generate")
-		sname   = flag.String("system", "Base", "system whose kernel build to trace")
-		scale   = flag.Int("scale", 0, "scheduling rounds (0 = default)")
-		seed    = flag.Int64("seed", 1, "deterministic seed")
-		out     = flag.String("out", "", "write the generated trace to this file")
-		in      = flag.String("in", "", "read and summarize a trace file instead of generating (format auto-detected)")
-		nprint  = flag.Int("print", 0, "print the first N references")
-		chunked = flag.Bool("chunked", false, "write -out in the chunked delta format (per-chunk CRC headers, skippable)")
+		wname  = flag.String("workload", string(workload.TRFD4), "workload to generate")
+		sname  = flag.String("system", "Base", "system whose kernel build to trace")
+		scale  = flag.Int("scale", 0, "scheduling rounds (0 = default)")
+		seed   = flag.Int64("seed", 1, "deterministic seed")
+		out    = flag.String("out", "", "write the generated trace to this file")
+		in     = flag.String("in", "", "read and summarize a trace file instead of generating")
+		nprint = flag.Int("print", 0, "print the first N references")
 	)
 	flag.Parse()
 
 	var src trace.Source
+	// checkRead fails the command when reading the -in file ended on a
+	// decode error rather than at the end of the trace.
+	checkRead := func() {}
 	switch {
 	case *in != "":
 		f, err := os.Open(*in)
@@ -44,9 +44,15 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		src, err = openTrace(f)
+		file, err := trace.OpenSource(f)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("%s: %w", *in, err))
+		}
+		src = file
+		checkRead = func() {
+			if err := file.Err(); err != nil {
+				fatal(fmt.Errorf("%s: %w", *in, err))
+			}
 		}
 	default:
 		w, err := workload.ParseName(*wname)
@@ -58,56 +64,51 @@ func main() {
 			fatal(err)
 		}
 		built := workload.Build(w, sys.KernelOpt(), *scale, *seed)
-		src = mergeSources(built)
+		src = &roundRobin{per: append([][]trace.Ref(nil), built.PerCPU...)}
 	}
 
+	var buf [256]trace.Ref
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fatal(err)
 		}
-		var write func(trace.Ref) error
-		var finish func() error
-		if *chunked {
-			w := trace.NewChunkWriter(f, 0)
-			write, finish = w.WriteRef, w.Flush
-		} else {
-			w := trace.NewWriter(f)
-			write, finish = w.WriteRef, w.Flush
-		}
-		n := 0
-		for {
-			ref, ok := src.Next()
-			if !ok {
-				break
+		w := trace.NewChunkWriter(f, 0)
+		for n := src.Read(buf[:]); n > 0; n = src.Read(buf[:]) {
+			for _, ref := range buf[:n] {
+				if err := w.WriteRef(ref); err != nil {
+					fatal(err)
+				}
 			}
-			if err := write(ref); err != nil {
-				fatal(err)
-			}
-			n++
 		}
-		if err := finish(); err != nil {
+		checkRead()
+		if err := w.Flush(); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %d references to %s\n", n, *out)
+		fmt.Printf("wrote %d references to %s\n", w.Count(), *out)
 		return
 	}
 
 	if *nprint > 0 {
-		for i := 0; i < *nprint; i++ {
-			ref, ok := src.Next()
-			if !ok {
+		for left := *nprint; left > 0; {
+			n := src.Read(buf[:min(left, len(buf))])
+			if n == 0 {
 				break
 			}
-			fmt.Println(ref)
+			for _, ref := range buf[:n] {
+				fmt.Println(ref)
+			}
+			left -= n
 		}
+		checkRead()
 		return
 	}
 
 	s := trace.Summarize(src)
+	checkRead()
 	fmt.Printf("total refs:   %d\n", s.Total)
 	fmt.Printf("instructions: %d\n", s.Instrs)
 	fmt.Printf("data reads:   %d\n", s.DataReads)
@@ -128,32 +129,29 @@ func main() {
 	}
 }
 
-// openTrace sniffs the file header and attaches the matching reader:
-// a bounded-memory FileSource for the chunked format, a flat Reader
-// otherwise.
-func openTrace(f *os.File) (trace.Source, error) {
-	src, err := trace.OpenSource(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", f.Name(), err)
-	}
-	return src, nil
+// roundRobin merges per-CPU streams into the single stream a trace file
+// holds: one reference from each stream in turn, skipping the streams
+// that have ended.
+type roundRobin struct {
+	per  [][]trace.Ref
+	next int
 }
 
-// mergeSources interleaves the per-CPU streams round-robin for
-// single-stream output.
-func mergeSources(b *workload.Built) trace.Source {
-	srcs := b.Sources()
-	i := 0
-	return trace.FuncSource(func() (trace.Ref, bool) {
-		for tries := 0; tries < len(srcs); tries++ {
-			r, ok := srcs[i%len(srcs)].Next()
-			i++
-			if ok {
-				return r, true
-			}
+// Read implements trace.Source.
+func (m *roundRobin) Read(dst []trace.Ref) int {
+	n := 0
+	for ended := 0; n < len(dst) && ended < len(m.per); {
+		c := m.next
+		m.next = (c + 1) % len(m.per)
+		if len(m.per[c]) == 0 {
+			ended++
+			continue
 		}
-		return trace.Ref{}, false
-	})
+		dst[n], m.per[c] = m.per[c][0], m.per[c][1:]
+		n++
+		ended = 0
+	}
+	return n
 }
 
 func fatal(err error) {

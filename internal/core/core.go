@@ -319,7 +319,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		}
 		cfg.Workload = workload.SpecWorkloadName(cfg.Scenario)
 	}
-	if cfg.Monitor == nil && (cfg.Stream || rounds(cfg) > 1) {
+	if cfg.Monitor == nil && (cfg.Stream || cfg.Rounds() > 1) {
 		return runStreaming(ctx, cfg)
 	}
 
@@ -378,7 +378,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	}, nil
 }
 
-// rounds is the number of scheduling rounds cfg generates, derived as
+// Rounds is the number of scheduling rounds cfg generates, derived as
 // the generators derive it: Scale rounds of a classic workload
 // (0 = workload.DefaultScale), or the scenario's phase rounds, each
 // multiplied by Scale (<= 0 means 1). Run streams a multi-round run
@@ -387,7 +387,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 // slower). A single-round run has nothing to overlap — the simulator
 // waits for each CPU's first chunk and round 0 is generated CPU by
 // CPU — so it is built whole, which measured faster.
-func rounds(cfg RunConfig) int {
+func (cfg RunConfig) Rounds() int {
 	if cfg.Scenario != nil {
 		return cfg.Scenario.TotalRounds() * max(cfg.Scale, 1)
 	}

@@ -378,8 +378,8 @@ func TestRounds(t *testing.T) {
 		{RunConfig{Scenario: spec, Scale: 3}, 15},
 	}
 	for _, c := range cases {
-		if got := rounds(c.cfg); got != c.want {
-			t.Errorf("rounds(scale %d, scenario %v) = %d, want %d", c.cfg.Scale, c.cfg.Scenario != nil, got, c.want)
+		if got := c.cfg.Rounds(); got != c.want {
+			t.Errorf("Rounds(scale %d, scenario %v) = %d, want %d", c.cfg.Scale, c.cfg.Scenario != nil, got, c.want)
 		}
 		if c.cfg.Scenario != nil {
 			if gen := scenario.NewGenerator(spec, 4, c.cfg.Scale).TotalRounds(); gen != c.want {

@@ -11,7 +11,6 @@ import (
 	"oscachesim/internal/report"
 	"oscachesim/internal/sim"
 	"oscachesim/internal/stats"
-	"oscachesim/internal/workload"
 )
 
 // cpuHz is the simulated clock rate (the paper's 200-MHz processors);
@@ -343,15 +342,6 @@ type JobView struct {
 	Error            string  `json:"error,omitempty"`
 }
 
-// roundsTotal resolves the effective scheduling-round count of a run
-// configuration (0 means the workload default).
-func roundsTotal(cfg core.RunConfig) int {
-	if cfg.Scale > 0 {
-		return cfg.Scale
-	}
-	return workload.DefaultScale
-}
-
 // view renders the job's current state.
 func (j *Job) view(deduped bool) *JobView {
 	j.mu.Lock()
@@ -382,7 +372,7 @@ func (j *Job) view(deduped bool) *JobView {
 		v.FinishedAt = &t
 	}
 	snap := j.Progress.Snapshot()
-	rt := roundsTotal(j.Cfg)
+	rt := j.Cfg.Rounds()
 	pv := &ProgressView{
 		Refs:         snap.Refs,
 		GenRefs:      snap.GenRefs,

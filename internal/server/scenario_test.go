@@ -49,6 +49,31 @@ func TestRunScenarioInlineSpec(t *testing.T) {
 	}
 }
 
+// TestRunScenarioRoundsTotal pins a scenario run's rounds_total to the
+// rounds its generator makes: the spec's rounds times the scale, with
+// a scale of 0 counting as 1.
+func TestRunScenarioRoundsTotal(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	for _, c := range []struct{ scale, want int }{{0, 2}, {3, 6}} {
+		body := fmt.Sprintf(`{"scenario":{"spec":{"name":"rounds","phases":[{"rounds":2,"user_refs":200}]}},
+			"system":"Base","seed":1,"scale":%d}`, c.scale)
+		status, v, _ := postJSON(t, ts.URL+"/v1/runs", body)
+		if status != http.StatusAccepted {
+			t.Fatalf("scale %d: HTTP %d", c.scale, status)
+		}
+		done := waitJob(t, ts.URL, v.ID)
+		if done.State != JobDone {
+			t.Fatalf("scale %d: job state %s (error %q)", c.scale, done.State, done.Error)
+		}
+		if got := done.Progress.RoundsTotal; got != c.want {
+			t.Errorf("scale %d: rounds_total %d, want %d", c.scale, got, c.want)
+		}
+		if got := done.Progress.RoundsDone; got != c.want {
+			t.Errorf("scale %d: rounds_done %d, want %d", c.scale, got, c.want)
+		}
+	}
+}
+
 // TestRunScenarioRejections pins the 400 surface of the scenario
 // field: conflicts, unknown presets, field violations with their
 // dotted paths, and the preset hint on unknown workloads.

@@ -15,7 +15,7 @@ type invalRecord struct {
 // cpuState is one simulated processor with its private hierarchy.
 type cpuState struct {
 	id  int
-	src trace.BatchSource
+	src trace.Source
 	// win[pos:n] are the processor's next references, read ahead of
 	// execution by one batch read of src (see next).
 	pos, n int
@@ -115,7 +115,7 @@ const emptyReg = ^uint64(0)
 func newCPU(id int, p Params, src trace.Source) *cpuState {
 	c := &cpuState{
 		id:             id,
-		src:            trace.Batched(src),
+		src:            src,
 		l1i:            cache.New(p.L1I),
 		l1d:            cache.New(p.L1D),
 		l2:             cache.New(p.L2),

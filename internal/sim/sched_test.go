@@ -83,8 +83,8 @@ func probeOf(c *cpuState) drainProbe {
 // every write-buffer probe the drain horizon skips would have made no
 // progress, and every processor's reference window holds exactly the
 // next unexecuted references of its own stream. Even processors read
-// SliceSources and odd ones adapter-wrapped FuncSources, so both batch
-// paths feed the windows.
+// SliceSources and odd ones oneAtATime sources, so both full and
+// single-reference batches feed the windows.
 func TestSchedulerInvariants(t *testing.T) {
 	for _, n := range []int{4, 33, 64} {
 		for _, coh := range []CoherenceKind{CoherenceSnoop, CoherenceDirectory} {
@@ -107,7 +107,7 @@ func checkSchedulerInvariants(t *testing.T, n int, coh CoherenceKind, seed int64
 	p.L1WriteBufDepth = 1 + int(seed)%2
 	p.L2WriteBufDepth = 1
 	traces := schedTraces(rng, n, 6)
-	srcs := funcSources(traces)
+	srcs := singleRefSources(traces)
 	for i := 0; i < n; i += 2 {
 		srcs[i] = trace.NewSliceSource(traces[i])
 	}

@@ -11,28 +11,33 @@ import (
 	"oscachesim/internal/workload"
 )
 
-// funcSources wraps each per-CPU stream in a Next-only FuncSource, so
-// New has to put the batch adapter in front of it.
-func funcSources(per [][]trace.Ref) []trace.Source {
+// oneAtATime is a Source that returns a single reference per Read,
+// however large the batch asked for.
+type oneAtATime struct{ refs []trace.Ref }
+
+func (s *oneAtATime) Read(dst []trace.Ref) int {
+	if len(s.refs) == 0 {
+		return 0
+	}
+	dst[0], s.refs = s.refs[0], s.refs[1:]
+	return 1
+}
+
+// singleRefSources gives each per-CPU stream a oneAtATime source, so
+// every window refill comes back one reference long.
+func singleRefSources(per [][]trace.Ref) []trace.Source {
 	srcs := make([]trace.Source, len(per))
 	for c, refs := range per {
-		pos := 0
-		srcs[c] = trace.FuncSource(func() (trace.Ref, bool) {
-			if pos == len(refs) {
-				return trace.Ref{}, false
-			}
-			pos++
-			return refs[pos-1], true
-		})
+		srcs[c] = &oneAtATime{refs: refs}
 	}
 	return srcs
 }
 
-// TestWindowSourceKinds runs the same trace over SliceSources (batch
-// reads straight from the slice) and over adapter-wrapped FuncSources
-// (batches filled one Next at a time) and requires byte-equal
-// measurements: the reference window must not depend on how a source
-// delivers its batches.
+// TestWindowSourceKinds runs the same trace over SliceSources (full
+// batches straight from the slice) and over oneAtATime sources (every
+// batch a single reference) and requires byte-equal measurements: the
+// reference window must not depend on how a source delivers its
+// batches.
 func TestWindowSourceKinds(t *testing.T) {
 	for _, tc := range []struct {
 		cpus int
@@ -58,18 +63,18 @@ func TestWindowSourceKinds(t *testing.T) {
 				return res
 			}
 			slices := run(b.Sources())
-			funcs := run(funcSources(b.PerCPU))
+			singles := run(singleRefSources(b.PerCPU))
 			if slices.Refs != uint64(b.TotalRefs()) {
 				t.Fatalf("simulated %d refs, trace has %d", slices.Refs, b.TotalRefs())
 			}
-			if slices.Counters != funcs.Counters {
-				t.Errorf("counters differ between SliceSource and FuncSource runs")
+			if slices.Counters != singles.Counters {
+				t.Errorf("counters differ between SliceSource and oneAtATime runs")
 			}
-			if !reflect.DeepEqual(slices.CPUTime, funcs.CPUTime) {
-				t.Errorf("CPUTime: slices %v, funcs %v", slices.CPUTime, funcs.CPUTime)
+			if !reflect.DeepEqual(slices.CPUTime, singles.CPUTime) {
+				t.Errorf("CPUTime: slices %v, singles %v", slices.CPUTime, singles.CPUTime)
 			}
-			if slices.Refs != funcs.Refs {
-				t.Errorf("Refs: slices %d, funcs %d", slices.Refs, funcs.Refs)
+			if slices.Refs != singles.Refs {
+				t.Errorf("Refs: slices %d, singles %d", slices.Refs, singles.Refs)
 			}
 		})
 	}

@@ -23,6 +23,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -206,12 +207,20 @@ func (s *Store) replayLog(f *os.File) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if info.Size() == 0 {
-		// Fresh log: stamp the header.
-		if _, err := f.Write(logMagic[:]); err != nil {
+	if info.Size() < int64(len(logMagic)) {
+		// A fresh log, or one torn while its header was being stamped:
+		// (re)stamp the header. Any other short file is foreign.
+		head := make([]byte, info.Size())
+		if _, err := f.ReadAt(head, 0); err != nil || !bytes.HasPrefix(logMagic[:], head) {
+			return fmt.Errorf("store: %s is not a result store log", f.Name())
+		}
+		if _, err := f.WriteAt(logMagic[:], 0); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
 		s.size = int64(len(logMagic))
+		if _, err := f.Seek(s.size, io.SeekStart); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
 		return nil
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -224,10 +227,98 @@ func TestReplayDropsOtherSimVersions(t *testing.T) {
 
 func TestOpenRejectsForeignFile(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, logName), []byte("not a store log at all"), 0o644); err != nil {
-		t.Fatal(err)
+	// The second file is shorter than the header but not a torn one.
+	for _, foreign := range []string{"not a store log at all", "osrx"} {
+		if err := os.WriteFile(filepath.Join(dir, logName), []byte(foreign), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, nil); err == nil {
+			t.Fatalf("Open accepted the foreign file %q", foreign)
+		}
 	}
-	if _, err := Open(dir, nil); err == nil {
-		t.Fatal("Open accepted a foreign file")
+}
+
+// TestReplayCrashPoints cuts a 3-record log at every byte offset, as a
+// crash mid-write can, and flips every byte past the header, as bit rot
+// can. Open must survive each damaged log and replay only records that
+// were written: after a cut, exactly those that end before it, in a log
+// that takes a new record across a reopen.
+func TestReplayCrashPoints(t *testing.T) {
+	dir := t.TempDir()
+	keys := appendRecords(t, dir, 3)
+	path := filepath.Join(dir, logName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read log: %v", err)
+	}
+	written, err := Open(dir, nil)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	written.Close()
+	// ends[i] is the offset just past record i.
+	var ends []int
+	br := bufio.NewReader(bytes.NewReader(raw[len(logMagic):]))
+	for off := len(logMagic); ; {
+		n, _, err := readFrame(br)
+		if err != nil {
+			break
+		}
+		off += int(n)
+		ends = append(ends, off)
+	}
+	if len(ends) != len(keys) || ends[len(ends)-1] != len(raw) {
+		t.Fatalf("record ends %v in a %d-byte log of %d records", ends, len(raw), len(keys))
+	}
+	open := func(what string, data []byte) *Store {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, nil)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", what, err)
+		}
+		return s
+	}
+
+	for cut := 0; cut <= len(raw); cut++ {
+		what := fmt.Sprintf("cut at %d", cut)
+		s := open(what, raw[:cut])
+		for i, k := range keys {
+			if s.Has(k) != (ends[i] <= cut) {
+				t.Fatalf("%s: record %d (ends at %d) replayed=%v", what, i, ends[i], s.Has(k))
+			}
+		}
+		want := s.Len() + 1
+		if err := s.Put(&Record{Key: "after-crash", Kind: "sweep", SimVersion: core.SimVersion,
+			View: json.RawMessage(`{}`)}); err != nil {
+			t.Fatalf("%s: Put: %v", what, err)
+		}
+		s.Close()
+		s2, err := Open(dir, nil)
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", what, err)
+		}
+		if !s2.Has("after-crash") || s2.Len() != want {
+			t.Fatalf("%s: reopen has %d records (after-crash %v), want %d", what, s2.Len(), s2.Has("after-crash"), want)
+		}
+		s2.Close()
+	}
+
+	for off := len(logMagic); off < len(raw); off++ {
+		what := fmt.Sprintf("flip at %d", off)
+		bad := bytes.Clone(raw)
+		bad[off] ^= 0xff
+		s := open(what, bad)
+		if s.Len() > len(keys) {
+			t.Fatalf("%s: replayed %d records from a log of %d", what, s.Len(), len(keys))
+		}
+		for _, k := range keys {
+			if got := s.Get(k); got != nil && string(got.View) != string(written.Get(k).View) {
+				t.Fatalf("%s: record %s replayed as %s", what, k, got.View)
+			}
+		}
+		s.Close()
 	}
 }

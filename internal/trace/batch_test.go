@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -27,7 +26,7 @@ var batchSizes = []int{1, 3, 8, 7, 32, 2, 100}
 // contract on the way: every Read returns at least one reference until
 // the stream ends, never more than asked, and 0 — repeatedly — once it
 // has ended. want is the full stream.
-func readAll(t *testing.T, src BatchSource, want []Ref) {
+func readAll(t *testing.T, src Source, want []Ref) {
 	t.Helper()
 	var got []Ref
 	for i := 0; ; i++ {
@@ -52,9 +51,23 @@ func readAll(t *testing.T, src BatchSource, want []Ref) {
 			t.Fatalf("Read after the end = %d, want 0", n)
 		}
 	}
-	if _, ok := src.Next(); ok {
-		t.Fatal("Next after the end returned a reference")
+}
+
+// next reads a single reference from src, or reports the end of the
+// stream.
+func next(src Source) (Ref, bool) {
+	var r [1]Ref
+	return r[0], src.Read(r[:]) == 1
+}
+
+// collect drains src into a slice.
+func collect(src Source) []Ref {
+	var out []Ref
+	buf := make([]Ref, 64)
+	for n := src.Read(buf); n > 0; n = src.Read(buf) {
+		out = append(out, buf[:n]...)
 	}
+	return out
 }
 
 func TestSliceSourceRead(t *testing.T) {
@@ -62,17 +75,17 @@ func TestSliceSourceRead(t *testing.T) {
 	readAll(t, NewSliceSource(refs), refs)
 	readAll(t, NewSliceSource(nil), nil)
 
-	// Read and Next share one position.
+	// Reads of different sizes share one position.
 	s := NewSliceSource(refs)
-	if r, _ := s.Next(); r != refs[0] {
-		t.Fatalf("Next = %+v, want %+v", r, refs[0])
+	if r, _ := next(s); r != refs[0] {
+		t.Fatalf("first ref = %+v, want %+v", r, refs[0])
 	}
 	readAll(t, s, refs[1:])
 }
 
 func TestFileSourceRead(t *testing.T) {
 	refs := testRefs(61)
-	src := NewFileSource(bytes.NewReader(encodeChunked(t, refs, 8)))
+	src := openChunked(t, encodeChunked(t, refs, 8))
 	readAll(t, src, refs)
 	if err := src.Err(); err != nil {
 		t.Fatalf("clean end: Err = %v", err)
@@ -163,31 +176,4 @@ func TestChunkSourceReadAll(t *testing.T) {
 		p.Close()
 	}()
 	readAll(t, p.Source(0), refs)
-}
-
-// TestBatchedAdapter checks the Next-only adapter: it yields exactly
-// the sequence Collect does, and once it has reported the end it never
-// calls Next again.
-func TestBatchedAdapter(t *testing.T) {
-	refs := testRefs(61)
-	want := Collect(NewSliceSource(refs))
-	calls, pos := 0, 0
-	src := FuncSource(func() (Ref, bool) {
-		calls++
-		if pos == len(refs) {
-			return Ref{}, false
-		}
-		pos++
-		return refs[pos-1], true
-	})
-	readAll(t, Batched(src), want)
-	if calls != len(refs)+1 {
-		t.Fatalf("adapter called Next %d times, want %d (once past the end)", calls, len(refs)+1)
-	}
-
-	// Sources that already read in batches are not wrapped.
-	s := NewSliceSource(refs)
-	if b := Batched(s); b != BatchSource(s) {
-		t.Fatalf("Batched(*SliceSource) = %T, want the source itself", b)
-	}
 }

@@ -246,7 +246,7 @@ func (p *ChunkPipeline) Source(cpu int) *ChunkSource {
 	return &ChunkSource{p: p, cpu: cpu}
 }
 
-// ChunkSource adapts one pipeline queue to the BatchSource interface,
+// ChunkSource adapts one pipeline queue to the Source interface,
 // returning each chunk to the trace pool once its last reference has
 // been delivered.
 type ChunkSource struct {
@@ -256,27 +256,12 @@ type ChunkSource struct {
 	pos int
 }
 
-// Ready reports whether the next Read or Next will return without
-// blocking: a buffered reference, a queued chunk, or a finished stream.
-// Consumers that multiplex several sources use it to drain whatever is
-// available before parking on one queue — which is what keeps pipeline
-// residency near the budget instead of growing with producer/consumer
-// skew.
-func (s *ChunkSource) Ready() bool {
-	if s.pos < len(s.cur) {
-		return true
-	}
-	s.p.mu.Lock()
-	defer s.p.mu.Unlock()
-	return s.p.queued(s.cpu) > 0 || s.p.closed || s.p.aborted
-}
-
-// Read implements BatchSource. It returns only references of the chunk
+// Read implements Source. It returns only references of the chunk
 // in hand, so a batch that reaches a chunk boundary comes back short.
 // It receives the next chunk — and may block — only when the chunk in
-// hand is spent, exactly when a reference-at-a-time reader would: a
-// batch read changes neither the pipeline's starvation signal nor its
-// deadlock-freedom argument (see the file comment).
+// hand is spent, so the size of a batch changes neither the pipeline's
+// starvation signal nor its deadlock-freedom argument (see the file
+// comment).
 func (s *ChunkSource) Read(dst []Ref) int {
 	if s.cur == nil {
 		chunk, ok := s.p.recv(s.cpu)
@@ -292,13 +277,4 @@ func (s *ChunkSource) Read(dst []Ref) int {
 		s.cur, s.pos = nil, 0
 	}
 	return n
-}
-
-// Next implements Source.
-func (s *ChunkSource) Next() (Ref, bool) {
-	var r [1]Ref
-	if s.Read(r[:]) == 0 {
-		return Ref{}, false
-	}
-	return r[0], true
 }

@@ -26,7 +26,7 @@ func TestChunkPipelineDelivery(t *testing.T) {
 	}()
 	s0, s1 := p.Source(0), p.Source(1)
 	for i := 0; i < 5; i++ {
-		r, ok := s0.Next()
+		r, ok := next(s0)
 		if !ok {
 			t.Fatalf("cpu0 ref %d: stream ended early", i)
 		}
@@ -34,16 +34,16 @@ func TestChunkPipelineDelivery(t *testing.T) {
 			t.Fatalf("cpu0 ref %d = %+v", i, r)
 		}
 	}
-	if _, ok := s0.Next(); ok {
+	if _, ok := next(s0); ok {
 		t.Fatal("cpu0: refs after close")
 	}
 	for i := 0; i < 2; i++ {
-		r, ok := s1.Next()
+		r, ok := next(s1)
 		if !ok || r.Addr != 200+uint64(i) {
 			t.Fatalf("cpu1 ref %d = %+v ok=%t", i, r, ok)
 		}
 	}
-	if _, ok := s1.Next(); ok {
+	if _, ok := next(s1); ok {
 		t.Fatal("cpu1: refs after close")
 	}
 	if got := p.Sent(); got != 7 {
@@ -76,7 +76,7 @@ func TestChunkPipelineStarvationEscape(t *testing.T) {
 	s1 := p.Source(1)
 	got := make(chan Ref, 1)
 	go func() {
-		r, _ := s1.Next() // blocks until the producer reaches CPU 1
+		r, _ := next(s1) // blocks until the producer reaches CPU 1
 		got <- r
 	}()
 	select {
@@ -90,12 +90,12 @@ func TestChunkPipelineStarvationEscape(t *testing.T) {
 	// Drain everything so the producer exits and chunks recycle.
 	s0 := p.Source(0)
 	for {
-		if _, ok := s0.Next(); !ok {
+		if _, ok := next(s0); !ok {
 			break
 		}
 	}
 	for {
-		if _, ok := s1.Next(); !ok {
+		if _, ok := next(s1); !ok {
 			break
 		}
 	}
@@ -157,7 +157,7 @@ func TestChunkPipelineConcurrent(t *testing.T) {
 	// Drain in a deliberately skewed order: exhaust CPU 3 first.
 	for c := cpus - 1; c >= 0; c-- {
 		for {
-			if _, ok := srcs[c].Next(); !ok {
+			if _, ok := next(srcs[c]); !ok {
 				break
 			}
 			counts[c]++

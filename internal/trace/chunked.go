@@ -9,9 +9,9 @@ import (
 	"io"
 )
 
-// The chunked on-disk trace format wraps the varint record codec of
-// codec.go in self-contained, integrity-checked chunks, so recorded
-// traces can be replayed (or skipped over) with bounded memory:
+// The on-disk trace format is a sequence of self-contained,
+// integrity-checked chunks of varint-encoded records, so recorded
+// traces can be replayed with bounded memory:
 //
 //	[8]  chunk magic "osctrk" + version
 //	per chunk:
@@ -22,57 +22,40 @@ import (
 //	           keyed off the previous ref of the same CPU, with the
 //	           delta table reset at the chunk start
 //
-// Self-containment is what buys seekability: because every chunk
-// restarts the delta chain and declares its payload length, a reader
-// can skip whole chunks without decoding them (ChunkReader.Skip) and
-// decode any chunk knowing nothing about its predecessors. The CRC
-// turns bit rot and truncation into clean errors instead of silently
-// corrupted simulations.
+// Addresses are delta-encoded against the previous record of the same
+// CPU, which compresses the strongly sequential instruction streams
+// well. Because every chunk restarts the delta chain and declares its
+// payload length, any chunk decodes knowing nothing about its
+// predecessors. The CRC turns bit rot and truncation into clean errors
+// instead of silently corrupted simulations.
 
 // chunkMagic identifies chunked trace files; the trailing byte is the
 // format version.
 var chunkMagic = [8]byte{'o', 's', 'c', 't', 'r', 'k', 0, 1}
 
-// SniffFormat inspects the first 8 bytes of a trace file and reports
-// whether it is the chunked format (chunked=true), the flat stream
-// format (chunked=false), or neither (ok=false). Tools use it to
-// auto-detect which reader to attach.
-func SniffFormat(header []byte) (chunked, ok bool) {
-	if len(header) < 8 {
-		return false, false
-	}
-	var got [8]byte
-	copy(got[:], header)
-	switch got {
-	case chunkMagic:
-		return true, true
-	case magic:
-		return false, true
-	}
-	return false, false
-}
+// flatMagic is the header of the retired flat trace format. It is
+// recognized only to tell the user how to replace such a file.
+var flatMagic = [8]byte{'o', 's', 'c', 't', 'r', 'c', 0, 1}
 
-// OpenSource sniffs a trace stream's format and returns the matching
-// Source — a FileSource for the chunked format, a flat ReaderSource
-// otherwise. The reader is rewound after sniffing, so it must support
-// seeking (an *os.File does). Returns ErrBadMagic when the header
-// matches neither format.
-func OpenSource(r io.ReadSeeker) (Source, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, ErrBadMagic
-	}
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
+// ErrBadMagic reports that a reader's input does not start with a
+// chunked trace file header.
+var ErrBadMagic = errors.New("trace: bad magic (not a chunked trace file)")
+
+// errFlatFormat reports a file in the retired flat format. Only
+// tracedump ever wrote such files, deterministically from its flags, so
+// each one can be regenerated in the chunked format.
+var errFlatFormat = fmt.Errorf("%w: the flat trace format is retired; regenerate the file with tracedump -out", ErrBadMagic)
+
+// OpenSource validates a chunked trace's header and returns a
+// FileSource replaying the trace from r. It returns an error wrapping
+// ErrBadMagic when r does not start with a chunked trace header; for a
+// file in the retired flat format the error says how to replace it.
+func OpenSource(r io.Reader) (*FileSource, error) {
+	cr := NewChunkReader(r)
+	if err := cr.start(); err != nil {
 		return nil, err
 	}
-	chunked, ok := SniffFormat(hdr[:])
-	if !ok {
-		return nil, ErrBadMagic
-	}
-	if chunked {
-		return NewFileSource(r), nil
-	}
-	return ReaderSource(NewReader(r)), nil
+	return &FileSource{cr: cr, cur: GetBatch(DefaultChunkRefs)[:0]}, nil
 }
 
 // ErrCorruptChunk reports a structurally invalid or integrity-failing
@@ -87,6 +70,26 @@ const maxChunkPayload = 1 << 26
 // DefaultChunkRefs is the chunk granularity writers use when the
 // caller does not choose.
 const DefaultChunkRefs = 1 << 13
+
+// flags bit layout inside the record header varint:
+//
+//	bits 0-2  Op
+//	bits 3-4  Kind
+//	bits 5-8  Class
+//	bits 9-10 Role
+//	bits 11-12 Sync
+//	bit 13    has Block
+//	bit 14    has SyncID
+//	bit 15    has Spot
+//	bit 16    has Len
+//	bit 17    has Aux
+const (
+	flagHasBlock  = 1 << 13
+	flagHasSyncID = 1 << 14
+	flagHasSpot   = 1 << 15
+	flagHasLen    = 1 << 16
+	flagHasAux    = 1 << 17
+)
 
 // ChunkWriter encodes references into the chunked format, flushing a
 // chunk whenever chunkRefs references have accumulated.
@@ -197,7 +200,7 @@ type ChunkReader struct {
 }
 
 // NewChunkReader returns a ChunkReader over r. The header is validated
-// on the first read or skip.
+// on the first read.
 func NewChunkReader(r io.Reader) *ChunkReader {
 	return &ChunkReader{r: bufio.NewReaderSize(r, 1<<16)}
 }
@@ -213,6 +216,9 @@ func (r *ChunkReader) start() error {
 			return ErrBadMagic
 		}
 		return err
+	}
+	if got == flatMagic {
+		return errFlatFormat
 	}
 	if got != chunkMagic {
 		return ErrBadMagic
@@ -289,20 +295,52 @@ func (r *ChunkReader) ReadChunk(dst []Ref) ([]Ref, error) {
 	return dst, nil
 }
 
-// Skip advances past the next chunk without decoding its records —
-// the seek primitive: self-contained chunks mean replay can resume at
-// any chunk boundary. It returns the number of references skipped, or
-// io.EOF cleanly at end of stream. The payload is still read (the
-// format is a stream), but no per-record work is done.
-func (r *ChunkReader) Skip() (int, error) {
-	count, payloadLen, _, err := r.header()
-	if err != nil {
-		return 0, err
+// appendRecord encodes one reference as a varint record, delta-encoding
+// the address against the previous record of the same CPU. ChunkWriter
+// resets the prevAddr table at every chunk boundary so chunks stay
+// self-contained.
+func appendRecord(b []byte, prevAddr *[256]uint64, r Ref) []byte {
+	flags := uint64(r.Op)&7 |
+		uint64(r.Kind)&3<<3 |
+		uint64(r.Class)&15<<5 |
+		uint64(r.Role)&3<<9 |
+		uint64(r.Sync)&3<<11
+	if r.Block != 0 {
+		flags |= flagHasBlock
 	}
-	if _, err := io.CopyN(io.Discard, r.r, int64(payloadLen)); err != nil {
-		return 0, fmt.Errorf("%w: truncated payload", ErrCorruptChunk)
+	if r.SyncID != 0 {
+		flags |= flagHasSyncID
 	}
-	return count, nil
+	if r.Spot != 0 {
+		flags |= flagHasSpot
+	}
+	if r.Len != 0 {
+		flags |= flagHasLen
+	}
+	if r.Aux != 0 {
+		flags |= flagHasAux
+	}
+	b = append(b, r.CPU)
+	b = binary.AppendUvarint(b, flags)
+	delta := int64(r.Addr) - int64(prevAddr[r.CPU])
+	b = binary.AppendVarint(b, delta)
+	prevAddr[r.CPU] = r.Addr
+	if r.Block != 0 {
+		b = binary.AppendUvarint(b, uint64(r.Block))
+	}
+	if r.SyncID != 0 {
+		b = binary.AppendUvarint(b, uint64(r.SyncID))
+	}
+	if r.Spot != 0 {
+		b = binary.AppendUvarint(b, uint64(r.Spot))
+	}
+	if r.Len != 0 {
+		b = binary.AppendUvarint(b, uint64(r.Len))
+	}
+	if r.Aux != 0 {
+		b = binary.AppendUvarint(b, r.Aux)
+	}
+	return b
 }
 
 // decodeRecord decodes one varint record from data, mirroring
@@ -382,7 +420,7 @@ func decodeRecord(data []byte, prevAddr *[256]uint64) (Ref, int, error) {
 
 // FileSource replays a chunked trace with bounded memory: exactly one
 // decoded chunk (a pooled batch) is resident at a time, whatever the
-// file size. It implements BatchSource; once the stream has ended, Err
+// file size. It implements Source; once the stream has ended, Err
 // distinguishes a clean end of stream from corruption.
 type FileSource struct {
 	cr  *ChunkReader
@@ -391,14 +429,10 @@ type FileSource struct {
 	err error
 }
 
-// NewFileSource returns a FileSource over r.
-func NewFileSource(r io.Reader) *FileSource {
-	return &FileSource{cr: NewChunkReader(r), cur: GetBatch(DefaultChunkRefs)[:0]}
-}
-
-// Read implements BatchSource. A batch that reaches the end of the
-// decoded chunk comes back short; the next Read decodes the next chunk
-// into the same buffer.
+// Read implements Source. A batch that reaches the end of the decoded
+// chunk comes back short; the next Read decodes the next chunk into the
+// same buffer. The chunk buffer goes back to the trace pool when the
+// stream ends.
 func (s *FileSource) Read(dst []Ref) int {
 	for s.pos >= len(s.cur) {
 		if s.err != nil {
@@ -407,7 +441,8 @@ func (s *FileSource) Read(dst []Ref) int {
 		chunk, err := s.cr.ReadChunk(s.cur)
 		if err != nil {
 			s.err = err
-			s.release()
+			PutBatch(s.cur)
+			s.cur, s.pos = nil, 0
 			return 0
 		}
 		s.cur, s.pos = chunk, 0
@@ -417,15 +452,6 @@ func (s *FileSource) Read(dst []Ref) int {
 	return n
 }
 
-// Next implements Source.
-func (s *FileSource) Next() (Ref, bool) {
-	var r [1]Ref
-	if s.Read(r[:]) == 0 {
-		return Ref{}, false
-	}
-	return r[0], true
-}
-
 // Err returns nil after a clean end of stream, or the decode error
 // that terminated the source.
 func (s *FileSource) Err() error {
@@ -433,17 +459,4 @@ func (s *FileSource) Err() error {
 		return nil
 	}
 	return s.err
-}
-
-// Release returns the source's chunk buffer to the trace pool. The
-// source must not be used afterwards; exhausted sources release
-// automatically.
-func (s *FileSource) Release() { s.release() }
-
-func (s *FileSource) release() {
-	if s.cur != nil {
-		PutBatch(s.cur)
-		s.cur = nil
-		s.pos = 0
-	}
 }

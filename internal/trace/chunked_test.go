@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -41,6 +42,16 @@ func decodeChunked(enc []byte) ([]Ref, error) {
 		out = append(out, chunk...)
 		buf = chunk
 	}
+}
+
+// openChunked opens an in-memory chunked trace through OpenSource.
+func openChunked(t testing.TB, enc []byte) *FileSource {
+	t.Helper()
+	src, err := OpenSource(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatalf("OpenSource: %v", err)
+	}
+	return src
 }
 
 // testRefs builds a stream whose addresses exercise the per-CPU delta
@@ -96,38 +107,11 @@ func TestChunkedEmptyTrace(t *testing.T) {
 	}
 }
 
-func TestChunkReaderSkip(t *testing.T) {
-	refs := testRefs(60)
-	enc := encodeChunked(t, refs, 20)
-	r := NewChunkReader(bytes.NewReader(enc))
-	n, err := r.Skip()
-	if err != nil || n != 20 {
-		t.Fatalf("Skip: n=%d err=%v", n, err)
-	}
-	// Chunks are self-contained: the next chunk decodes correctly even
-	// though its predecessor was never run through the delta decoder.
-	chunk, err := r.ReadChunk(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range chunk {
-		if got != refs[20+i] {
-			t.Fatalf("post-skip ref %d: got %+v, want %+v", i, got, refs[20+i])
-		}
-	}
-	if n, err := r.Skip(); err != nil || n != 20 {
-		t.Fatalf("second Skip: n=%d err=%v", n, err)
-	}
-	if _, err := r.Skip(); err != io.EOF {
-		t.Fatalf("Skip at end: err=%v, want io.EOF", err)
-	}
-}
-
 func TestFileSource(t *testing.T) {
 	refs := testRefs(50)
-	src := NewFileSource(bytes.NewReader(encodeChunked(t, refs, 8)))
+	src := openChunked(t, encodeChunked(t, refs, 8))
 	for i, want := range refs {
-		got, ok := src.Next()
+		got, ok := next(src)
 		if !ok {
 			t.Fatalf("ref %d: stream ended early (err=%v)", i, src.Err())
 		}
@@ -135,7 +119,7 @@ func TestFileSource(t *testing.T) {
 			t.Fatalf("ref %d: got %+v, want %+v", i, got, want)
 		}
 	}
-	if _, ok := src.Next(); ok {
+	if _, ok := next(src); ok {
 		t.Fatal("refs past the end")
 	}
 	if err := src.Err(); err != nil {
@@ -150,14 +134,8 @@ func TestFileSourceCorruption(t *testing.T) {
 	// or fabricating references.
 	bad := bytes.Clone(enc)
 	bad[len(bad)-3] ^= 0xff
-	src := NewFileSource(bytes.NewReader(bad))
-	n := 0
-	for {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-		n++
-	}
+	src := openChunked(t, bad)
+	n := len(collect(src))
 	if err := src.Err(); !errors.Is(err, ErrCorruptChunk) {
 		t.Fatalf("Err=%v, want ErrCorruptChunk", err)
 	}
@@ -242,19 +220,41 @@ func TestWriteChunkPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestSniffFormat pins how OpenSource tells inputs apart by their
+// header: a chunked trace opens, a file in the retired flat format is
+// refused with a hint to regenerate it, and anything else is refused as
+// not a trace.
 func TestSniffFormat(t *testing.T) {
-	flat := encodeRefs(t, testRefs(3))
-	chunked := encodeChunked(t, testRefs(3), 0)
-	if c, ok := SniffFormat(flat); !ok || c {
-		t.Fatalf("flat: chunked=%t ok=%t", c, ok)
+	if _, err := OpenSource(bytes.NewReader(encodeChunked(t, testRefs(3), 0))); err != nil {
+		t.Fatalf("chunked: %v", err)
 	}
-	if c, ok := SniffFormat(chunked); !ok || !c {
-		t.Fatalf("chunked: chunked=%t ok=%t", c, ok)
+	flat := append(flatMagic[:], 0, 0, 0x10)
+	_, err := OpenSource(bytes.NewReader(flat))
+	if !errors.Is(err, ErrBadMagic) || !strings.Contains(err.Error(), "regenerate the file with tracedump") {
+		t.Fatalf("flat: err=%v, want ErrBadMagic with a regeneration hint", err)
 	}
-	if _, ok := SniffFormat([]byte("short")); ok {
-		t.Fatal("short header sniffed ok")
+	for _, in := range []string{"", "short", "not a trace file"} {
+		_, err := OpenSource(strings.NewReader(in))
+		if !errors.Is(err, ErrBadMagic) || strings.Contains(err.Error(), "flat") {
+			t.Fatalf("%q: err=%v, want plain ErrBadMagic", in, err)
+		}
 	}
-	if _, ok := SniffFormat([]byte("not a trace file")); ok {
-		t.Fatal("garbage sniffed ok")
+}
+
+// TestSplitByCPUReportsReadError pins that a damaged trace file fails
+// the split instead of yielding a short trace: a truncated file and a
+// CRC failure each come back as ErrCorruptChunk.
+func TestSplitByCPUReportsReadError(t *testing.T) {
+	enc := encodeChunked(t, testRefs(40), 16)
+	crc := bytes.Clone(enc)
+	crc[len(crc)-1] ^= 0x40
+	for name, bad := range map[string][]byte{
+		"truncated": enc[:len(enc)*3/5],
+		"crc":       crc,
+	} {
+		per, err := SplitByCPU(openChunked(t, bad), 4)
+		if !errors.Is(err, ErrCorruptChunk) || per != nil {
+			t.Errorf("%s: split=%v err=%v, want ErrCorruptChunk", name, per, err)
+		}
 	}
 }

@@ -3,30 +3,13 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 )
 
-// encodeRefs is a test helper: encode refs into an in-memory trace.
-func encodeRefs(t testing.TB, refs []Ref) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, r := range refs {
-		if err := w.WriteRef(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzCodecRoundTrip encodes two arbitrary references (two, so the
-// per-CPU address delta chain is exercised) and decodes them back. The
-// writer masks the enum fields to their header bit widths, so the
-// comparison applies the same masks.
+// per-CPU address delta chain is exercised) into one chunk and decodes
+// them back. The writer masks the enum fields to their header bit
+// widths, so the comparison applies the same masks.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0),
 		uint64(0), uint32(0), uint32(0), uint16(0), uint32(0), uint64(0), uint64(0))
@@ -44,25 +27,20 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			},
 			{Addr: addr2, CPU: cpu, Op: Op(op & 1)},
 		}
-		enc := encodeRefs(t, in)
-		r := NewReader(bytes.NewReader(enc))
+		got, err := decodeChunked(encodeChunked(t, in, 0))
+		if err != nil || len(got) != len(in) {
+			t.Fatalf("decoded %d refs, err %v; want %d", len(got), err, len(in))
+		}
 		for i, want := range in {
-			got, err := r.ReadRef()
-			if err != nil {
-				t.Fatalf("ref %d: %v", i, err)
-			}
 			// The header stores the enums in fixed-width bit fields.
 			want.Op &= 7
 			want.Kind &= 3
 			want.Class &= 15
 			want.Role &= 3
 			want.Sync &= 3
-			if got != want {
-				t.Fatalf("ref %d round-trip:\n got %+v\nwant %+v", i, got, want)
+			if got[i] != want {
+				t.Fatalf("ref %d round-trip:\n got %+v\nwant %+v", i, got[i], want)
 			}
-		}
-		if _, err := r.ReadRef(); err != io.EOF {
-			t.Fatalf("after %d refs: got %v, want io.EOF", len(in), err)
 		}
 	})
 }
@@ -87,6 +65,8 @@ func FuzzChunkCodec(f *testing.F) {
 				Op:    Op(i) & 7,
 				Kind:  Kind(i) & 3,
 				Class: DataClass(i) & 15,
+				Role:  BlockRole(i) & 3,
+				Sync:  SyncOp(i>>1) & 3,
 			}
 			if i%4 == 1 {
 				refs[i].Aux = auxSeed
@@ -95,6 +75,9 @@ func FuzzChunkCodec(f *testing.F) {
 			if i%4 == 2 {
 				refs[i].Block = uint32(auxSeed >> 5)
 				refs[i].Spot = uint16(addrSeed >> 3)
+			}
+			if i%4 == 3 {
+				refs[i].SyncID = uint32(addrSeed >> 7)
 			}
 		}
 		enc := encodeChunked(t, refs, 5) // multi-chunk for count > 5
@@ -146,37 +129,39 @@ func FuzzChunkCodec(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRobust feeds arbitrary bytes to the decoder: it must
-// terminate with a clean error (never panic, never loop), and inputs
-// that do not start with the trace magic must report ErrBadMagic.
+// FuzzDecodeRobust feeds arbitrary bytes to the trace reader: it must
+// terminate with a clean end or a clean error (never panic, never
+// loop), and inputs that do not start with the trace magic must report
+// ErrBadMagic.
 func FuzzDecodeRobust(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a trace file at all"))
-	f.Add(encodeRefs(f, nil))
-	f.Add(encodeRefs(f, []Ref{
+	f.Add(encodeChunked(f, nil, 0))
+	f.Add(encodeChunked(f, []Ref{
 		{Addr: 0x1000, CPU: 0, Op: OpRead, Kind: KindOS, Class: ClassLock, Block: 3, Len: 4096},
 		{Addr: 0x1020, CPU: 1, Op: OpWrite, Aux: 0x2000},
-	}))
-	// A valid header followed by a truncated record.
-	valid := encodeRefs(f, []Ref{{Addr: 0x5000, CPU: 2, Op: OpInstr}})
+	}, 0))
+	// A valid header followed by a truncated chunk.
+	valid := encodeChunked(f, []Ref{{Addr: 0x5000, CPU: 2, Op: OpInstr}}, 0)
 	f.Add(valid[:len(valid)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
-		for i := 0; ; i++ {
-			ref, err := r.ReadRef()
-			if err != nil {
-				if i == 0 && (len(data) < 8 || !bytes.Equal(data[:8], magic[:])) {
-					if !errors.Is(err, ErrBadMagic) {
-						t.Fatalf("bad header decoded without ErrBadMagic: %v", err)
-					}
-				}
-				return
+		src, err := OpenSource(bytes.NewReader(data))
+		if len(data) < 8 || !bytes.Equal(data[:8], chunkMagic[:]) {
+			if !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("bad header opened without ErrBadMagic: %v", err)
 			}
-			if i == 0 && (len(data) < 8 || !bytes.Equal(data[:8], magic[:])) {
-				t.Fatalf("decoded ref %+v from input without trace magic", ref)
-			}
-			if i > len(data) {
-				t.Fatalf("decoded more records (%d) than input bytes (%d)", i, len(data))
+			return
+		}
+		if err != nil {
+			t.Fatalf("trace header refused: %v", err)
+		}
+		// Every record takes at least 3 bytes, so more refs than input
+		// bytes would mean the reader invents data.
+		n := 0
+		buf := make([]Ref, 64)
+		for k := src.Read(buf); k > 0; k = src.Read(buf) {
+			if n += k; n > len(data) {
+				t.Fatalf("decoded more records (%d) than input bytes (%d)", n, len(data))
 			}
 		}
 	})

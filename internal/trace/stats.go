@@ -27,37 +27,34 @@ func Summarize(src Source) Summary {
 		ByCPU:   make(map[uint8]uint64),
 	}
 	blocks := make(map[uint32]struct{})
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		s.Total++
-		s.ByOp[r.Op]++
-		s.ByKind[r.Kind]++
-		s.ByCPU[r.CPU]++
-		switch r.Op {
-		case OpInstr:
-			s.Instrs++
-		case OpRead:
-			s.DataReads++
-			s.ByClass[r.Class]++
-		case OpWrite:
-			s.Writes++
-			s.ByClass[r.Class]++
-		case OpPrefetch:
-			s.Prefetch++
-		case OpBlockDMA:
-			s.DMAOps++
-		}
-		if r.Block != 0 && r.Op.IsData() {
-			s.BlockRefs++
-			if _, seen := blocks[r.Block]; !seen {
+	var buf [256]Ref
+	for n := src.Read(buf[:]); n > 0; n = src.Read(buf[:]) {
+		for _, r := range buf[:n] {
+			s.Total++
+			s.ByOp[r.Op]++
+			s.ByKind[r.Kind]++
+			s.ByCPU[r.CPU]++
+			switch r.Op {
+			case OpInstr:
+				s.Instrs++
+			case OpRead:
+				s.DataReads++
+				s.ByClass[r.Class]++
+			case OpWrite:
+				s.Writes++
+				s.ByClass[r.Class]++
+			case OpPrefetch:
+				s.Prefetch++
+			case OpBlockDMA:
+				s.DMAOps++
+			}
+			if r.Block != 0 && r.Op.IsData() {
+				s.BlockRefs++
 				blocks[r.Block] = struct{}{}
 			}
-		}
-		if r.Sync != SyncNone {
-			s.Syncs++
+			if r.Sync != SyncNone {
+				s.Syncs++
+			}
 		}
 	}
 	s.BlockOps = uint64(len(blocks))

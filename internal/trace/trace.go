@@ -240,64 +240,17 @@ func (r Ref) String() string {
 	return s
 }
 
-// Source produces a stream of references for one processor. Next
-// returns the next reference and true, or a zero Ref and false when the
-// stream is exhausted. Sources need not be safe for concurrent use.
-type Source interface {
-	Next() (Ref, bool)
-}
-
-// BatchSource is a Source that also delivers references in batches.
-// Read copies the stream's next references into a prefix of dst, which
-// must not be empty, and returns how many it copied: at least one while
-// the stream has data left, 0 only at its end. Read and Next advance
-// the same stream position.
+// Source produces a stream of references for one processor. Read
+// copies the stream's next references into a prefix of dst, which must
+// not be empty, and returns how many it copied: at least one while the
+// stream has data left, 0 only at its end (and on every later call).
+// Sources need not be safe for concurrent use.
 //
 // A batch read is how the simulator fetches references: one copy of
-// many consecutive refs lets their memory loads overlap, where a Next
-// per reference leaves each trace-line miss on the critical path.
-type BatchSource interface {
-	Source
+// many consecutive refs lets their memory loads overlap, where a
+// reference at a time leaves each trace-line miss on the critical path.
+type Source interface {
 	Read(dst []Ref) int
-}
-
-// Batched returns src as a BatchSource: src itself when it already
-// reads in batches, otherwise an adapter that fills each batch with
-// calls to src.Next and stops calling it once it has reported the end
-// of the stream.
-func Batched(src Source) BatchSource {
-	if b, ok := src.(BatchSource); ok {
-		return b
-	}
-	return &nextBatcher{src: src}
-}
-
-// nextBatcher adapts a Next-only Source to BatchSource.
-type nextBatcher struct {
-	src   Source
-	ended bool
-}
-
-// Next implements Source.
-func (b *nextBatcher) Next() (Ref, bool) {
-	if b.ended {
-		return Ref{}, false
-	}
-	r, ok := b.src.Next()
-	b.ended = !ok
-	return r, ok
-}
-
-// Read implements BatchSource.
-func (b *nextBatcher) Read(dst []Ref) int {
-	for i := range dst {
-		r, ok := b.Next()
-		if !ok {
-			return i
-		}
-		dst[i] = r
-	}
-	return len(dst)
 }
 
 // SliceSource adapts an in-memory slice of references to the Source
@@ -310,63 +263,33 @@ type SliceSource struct {
 // NewSliceSource returns a Source that replays refs in order.
 func NewSliceSource(refs []Ref) *SliceSource { return &SliceSource{refs: refs} }
 
-// Next implements Source.
-func (s *SliceSource) Next() (Ref, bool) {
-	if s.pos >= len(s.refs) {
-		return Ref{}, false
-	}
-	r := s.refs[s.pos]
-	s.pos++
-	return r, true
-}
-
-// Read implements BatchSource.
+// Read implements Source.
 func (s *SliceSource) Read(dst []Ref) int {
 	n := copy(dst, s.refs[s.pos:])
 	s.pos += n
 	return n
 }
 
-// Reset rewinds the source to the beginning of the slice.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Len returns the total number of references in the slice.
-func (s *SliceSource) Len() int { return len(s.refs) }
-
-// Collect drains a source into a slice. It is intended for tests and
-// small traces; production paths stream.
-func Collect(s Source) []Ref {
-	var out []Ref
-	for {
-		r, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-	}
-}
-
-// FuncSource adapts a generator function to the Source interface.
-type FuncSource func() (Ref, bool)
-
-// Next implements Source.
-func (f FuncSource) Next() (Ref, bool) { return f() }
-
-// SplitByCPU partitions a merged reference stream into per-processor
-// streams, preserving each processor's program order. It is how a
-// trace file captured as one stream (cmd/tracedump writes one) is fed
-// back to the per-processor simulator.
-func SplitByCPU(src Source, numCPUs int) [][]Ref {
+// SplitByCPU reads a trace file to its end and partitions its merged
+// reference stream into per-processor streams, preserving each
+// processor's program order. It is how a trace file captured as one
+// stream (cmd/tracedump writes one) is fed back to the per-processor
+// simulator. A read error of the file, or a reference issued by a
+// processor the machine does not have, is returned instead of a partial
+// split.
+func SplitByCPU(src *FileSource, numCPUs int) ([][]Ref, error) {
 	per := make([][]Ref, numCPUs)
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return per
+	var buf [256]Ref
+	for n := src.Read(buf[:]); n > 0; n = src.Read(buf[:]) {
+		for _, r := range buf[:n] {
+			if int(r.CPU) >= numCPUs {
+				return nil, fmt.Errorf("trace: reference issued by cpu %d, but the machine has %d processors", r.CPU, numCPUs)
+			}
+			per[r.CPU] = append(per[r.CPU], r)
 		}
-		c := int(r.CPU)
-		if c >= numCPUs {
-			c = c % numCPUs
-		}
-		per[c] = append(per[c], r)
 	}
+	if err := src.Err(); err != nil {
+		return nil, err
+	}
+	return per, nil
 }

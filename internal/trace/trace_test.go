@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"io"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -81,19 +81,11 @@ func TestRefString(t *testing.T) {
 func TestSliceSource(t *testing.T) {
 	refs := []Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}}
 	s := NewSliceSource(refs)
-	if s.Len() != 3 {
-		t.Fatalf("Len() = %d, want 3", s.Len())
+	if got := collect(s); !reflect.DeepEqual(got, refs) {
+		t.Errorf("collect = %v, want %v", got, refs)
 	}
-	got := Collect(s)
-	if !reflect.DeepEqual(got, refs) {
-		t.Errorf("Collect = %v, want %v", got, refs)
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("Next() after exhaustion returned ok")
-	}
-	s.Reset()
-	if r, ok := s.Next(); !ok || r.Addr != 1 {
-		t.Errorf("after Reset, Next() = %v, %v", r, ok)
+	if _, ok := next(s); ok {
+		t.Error("Read after exhaustion returned a reference")
 	}
 }
 
@@ -123,14 +115,12 @@ func randomRef(rng *rand.Rand) Ref {
 	return r
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	refs := make([]Ref, 5000)
-	for i := range refs {
-		refs[i] = randomRef(rng)
-	}
+// encode writes refs as a chunked trace with the default chunk size,
+// checking the writer's count.
+func encode(t testing.TB, refs []Ref) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewChunkWriter(&buf, 0)
 	for _, r := range refs {
 		if err := w.WriteRef(r); err != nil {
 			t.Fatalf("WriteRef: %v", err)
@@ -140,82 +130,68 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("Flush: %v", err)
 	}
 	if w.Count() != uint64(len(refs)) {
-		t.Errorf("Count = %d, want %d", w.Count(), len(refs))
+		t.Fatalf("Count = %d, want %d", w.Count(), len(refs))
 	}
-	r := NewReader(&buf)
+	return buf.Bytes()
+}
+
+func TestCodecRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	refs := make([]Ref, 3*DefaultChunkRefs+5)
+	for i := range refs {
+		refs[i] = randomRef(rng)
+	}
+	src := openChunked(t, encode(t, refs))
 	for i, want := range refs {
-		got, err := r.ReadRef()
-		if err != nil {
-			t.Fatalf("ReadRef %d: %v", i, err)
+		got, ok := next(src)
+		if !ok {
+			t.Fatalf("ref %d: stream ended (err=%v)", i, src.Err())
 		}
 		if got != want {
 			t.Fatalf("ref %d: got %+v, want %+v", i, got, want)
 		}
 	}
-	if _, err := r.ReadRef(); err != io.EOF {
-		t.Errorf("after last ref, err = %v, want io.EOF", err)
+	if _, ok := next(src); ok || src.Err() != nil {
+		t.Errorf("after last ref: more=%t err=%v, want a clean end", ok, src.Err())
 	}
 }
 
 func TestCodecEmptyTrace(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	r := NewReader(&buf)
-	if _, err := r.ReadRef(); err != io.EOF {
-		t.Errorf("empty trace read err = %v, want io.EOF", err)
+	src := openChunked(t, encode(t, nil))
+	if _, ok := next(src); ok || src.Err() != nil {
+		t.Errorf("empty trace: ref=%t err=%v, want a clean end", ok, src.Err())
 	}
 }
 
 func TestCodecBadMagic(t *testing.T) {
-	r := NewReader(strings.NewReader("this is not a trace file"))
-	if _, err := r.ReadRef(); err != ErrBadMagic {
-		t.Errorf("err = %v, want ErrBadMagic", err)
-	}
-	r2 := NewReader(strings.NewReader("shrt"))
-	if _, err := r2.ReadRef(); err != ErrBadMagic {
-		t.Errorf("short input err = %v, want ErrBadMagic", err)
+	for _, in := range []string{"this is not a trace file", "shrt"} {
+		if _, err := OpenSource(strings.NewReader(in)); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%q: err = %v, want ErrBadMagic", in, err)
+		}
 	}
 }
 
 func TestCodecTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := 0; i < 10; i++ {
-		if err := w.WriteRef(Ref{Addr: uint64(i) * 0x1000, Block: 99999}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+	refs := make([]Ref, 10)
+	for i := range refs {
+		refs[i] = Ref{Addr: uint64(i) * 0x1000, Block: 99999}
 	}
 	// Chop mid-record.
-	data := buf.Bytes()[:buf.Len()-2]
-	r := NewReader(bytes.NewReader(data))
-	var err error
-	for err == nil {
-		_, err = r.ReadRef()
+	enc := encode(t, refs)
+	src := openChunked(t, enc[:len(enc)-2])
+	if got := collect(src); len(got) != 0 {
+		t.Errorf("truncated single-chunk trace delivered %d refs", len(got))
 	}
-	if err == io.EOF {
-		t.Error("truncated trace ended with clean io.EOF, want corruption error")
+	if src.Err() == nil {
+		t.Error("truncated trace ended cleanly, want a corruption error")
 	}
 }
 
+// TestReaderSource checks that OpenSource turns any io.Reader holding a
+// chunked trace into a Source of its references.
 func TestReaderSource(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	want := []Ref{{Addr: 0x10, Op: OpRead}, {Addr: 0x20, Op: OpWrite}}
-	for _, r := range want {
-		if err := w.WriteRef(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got := Collect(ReaderSource(NewReader(&buf)))
+	got := collect(openChunked(t, encode(t, want)))
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
 	}
@@ -239,16 +215,8 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			Len:    ln,
 			Aux:    aux,
 		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		if err := w.WriteRef(want); err != nil {
-			return false
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		got, err := NewReader(&buf).ReadRef()
-		return err == nil && got == want
+		got, err := decodeChunked(encode(t, []Ref{want}))
+		return err == nil && len(got) == 1 && got[0] == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -292,19 +260,35 @@ func TestSummarize(t *testing.T) {
 func TestSplitByCPU(t *testing.T) {
 	refs := []Ref{
 		{Addr: 1, CPU: 0}, {Addr: 2, CPU: 1}, {Addr: 3, CPU: 0},
-		{Addr: 4, CPU: 3}, {Addr: 5, CPU: 1}, {Addr: 6, CPU: 9}, // 9 wraps to 1
+		{Addr: 4, CPU: 3}, {Addr: 5, CPU: 1},
 	}
-	per := SplitByCPU(NewSliceSource(refs), 4)
+	per, err := SplitByCPU(openChunked(t, encode(t, refs)), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(per) != 4 {
 		t.Fatalf("split into %d streams", len(per))
 	}
 	if len(per[0]) != 2 || per[0][0].Addr != 1 || per[0][1].Addr != 3 {
 		t.Errorf("cpu0 stream = %v", per[0])
 	}
-	if len(per[1]) != 3 { // 2, 5, and the wrapped 6
+	if len(per[1]) != 2 || per[1][0].Addr != 2 || per[1][1].Addr != 5 {
 		t.Errorf("cpu1 stream = %v", per[1])
 	}
 	if len(per[2]) != 0 || len(per[3]) != 1 {
 		t.Errorf("cpu2/3 streams = %v / %v", per[2], per[3])
+	}
+
+	// A reference from a processor the machine lacks is an error naming
+	// both numbers, not a reference folded into another stream.
+	refs = append(refs, Ref{Addr: 6, CPU: 9, Sync: SyncLockAcquire, SyncID: 3})
+	per, err = SplitByCPU(openChunked(t, encode(t, refs)), 4)
+	if err == nil {
+		t.Fatalf("split = %v, want an error for cpu 9", per)
+	}
+	for _, want := range []string{"cpu 9", "4 processors"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %q, missing %q", err, want)
+		}
 	}
 }

@@ -7,7 +7,6 @@ package trace_test
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"oscachesim/internal/kernel"
@@ -15,61 +14,70 @@ import (
 	"oscachesim/internal/workload"
 )
 
+// encode writes refs as one chunked trace.
+func encode(t *testing.T, refs []trace.Ref) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewChunkWriter(&buf, 0)
+	for _, r := range refs {
+		if err := w.WriteRef(r); err != nil {
+			t.Fatalf("WriteRef: %v", err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestWorkloadTraceRoundTrip(t *testing.T) {
 	b := workload.Build(workload.TRFDMake, kernel.OptConfig{BlockPrefetch: true}, 3, 21)
 	for cpu, refs := range b.PerCPU {
-		var buf bytes.Buffer
-		w := trace.NewWriter(&buf)
-		for _, r := range refs {
-			if err := w.WriteRef(r); err != nil {
-				t.Fatalf("cpu%d: WriteRef: %v", cpu, err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		encoded := buf.Len()
+		enc := encode(t, refs)
 		// The varint delta encoding should beat the in-memory record
 		// size by a wide margin on real streams.
-		if raw := len(refs) * 16; encoded >= raw {
-			t.Errorf("cpu%d: %d refs encoded to %d bytes (no compression)", cpu, len(refs), encoded)
+		if raw := len(refs) * 16; len(enc) >= raw {
+			t.Errorf("cpu%d: %d refs encoded to %d bytes (no compression)", cpu, len(refs), len(enc))
 		}
-		r := trace.NewReader(&buf)
+		src, err := trace.OpenSource(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []trace.Ref
+		buf := make([]trace.Ref, 1000)
+		for n := src.Read(buf); n > 0; n = src.Read(buf) {
+			got = append(got, buf[:n]...)
+		}
+		if err := src.Err(); err != nil {
+			t.Fatalf("cpu%d: %v", cpu, err)
+		}
+		if len(got) != len(refs) {
+			t.Fatalf("cpu%d: decoded %d refs, want %d", cpu, len(got), len(refs))
+		}
 		for i, want := range refs {
-			got, err := r.ReadRef()
-			if err != nil {
-				t.Fatalf("cpu%d ref %d: %v", cpu, i, err)
+			if got[i] != want {
+				t.Fatalf("cpu%d ref %d: got %+v want %+v", cpu, i, got[i], want)
 			}
-			if got != want {
-				t.Fatalf("cpu%d ref %d: got %+v want %+v", cpu, i, got, want)
-			}
-		}
-		if _, err := r.ReadRef(); err != io.EOF {
-			t.Fatalf("cpu%d: trailing err = %v", cpu, err)
 		}
 	}
 }
 
 func TestWorkloadDMATraceRoundTrip(t *testing.T) {
 	b := workload.Build(workload.Shell, kernel.OptConfig{BlockDMA: true, Privatize: true, Relocate: true, HotSpotPrefetch: true}, 2, 5)
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	n := 0
+	var all []trace.Ref
 	for _, refs := range b.PerCPU {
-		for _, r := range refs {
-			if err := w.WriteRef(r); err != nil {
-				t.Fatal(err)
-			}
-			n++
-		}
+		all = append(all, refs...)
 	}
-	if err := w.Flush(); err != nil {
+	src, err := trace.OpenSource(bytes.NewReader(encode(t, all)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	src := trace.ReaderSource(trace.NewReader(&buf))
 	s := trace.Summarize(src)
-	if int(s.Total) != n {
-		t.Errorf("summarized %d of %d refs", s.Total, n)
+	if err := src.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if int(s.Total) != len(all) {
+		t.Errorf("summarized %d of %d refs", s.Total, len(all))
 	}
 	if s.DMAOps == 0 {
 		t.Error("DMA build round-tripped with no DMA ops")

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"oscachesim/internal/kernel"
@@ -14,13 +15,10 @@ func drainStream(t *testing.T, st *Streamed) [][]trace.Ref {
 	t.Helper()
 	srcs := st.Sources()
 	per := make([][]trace.Ref, len(srcs))
+	var buf [64]trace.Ref
 	for c := len(srcs) - 1; c >= 0; c-- {
-		for {
-			r, ok := srcs[c].Next()
-			if !ok {
-				break
-			}
-			per[c] = append(per[c], r)
+		for n := srcs[c].Read(buf[:]); n > 0; n = srcs[c].Read(buf[:]) {
+			per[c] = append(per[c], buf[:n]...)
 		}
 	}
 	if err := st.Wait(); err != nil {
@@ -73,49 +71,25 @@ func TestStreamBoundedMemory(t *testing.T) {
 	const scale = 10 * DefaultScale
 	sopt := StreamOptions{ChunkRefs: 1 << 13, BudgetRefs: 4 << 13}
 	st := Stream(Shell, kernel.OptConfig{}, scale, 1, sopt)
-	raw := st.Sources()
-	srcs := make([]*trace.ChunkSource, len(raw))
-	for c, s := range raw {
-		srcs[c] = s.(*trace.ChunkSource)
+	// A healthy consumer never lets one empty queue hold up the others:
+	// each stream drains on its own goroutine.
+	srcs := st.Sources()
+	counts := make([]uint64, len(srcs))
+	var wg sync.WaitGroup
+	for c, src := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]trace.Ref, sopt.ChunkRefs)
+			for n := src.Read(buf); n > 0; n = src.Read(buf) {
+				counts[c] += uint64(n)
+			}
+		}()
 	}
+	wg.Wait()
 	var total uint64
-	// A healthy consumer drains whatever is ready before parking at the
-	// generation frontier — the pattern Ready exists for.
-	exhausted := make([]bool, len(srcs))
-	for {
-		allDone, progressed := true, false
-		for c, src := range srcs {
-			if exhausted[c] {
-				continue
-			}
-			allDone = false
-			for src.Ready() {
-				if _, ok := src.Next(); !ok {
-					exhausted[c] = true
-					break
-				}
-				total++
-				progressed = true
-			}
-		}
-		if allDone {
-			break
-		}
-		if !progressed {
-			// Everything drained and still open: park on the first
-			// open queue until the producer gets ahead again.
-			for c, src := range srcs {
-				if exhausted[c] {
-					continue
-				}
-				if _, ok := src.Next(); ok {
-					total++
-				} else {
-					exhausted[c] = true
-				}
-				break
-			}
-		}
+	for _, n := range counts {
+		total += n
 	}
 	if err := st.Wait(); err != nil {
 		t.Fatal(err)
@@ -142,9 +116,10 @@ func TestStreamBoundedMemory(t *testing.T) {
 // error (the producer stops generating, it does not fail).
 func TestStreamAbort(t *testing.T) {
 	st := Stream(Shell, kernel.OptConfig{}, 50, 1, StreamOptions{ChunkRefs: 256, BudgetRefs: 256})
-	srcs := st.Sources()
-	for i := 0; i < 1000; i++ {
-		if _, ok := srcs[0].Next(); !ok {
+	src := st.Sources()[0]
+	var buf [10]trace.Ref
+	for i := 0; i < 100; i++ {
+		if src.Read(buf[:]) == 0 {
 			t.Fatal("stream ended during warm-up")
 		}
 	}

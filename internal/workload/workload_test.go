@@ -222,9 +222,9 @@ func TestSourcesReplayable(t *testing.T) {
 	b := Build(Shell, kernel.OptConfig{}, 2, 1)
 	s1 := b.Sources()
 	s2 := b.Sources()
-	r1, ok1 := s1[0].Next()
-	r2, ok2 := s2[0].Next()
-	if !ok1 || !ok2 || r1 != r2 {
+	var r1, r2 [1]trace.Ref
+	n1, n2 := s1[0].Read(r1[:]), s2[0].Read(r2[:])
+	if n1 != 1 || n2 != 1 || r1 != r2 {
 		t.Error("Sources() not independently replayable")
 	}
 }
