@@ -9,7 +9,7 @@
 //
 // The same grids are served over HTTP by ossimd's POST /v1/campaigns;
 // this command is the offline equivalent, sharing the planner and the
-// memoizing runner's worker pool.
+// runner's worker pool and store-backed result cache.
 //
 // Usage:
 //

@@ -4,8 +4,9 @@
 // sensitivity of its results to its design choices.
 //
 // Selected experiments render concurrently on one worker pool of
-// -workers goroutines, sharing one memoizing runner, and print in
-// selection order, so the output is identical at every worker count.
+// -workers goroutines, sharing one runner and its result store, and
+// print in selection order, so the output is identical at every worker
+// count.
 //
 // Usage:
 //

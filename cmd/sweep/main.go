@@ -3,8 +3,8 @@
 // sharing-degree sweeps. For each grid point it simulates the chosen
 // systems and prints normalized OS execution time and miss counts.
 //
-// Simulations run through the shared experiment.Runner memoization —
-// the same content-addressed cache the ossimd daemon serves from — so
+// Simulations run through an experiment.Runner, whose memo is the
+// same kind of content-addressed store the ossimd daemon serves from, so
 // repeated grid points cost one simulation, and Ctrl-C cancels the
 // in-flight simulation instead of letting it run to completion.
 //

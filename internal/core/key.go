@@ -10,9 +10,10 @@ import (
 )
 
 // SimVersion names the current simulation semantics. It participates in
-// every canonical run key, so caches (the experiment.Runner memoization,
-// the ossimd result cache, and campaign cell deduplication — which
-// groups grid cells by this key and simulates each group once) are
+// every canonical run key, so caches (the result store behind every
+// experiment.Runner and the ossimd daemon, and campaign cell
+// deduplication — which groups grid cells by this key and simulates
+// each group once) are
 // invalidated wholesale when the simulator's behavior changes. Bump it on any change that can shift a
 // simulation result: machine timing, coherence protocol, workload
 // generation, kernel layout.

@@ -106,9 +106,10 @@ func TestRunConfigsOrderAndProgress(t *testing.T) {
 		}
 		wantRefs += o.Refs
 	}
-	if outs[0] != outs[3] {
-		t.Error("duplicate configuration did not share one cached outcome")
+	if st := r.Stats(); st.Executions != 3 {
+		t.Errorf("stats %+v: duplicate configuration did not share one simulation", st)
 	}
+	sameResult(t, outs[0], outs[3])
 	if got := prog.Snapshot().Refs; got != wantRefs {
 		t.Errorf("progress refs = %d, want %d", got, wantRefs)
 	}

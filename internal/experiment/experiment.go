@@ -1,8 +1,12 @@
 // Package experiment regenerates every table and figure of the paper's
 // evaluation. Each experiment maps to one function returning rendered
-// text (the same rows/series the paper reports); a memoizing Runner
-// shares simulation outcomes between experiments so regenerating the
-// whole evaluation costs one run per (workload, system) pair.
+// text (the same rows/series the paper reports); a Runner shares
+// simulation outcomes between experiments through a content-addressed
+// result store (internal/store), so regenerating the whole evaluation
+// costs one run per (workload, system) pair. A lookup goes store →
+// singleflight → compute; the ossimd daemon builds its Runner over its
+// own durable store and a compute hook that tries a peer before
+// simulating locally.
 //
 // The paper's published values are embedded (paper.go) so every
 // experiment can print a paper-vs-measured comparison; EXPERIMENTS.md
@@ -19,6 +23,7 @@ import (
 
 	"oscachesim/internal/core"
 	"oscachesim/internal/sim"
+	"oscachesim/internal/store"
 	"oscachesim/internal/workload"
 )
 
@@ -41,14 +46,6 @@ type Config struct {
 	// by the streaming determinism tier — so this only trades peak
 	// memory and wall clock.
 	Stream bool
-	// Compute, when non-nil, replaces core.Run as the execution of a
-	// cache miss. It runs beneath the memo and singleflight layers, so
-	// a caller (the ossimd cluster mode) can extend the dedup chain —
-	// memory, then disk store, then a peer node, then a local
-	// simulation — without touching the fan-out or caching logic.
-	// Configurations carrying a Monitor still bypass it: an attached
-	// observer must see a real local run.
-	Compute func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error)
 }
 
 // DefaultConfig returns the configuration used for the published
@@ -62,19 +59,22 @@ func DefaultConfig() Config { return Config{Scale: 0, Seed: 1, Workers: runtime.
 // under testdata/golden were rendered with exactly this configuration.
 func TestConfig() Config { return Config{Scale: 5, Seed: 1, Workers: 1} }
 
-// Runner memoizes simulation outcomes across experiments. The cache is
-// content-addressed — keyed by core.RunConfig.CanonicalKey, the same
-// hash the ossimd result cache uses — and deduplicates concurrent
-// identical requests with singleflight semantics: when N callers ask
-// for the same key at once, one runs the simulation and the rest wait
-// for its result, so duplicate work is never done regardless of the
-// caller mix (CLI warm-up goroutines, daemon workers).
+// Runner shares simulation outcomes across experiments. Its memo is a
+// *store.Store keyed by core.RunConfig.CanonicalKey — the same content
+// address, and for the ossimd daemon the same store, that serves
+// results over HTTP and across restarts — so a result is held once.
+// Concurrent identical requests are deduplicated with singleflight
+// semantics: when N callers ask for the same key at once, one runs the
+// simulation and the rest wait for its result, so duplicate work is
+// never done regardless of the caller mix (CLI warm-up goroutines,
+// daemon workers).
 type Runner struct {
-	cfg Config
-	ctx context.Context
+	cfg     Config
+	ctx     context.Context
+	store   *store.Store
+	compute func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error)
 
 	mu        sync.Mutex
-	done      map[string]*core.Outcome
 	inflight  map[string]*flight
 	stats     CacheStats
 	lastSched []WorkerStats
@@ -93,23 +93,13 @@ type flight struct {
 
 // CacheStats counts the Runner's cache traffic.
 type CacheStats struct {
-	// Hits is the number of requests served from a completed outcome.
+	// Hits is the number of requests served from the store.
 	Hits uint64
 	// Joins is the number of requests that attached to an identical
 	// simulation already in flight (deduplicated work).
 	Joins uint64
-	// Executions is the number of simulations actually run.
+	// Executions is the number of compute calls made.
 	Executions uint64
-}
-
-// HitRatio returns the fraction of requests that did not execute a
-// simulation (hits and joins over all requests); 0 when idle.
-func (s CacheStats) HitRatio() float64 {
-	total := s.Hits + s.Joins + s.Executions
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.Joins) / float64(total)
 }
 
 // NewRunner returns a Runner for the given config.
@@ -119,15 +109,27 @@ func NewRunner(cfg Config) *Runner {
 
 // NewRunnerContext returns a Runner whose simulations abort when ctx is
 // canceled — the hook that makes Ctrl-C interrupt a sweep or ablation
-// mid-simulation instead of running it to completion.
+// mid-simulation instead of running it to completion. Its memo is a
+// private memory-only store and a miss runs core.Run.
 func NewRunnerContext(ctx context.Context, cfg Config) *Runner {
+	st, _ := store.Open("", nil) // memory-only never fails
+	return NewStoreRunner(ctx, cfg, st, core.Run)
+}
+
+// NewStoreRunner returns a Runner whose memo is st and whose misses
+// run compute. Runners sharing st share their results; compute lets a
+// caller (the ossimd daemon) extend the dedup chain beneath the store
+// and singleflight — a peer node, then a local simulation — without
+// touching the fan-out or caching logic.
+func NewStoreRunner(ctx context.Context, cfg Config, st *store.Store, compute func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error)) *Runner {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
 	return &Runner{
 		cfg:      cfg,
 		ctx:      ctx,
-		done:     make(map[string]*core.Outcome),
+		store:    st,
+		compute:  compute,
 		inflight: make(map[string]*flight),
 	}
 }
@@ -137,25 +139,6 @@ func (r *Runner) Stats() CacheStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
-}
-
-// SetCompute installs (or clears) the compute hook of Config.Compute
-// after construction. Call it before the Runner sees traffic: the hook
-// applies to future cache misses only.
-func (r *Runner) SetCompute(fn func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error)) {
-	r.mu.Lock()
-	r.cfg.Compute = fn
-	r.mu.Unlock()
-}
-
-// compute resolves the execution function for one cache miss.
-func (r *Runner) compute() func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cfg.Compute != nil {
-		return r.cfg.Compute
-	}
-	return core.Run
 }
 
 // configFor is the base configuration of one (workload, system) run
@@ -197,26 +180,30 @@ func (r *Runner) OutcomeOn(w workload.Name, sys core.System, p sim.Params) (*cor
 }
 
 // OutcomeConfig returns the (cached) outcome of an arbitrary
-// configuration. Concurrent calls with equal canonical keys share one
-// simulation. ctx bounds this caller's wait and the simulation itself
-// when this caller starts it; the Runner's own context, if canceled,
-// stops everything. A joiner whose starter was canceled while the
-// joiner's own ctx is live does not inherit that cancellation: it
-// retries, starting the simulation itself if no one else has.
+// configuration: from the store, else from an identical simulation in
+// flight, else from a compute call whose result is stored. ctx bounds
+// this caller's wait and the simulation itself when this caller starts
+// it; the Runner's own context, if canceled, stops everything. A joiner
+// whose starter was canceled while the joiner's own ctx is live does
+// not inherit that cancellation: it retries, starting the simulation
+// itself if no one else has.
 //
-// Configurations carrying a Monitor bypass the cache: an attached
-// observer must see a real run.
+// Configurations carrying a Monitor or TrackConflicts bypass the store
+// and singleflight: an attached observer must see a real run, and a
+// record cannot carry a conflict census.
 func (r *Runner) OutcomeConfig(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
-	if cfg.Monitor != nil {
-		return core.Run(ctx, cfg)
+	if cfg.Monitor != nil || cfg.TrackConflicts {
+		return r.compute(ctx, cfg)
 	}
 	key := cfg.CanonicalKey()
 	r.mu.Lock()
 	for {
-		if o, ok := r.done[key]; ok {
+		// The store is checked under r.mu: a flight stores its record
+		// before it leaves inflight, so this caller sees one or the other.
+		if rec := r.store.Get(key); rec != nil {
 			r.stats.Hits++
 			r.mu.Unlock()
-			return o, nil
+			return rec.Outcome()
 		}
 		f, ok := r.inflight[key]
 		if !ok {
@@ -239,13 +226,14 @@ func (r *Runner) OutcomeConfig(ctx context.Context, cfg core.RunConfig) (*core.O
 	r.stats.Executions++
 	r.mu.Unlock()
 
-	f.o, f.err = r.compute()(ctx, cfg)
+	f.o, f.err = r.compute(ctx, cfg)
 	f.aborted = f.err != nil && ctx.Err() != nil
+	if f.err == nil {
+		// A failed append still indexes the record (and logs it).
+		_ = r.store.Put(store.RecordOf(key, f.o))
+	}
 	r.mu.Lock()
 	delete(r.inflight, key)
-	if f.err == nil {
-		r.done[key] = f.o
-	}
 	r.mu.Unlock()
 	close(f.done)
 	return f.o, f.err

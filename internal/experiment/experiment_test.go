@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"oscachesim/internal/core"
+	"oscachesim/internal/store"
 	"oscachesim/internal/workload"
 )
 
@@ -24,16 +26,75 @@ func TestRunnerMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("repeated Outcome not memoized")
+	if st := r.Stats(); st.Executions != 1 || st.Hits != 1 {
+		t.Errorf("stats %+v, want 1 execution and 1 hit", st)
 	}
+	sameResult(t, a, b)
 	// Variant runs are distinct cache entries.
-	c, err := r.OutcomeDeferred(workload.Shell, core.Base)
-	if err != nil {
+	if _, err := r.OutcomeDeferred(workload.Shell, core.Base); err != nil {
 		t.Fatal(err)
 	}
-	if c == a {
-		t.Error("deferred outcome shares cache entry with plain run")
+	if st := r.Stats(); st.Executions != 2 {
+		t.Errorf("stats %+v: deferred outcome shares cache entry with plain run", st)
+	}
+}
+
+// sameResult fails unless two outcomes carry the same result: a
+// stored outcome is rebuilt from its record, so it is equal, not
+// identical, to the computed one.
+func sameResult(t *testing.T, a, b *core.Outcome) {
+	t.Helper()
+	if a.Counters != b.Counters || a.Refs != b.Refs || a.Deferred != b.Deferred {
+		t.Errorf("outcomes differ: refs %d vs %d, deferred %+v vs %+v",
+			a.Refs, b.Refs, a.Deferred, b.Deferred)
+	}
+}
+
+// TestRunnerOverReopenedStore pins that the store is the Runner's only
+// memo: a second Runner over the reopened durable store renders the
+// same text — Table 4's deferred-copy counters included — without a
+// single compute call.
+func TestRunnerOverReopenedStore(t *testing.T) {
+	dir := t.TempDir()
+	render := func() (string, CacheStats) {
+		st, err := store.Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		r := NewStoreRunner(context.Background(), TestConfig(), st, core.Run)
+		var out strings.Builder
+		for _, render := range []func(*Runner) (string, error){Table4, Figure2} {
+			text, err := render(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.WriteString(text)
+		}
+		return out.String(), r.Stats()
+	}
+	first, st1 := render()
+	second, st2 := render()
+	if st1.Executions == 0 || st2.Executions != 0 {
+		t.Errorf("executions %d then %d, want some then 0", st1.Executions, st2.Executions)
+	}
+	if first != second {
+		t.Errorf("rendering from the reopened store differs:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+	}
+}
+
+// TestConflictAnalysisBypassesStore pins that a conflict-census run is
+// never stored: a record cannot carry the census.
+func TestConflictAnalysisBypassesStore(t *testing.T) {
+	st, _ := store.Open("", nil)
+	r := NewStoreRunner(context.Background(), TestConfig(), st, core.Run)
+	if _, err := ConflictAnalysis(r); err != nil {
+		t.Fatal(err)
+	}
+	cfg := r.configFor(workload.Shell, core.Base)
+	cfg.TrackConflicts = true
+	if st.Has(cfg.CanonicalKey()) {
+		t.Error("the conflict-census run left a record in the store")
 	}
 }
 

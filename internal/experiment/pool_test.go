@@ -10,10 +10,18 @@ import (
 	"time"
 
 	"oscachesim/internal/core"
+	"oscachesim/internal/store"
 	"oscachesim/internal/workload"
 )
 
-// concurrencyProbe is a Compute hook that records the peak number of
+// hookRunner returns a Runner over a fresh memory-only store whose
+// misses run compute instead of core.Run.
+func hookRunner(cfg Config, compute func(context.Context, core.RunConfig) (*core.Outcome, error)) *Runner {
+	st, _ := store.Open("", nil)
+	return NewStoreRunner(context.Background(), cfg, st, compute)
+}
+
+// concurrencyProbe is a compute hook that records the peak number of
 // simulations running at once.
 type concurrencyProbe struct {
 	running, peak atomic.Int32
@@ -58,8 +66,7 @@ func TestPoolRespectsWorkerBound(t *testing.T) {
 		{Config{Workers: 4}, 4},
 	} {
 		var p concurrencyProbe
-		tc.cfg.Compute = p.compute
-		r := NewRunner(tc.cfg)
+		r := hookRunner(tc.cfg, p.compute)
 		if _, err := r.RunConfigsEach(context.Background(), distinctConfigs(16), nil, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -68,8 +75,7 @@ func TestPoolRespectsWorkerBound(t *testing.T) {
 		}
 
 		var rp concurrencyProbe
-		tc.cfg.Compute = rp.compute
-		r = NewRunner(tc.cfg)
+		r = hookRunner(tc.cfg, rp.compute)
 		exps := make([]Experiment, 8)
 		for i := range exps {
 			cfgs := distinctConfigs(3 * (i + 1))[3*i:]
@@ -110,8 +116,7 @@ func TestJoinerSurvivesStarterCancel(t *testing.T) {
 	want := &core.Outcome{Refs: 7}
 	started := make(chan struct{})
 	var calls atomic.Int32
-	r := NewRunner(Config{Seed: 1})
-	r.SetCompute(func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
+	r := hookRunner(Config{Seed: 1}, func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
 		if calls.Add(1) == 1 {
 			close(started)
 			<-ctx.Done()
@@ -155,8 +160,7 @@ func TestJoinerSurvivesStarterCancel(t *testing.T) {
 	boom := errors.New("boom")
 	release := make(chan struct{})
 	started = make(chan struct{})
-	r = NewRunner(Config{Seed: 1})
-	r.SetCompute(func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
+	r = hookRunner(Config{Seed: 1}, func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
 		close(started)
 		<-release
 		return nil, boom

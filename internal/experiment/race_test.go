@@ -8,10 +8,10 @@ import (
 )
 
 // TestRunnerParallelWarmUp drives a concurrent warm-up through the
-// worker pool so `go test -race` can observe the memoization cache
-// under real contention. The pair list deliberately repeats entries:
-// concurrent requests for the same key race to fill the same cache
-// slot.
+// worker pool so `go test -race` can observe the store lookup and the
+// singleflight table under real contention. The pair list deliberately
+// repeats entries: concurrent requests for the same key race to start,
+// join or find the same simulation.
 func TestRunnerParallelWarmUp(t *testing.T) {
 	r := NewRunner(Config{Scale: 3, Seed: 1, Workers: 4})
 	cfgs := []core.RunConfig{

@@ -81,9 +81,7 @@ func TestScenarioCacheDedup(t *testing.T) {
 	if after.Hits != before.Hits+1 {
 		t.Fatalf("no cache hit recorded: %+v -> %+v", before, after)
 	}
-	if a != b {
-		t.Fatal("cache hit returned a different outcome pointer")
-	}
+	sameResult(t, a, b)
 	// A different sharing degree is a different run.
 	spec, _ := scenario.Preset("sharing")
 	derived := core.RunConfig{Scenario: spec.WithSharingDegree(2), System: core.Base, Seed: 1}

@@ -2,13 +2,12 @@ package server
 
 // This file is the /v1/campaigns resource: a declarative parameter
 // grid (internal/campaign) submitted as one job, executed over the
-// shared memoizing runner with duplicate cells planned once, streamed
+// server's store-backed runner with duplicate cells planned once, streamed
 // as aggregate progress, and rendered as a comparison report — the
 // paper's Figure 3 layout at arbitrary geometry plus a benchdiff-style
 // machine-readable axis diff.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -239,40 +238,6 @@ func campaignResult(p *campaign.Plan, cells []campaign.CellOutcome) (*CampaignRe
 		})
 	}
 	return res, campaign.GridCells(cells)
-}
-
-// seamRunner adapts the test execute seam to the campaign runner
-// surface: serial, cancellation-aware, per-completion callback.
-type seamRunner struct {
-	exec func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error)
-}
-
-// RunConfigsEach satisfies campaign.ConfigRunner.
-func (r seamRunner) RunConfigsEach(ctx context.Context, cfgs []core.RunConfig, prog *sim.Progress, each func(int, *core.Outcome)) ([]*core.Outcome, error) {
-	outs := make([]*core.Outcome, len(cfgs))
-	for i, cfg := range cfgs {
-		if err := ctx.Err(); err != nil {
-			return nil, context.Cause(ctx)
-		}
-		o, err := r.exec(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		outs[i] = o
-		if each != nil {
-			each(i, o)
-		}
-	}
-	return outs, nil
-}
-
-// campaignRunner returns the fan-out surface campaigns execute on: the
-// shared memoizing runner, or (under the test seam) a serial adapter.
-func (s *Server) campaignRunner() campaign.ConfigRunner {
-	if s.opts.execute != nil {
-		return seamRunner{exec: s.opts.execute}
-	}
-	return s.runner
 }
 
 // handleCampaign accepts a parameter grid as one job.

@@ -4,9 +4,8 @@ package server
 // hash routing of unique configurations to workers (each canonical key
 // computed exactly once cluster-wide), worker registration and
 // heartbeat handling, the worker-side internal compute endpoint, and
-// the dedup chain the runner executes cache misses through —
-// memory, then the durable store, then the owning peer, then a local
-// simulation.
+// the compute hook the runner calls on a store miss not already in
+// flight — the owning peer, then a local simulation.
 
 import (
 	"context"
@@ -79,28 +78,20 @@ const forwardFanout = 3
 const forwardRetries = 3
 
 // computeOutcome is the runner's compute hook: the tail of the dedup
-// chain after the in-memory memo misses. Disk first, then the owning
-// peer, then a local simulation — whose result is persisted so the
-// next process (or node) finds it.
+// chain after the store and singleflight miss. The owning peer first
+// (coordinator mode), then a local simulation; the runner stores the
+// result so the next request, process or node finds it.
 func (s *Server) computeOutcome(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
-	key := cfg.CanonicalKey()
-	if rec := s.store.Get(key); rec != nil {
-		if o, err := rec.Outcome(); err == nil {
-			s.metrics.storeHits.Inc()
-			return o, nil
-		}
-	}
 	if cl := s.cluster; cl != nil && cl.members != nil {
-		if o, ok := s.forwardCompute(ctx, key, cfg); ok {
+		if o, ok := s.forwardCompute(ctx, cfg.CanonicalKey(), cfg); ok {
 			return o, nil
 		}
 	}
-	o, err := core.Run(ctx, cfg)
+	o, err := s.opts.execute(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.localExecs.Add(1)
-	_ = s.store.Put(store.RecordOf(key, o))
 	return o, nil
 }
 
@@ -127,7 +118,6 @@ func (s *Server) forwardCompute(ctx context.Context, key string, cfg core.RunCon
 		rec, err := s.forwardToNode(ctx, node.Addr, creq)
 		if err == nil {
 			if o, oerr := rec.Outcome(); oerr == nil {
-				_ = s.store.Put(rec)
 				s.metrics.clusterForwarded.Inc()
 				return o, true
 			}
@@ -321,8 +311,8 @@ func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 
 // handleInternalCompute is POST /v1/internal/compute: the worker side
 // of a coordinator forward. The configuration executes through this
-// node's own dedup chain (memo, disk, simulate), so a re-forwarded key
-// costs nothing; the response is the durable result record. The gate
+// node's own runner (store, singleflight, simulate), so a re-forwarded
+// key costs nothing; the response is the stored result record. The gate
 // bounds concurrent forwarded work the same way the queue bounds jobs,
 // and an exhausted gate answers 429 with Retry-After — backpressure
 // the coordinator honors by backing off or re-routing.
@@ -353,20 +343,13 @@ func (s *Server) handleInternalCompute(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.JobTimeout)
 	defer cancel()
-	o, err := s.run(ctx, cfg)
-	if err != nil {
+	if _, err := s.runner.OutcomeConfig(ctx, cfg); err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
-	rec := s.store.Get(creq.Key)
-	if rec == nil {
-		// The chain stores every local execution; a miss here means the
-		// test seam or a shared runner computed it — record it now.
-		rec = store.RecordOf(creq.Key, o)
-		_ = s.store.Put(rec)
-	}
+	// The runner stores every result before returning it.
 	s.metrics.clusterServed.Inc()
-	writeJSON(w, http.StatusOK, rec)
+	writeJSON(w, http.StatusOK, s.store.Get(creq.Key))
 }
 
 // computeGate returns the forwarded-compute token pool, building a

@@ -2,11 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
 
-	"oscachesim/internal/experiment"
+	"oscachesim/internal/store"
 )
 
 // TestConcurrentDuplicateRequests is the acceptance check from the
@@ -16,8 +17,7 @@ import (
 // Run under -race it also exercises the submit/dedup/worker paths for
 // data races.
 func TestConcurrentDuplicateRequests(t *testing.T) {
-	runner := experiment.NewRunner(experiment.Config{Seed: 1})
-	_, ts := newTestServer(t, Options{Workers: 4, QueueDepth: 64, Runner: runner})
+	srv, ts := newTestServer(t, Options{Workers: 4, QueueDepth: 64})
 
 	const n = 100
 	var (
@@ -54,7 +54,7 @@ func TestConcurrentDuplicateRequests(t *testing.T) {
 	}
 
 	// Exactly one simulation ran.
-	if st := runner.Stats(); st.Executions != 1 {
+	if st := srv.runner.Stats(); st.Executions != 1 {
 		t.Errorf("runner executed %d simulations, want 1 (stats %+v)", st.Executions, st)
 	}
 
@@ -87,45 +87,47 @@ func TestConcurrentDuplicateRequests(t *testing.T) {
 	}
 }
 
-// TestSharedRunnerAcrossJobs checks that distinct jobs whose grids
-// overlap reuse the runner's memoized outcomes: a campaign covering a
-// point already simulated costs no second simulation of that point.
-func TestSharedRunnerAcrossJobs(t *testing.T) {
-	runner := experiment.NewRunner(experiment.Config{Seed: 1})
-	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 16, Runner: runner})
+// TestSharedStoreAcrossServers checks that servers sharing one result
+// store share its results: a campaign cell one server already
+// simulated costs the other no second simulation, and a repeated
+// campaign is answered from the store without any.
+func TestSharedStoreAcrossServers(t *testing.T) {
+	st, _ := store.Open("", nil)
+	_, ts1 := newTestServer(t, Options{Workers: 2, QueueDepth: 16, Store: st})
+	_, ts2 := newTestServer(t, Options{Workers: 2, QueueDepth: 16, Store: st})
+	execs := func(url string) float64 { return metricsSnapshot(t, url)["local_executions"].(float64) }
 
-	// One plain run...
-	_, sub, _ := postJSON(t, ts.URL+"/v1/runs", runBody(1))
-	if v := waitJob(t, ts.URL, sub.ID); v.State != JobDone {
+	// One plain run on the first server...
+	_, sub, _ := postJSON(t, ts1.URL+"/v1/runs", runBody(1))
+	if v := waitJob(t, ts1.URL, sub.ID); v.State != JobDone {
 		t.Fatalf("run finished %s", v.State)
 	}
-	execsAfterRun := runner.Stats().Executions
 
-	// ...then the identical configuration again (different job key is
-	// impossible here; submit dedups, so force a second runner call by
-	// going through a campaign that contains only new geometry).
-	status, camp, _ := postJSON(t, ts.URL+"/v1/campaigns",
-		`{"workload":"TRFD_4","systems":["Base"],"sizes_kb":[16],"scale":2,"seed":1}`)
-	if status != http.StatusAccepted {
-		t.Fatalf("campaign submit: HTTP %d", status)
-	}
-	if v := waitJob(t, ts.URL, camp.ID); v.State != JobDone {
+	// ...then, on the second, a campaign whose Base cell is that run:
+	// only the BCPref cell simulates.
+	campaign := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base","BCPref"],"scale":%d,"seed":1}`, testScale)
+	_, camp, _ := postJSON(t, ts2.URL+"/v1/campaigns", campaign)
+	if v := waitJob(t, ts2.URL, camp.ID); v.State != JobDone {
 		t.Fatalf("campaign finished %s (%q)", v.State, v.Error)
 	}
-	execsAfterCampaign := runner.Stats().Executions
-	if execsAfterCampaign <= execsAfterRun {
-		t.Errorf("campaign executed nothing new (execs %d -> %d)", execsAfterRun, execsAfterCampaign)
+	m := metricsSnapshot(t, ts2.URL)
+	if got := m["local_executions"].(float64); got != 1 {
+		t.Errorf("campaign ran %v simulations, want 1 (the Base cell is stored)", got)
+	}
+	if got := m["store_hits"].(float64); got != 1 {
+		t.Errorf("store_hits %v, want 1", got)
 	}
 
-	// Re-running the same campaign under a fresh server sharing the
-	// runner is answered entirely from the memo cache.
-	_, ts2 := newTestServer(t, Options{Workers: 2, QueueDepth: 16, Runner: runner})
-	_, camp2, _ := postJSON(t, ts2.URL+"/v1/campaigns",
-		`{"workload":"TRFD_4","systems":["Base"],"sizes_kb":[16],"scale":2,"seed":1}`)
-	if v := waitJob(t, ts2.URL, camp2.ID); v.State != JobDone {
+	// The same campaign on the first server is answered from the store.
+	before := execs(ts1.URL)
+	status, again, _ := postJSON(t, ts1.URL+"/v1/campaigns", campaign)
+	if status != http.StatusOK || !again.Deduped {
+		t.Fatalf("repeat campaign: HTTP %d deduped %v, want 200 from the store", status, again.Deduped)
+	}
+	if v := waitJob(t, ts1.URL, again.ID); v.State != JobDone {
 		t.Fatalf("repeat campaign finished %s (%q)", v.State, v.Error)
 	}
-	if execs := runner.Stats().Executions; execs != execsAfterCampaign {
-		t.Errorf("repeat campaign re-executed: execs %d -> %d", execsAfterCampaign, execs)
+	if got := execs(ts1.URL); got != before {
+		t.Errorf("repeat campaign re-executed: local_executions %v -> %v", before, got)
 	}
 }

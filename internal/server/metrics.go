@@ -31,7 +31,7 @@ import (
 //	jobs_deduped       POSTs answered by an existing job (cumulative)
 //	jobs_rejected      POSTs answered 429 (cumulative)
 //	cache_hits         result-cache hits: deduped POSTs + runner hits/joins
-//	cache_misses       simulations actually executed by the runner
+//	cache_misses       runner compute calls (peer or local simulation)
 //	cache_hit_ratio    hits / (hits + misses), 0 when idle
 //	sim_seconds_served total simulated seconds of completed jobs
 //
@@ -48,7 +48,7 @@ type metrics struct {
 	deduped, rejected              *obs.Counter
 	campaignCells                  *obs.Counter
 	campaignCellsDeduped           *obs.Counter
-	storeHits, storeServed         *obs.Counter
+	storeServed                    *obs.Counter
 	clusterRouted                  *obs.Counter
 	clusterForwarded               *obs.Counter
 	clusterRequeued                *obs.Counter
@@ -77,8 +77,6 @@ func newMetrics(s *Server) *metrics {
 		"grid cells served by completed campaigns")
 	mt.campaignCellsDeduped = mt.reg.Counter("ossimd_campaign_cells_deduped_total",
 		"campaign cells credited from another cell's simulation")
-	mt.storeHits = mt.reg.Counter("ossimd_store_hits_total",
-		"cache misses answered by the durable result store")
 	mt.storeServed = mt.reg.Counter("ossimd_store_served_jobs_total",
 		"submitted jobs materialized terminal straight from the store")
 	mt.clusterRouted = mt.reg.Counter("ossimd_cluster_routed_total",
@@ -100,7 +98,9 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(mt.running.Value()) })
 	mt.reg.GaugeFunc("ossimd_cache_hits", "result-cache hits: deduped POSTs + runner hits and joins",
 		func() float64 { return float64(mt.cacheHits()) })
-	mt.reg.GaugeFunc("ossimd_cache_misses", "simulations actually executed by the runner",
+	mt.reg.GaugeFunc("ossimd_store_hits_total", "runner requests answered by the result store",
+		func() float64 { return float64(s.runner.Stats().Hits) })
+	mt.reg.GaugeFunc("ossimd_cache_misses", "runner compute calls, forwarded to a peer or simulated locally",
 		func() float64 { return float64(s.runner.Stats().Executions) })
 	mt.reg.GaugeFunc("ossimd_cache_hit_ratio", "hits / (hits + misses), 0 when idle",
 		func() float64 { return mt.hitRatio() })
@@ -148,7 +148,7 @@ func newMetrics(s *Server) *metrics {
 	mt.m.Set("cache_hit_ratio", expvar.Func(func() any { return mt.hitRatio() }))
 	mt.m.Set("sim_seconds_served", &mt.simSeconds)
 	mt.m.Set("store_records", expvar.Func(func() any { return s.store.Len() }))
-	mt.m.Set("store_hits", expvar.Func(func() any { return mt.storeHits.Value() }))
+	mt.m.Set("store_hits", expvar.Func(func() any { return s.runner.Stats().Hits }))
 	mt.m.Set("store_served_jobs", expvar.Func(func() any { return mt.storeServed.Value() }))
 	mt.m.Set("local_executions", expvar.Func(func() any { return s.localExecs.Load() }))
 	mt.m.Set("cluster_routed", expvar.Func(func() any { return mt.clusterRouted.Value() }))
@@ -166,7 +166,7 @@ func newMetrics(s *Server) *metrics {
 
 // cacheHits counts every request for simulation work that was answered
 // without running one: POSTs deduplicated onto a live or finished job,
-// plus the runner's own memoization hits and singleflight joins.
+// plus the runner's store hits and singleflight joins.
 func (mt *metrics) cacheHits() uint64 {
 	st := mt.srv.runner.Stats()
 	return mt.deduped.Value() + st.Hits + st.Joins

@@ -272,18 +272,23 @@ func TestEvery429CarriesRetryAfter(t *testing.T) {
 	}
 
 	// The forwarded-compute path: its gate is Workers+QueueDepth = 2
-	// tokens; two blocked computes exhaust it and the third 429s.
-	creq, err := cluster.EncodeConfig(core.RunConfig{Workload: "TRFD_4", System: core.Base, Scale: testScale, Seed: 91})
-	if err != nil {
-		t.Fatal(err)
+	// tokens; two blocked computes of distinct keys (identical ones
+	// would share one simulation) exhaust it and the third 429s.
+	computeBody := func(seed int64) string {
+		creq, err := cluster.EncodeConfig(core.RunConfig{Workload: "TRFD_4", System: core.Base, Scale: testScale, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := json.Marshal(creq)
+		return string(raw)
 	}
-	raw, _ := json.Marshal(creq)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
+		body := computeBody(91 + int64(i))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+cluster.ComputePath, "application/json", strings.NewReader(string(raw)))
+			resp, err := http.Post(ts.URL+cluster.ComputePath, "application/json", strings.NewReader(body))
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
@@ -291,7 +296,7 @@ func TestEvery429CarriesRetryAfter(t *testing.T) {
 		}()
 		<-started
 	}
-	resp, err := http.Post(ts.URL+cluster.ComputePath, "application/json", strings.NewReader(string(raw)))
+	resp, err := http.Post(ts.URL+cluster.ComputePath, "application/json", strings.NewReader(computeBody(91)))
 	if err != nil {
 		t.Fatal(err)
 	}

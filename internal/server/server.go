@@ -3,14 +3,16 @@
 // queue, explicit backpressure, per-job deadlines and graceful drain.
 //
 // The paper's lesson — remove redundant memory traffic — applied one
-// level up: simulation results are served from a content-addressed
-// cache keyed by core.RunConfig.CanonicalKey (configuration + machine
-// + simulator version), and identical concurrent requests are
-// deduplicated at two layers. The server maps each canonical key to at
-// most one live job, so N identical POSTs share one queue slot; the
-// experiment.Runner underneath singleflights any remaining duplicate
-// computation and memoizes outcomes. N concurrent identical requests
-// therefore cost exactly one simulation.
+// level up: simulation results are kept once, in a content-addressed
+// result store (internal/store) keyed by core.RunConfig.CanonicalKey
+// (configuration + machine + simulator version). A request walks one
+// dedup chain: job table → store → singleflight → peer or local
+// simulation. The server maps each canonical key to at most one live
+// job, so N identical POSTs share one queue slot; a key the store
+// holds is answered without queueing; the experiment.Runner, whose
+// memo is that same store, singleflights any remaining duplicate
+// computation and stores each result before its flight ends. N
+// concurrent identical requests therefore cost exactly one simulation.
 //
 // Endpoints (v1 resource surface; API.md is the committed contract):
 //
@@ -79,27 +81,25 @@ type Options struct {
 	JobTimeout time.Duration
 	// StreamInterval is the NDJSON progress frame period (default 250ms).
 	StreamInterval time.Duration
-	// Runner, when non-nil, is the shared memoizing runner to execute
-	// on; nil builds a private one. Sharing a Runner shares its
-	// content-addressed result cache.
-	Runner *experiment.Runner
 	// Logger, when non-nil, receives structured request and job
 	// lifecycle logs (method, path, status, latency; job id, kind,
 	// state, queue wait). Nil disables logging — the quiet default the
 	// test suite relies on.
 	Logger *slog.Logger
-	// Store, when non-nil, is the durable content-addressed result
-	// store: completed results are appended to it, and a submitted key
-	// it already holds is answered terminal ("deduped": true) without
-	// queueing — across process restarts. Nil uses a memory-only store.
+	// Store, when non-nil, is the content-addressed result store and
+	// the runner's memo: completed results are appended to it, and a
+	// submitted key it already holds is answered terminal ("deduped":
+	// true) without queueing — across process restarts, and across
+	// servers sharing it. Nil uses a memory-only store.
 	Store *store.Store
 	// Cluster, when non-nil, puts the node in cluster mode — as the
 	// coordinator (routing unique configurations to workers over a
 	// consistent-hash ring) or a worker (serving forwarded computes).
 	Cluster *ClusterOptions
 
-	// execute, when non-nil, replaces the simulation call — test
-	// seam for deterministic queue-full and drain scenarios.
+	// execute, when non-nil, replaces core.Run as the local
+	// simulation beneath the runner — test seam for deterministic
+	// queue-full and drain scenarios.
 	execute func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error)
 }
 
@@ -117,8 +117,8 @@ func (o Options) withDefaults() Options {
 	if o.StreamInterval <= 0 {
 		o.StreamInterval = 250 * time.Millisecond
 	}
-	if o.Runner == nil {
-		o.Runner = experiment.NewRunner(experiment.Config{Seed: 1})
+	if o.execute == nil {
+		o.execute = core.Run
 	}
 	return o
 }
@@ -136,7 +136,7 @@ type Server struct {
 	wg    sync.WaitGroup // workers
 
 	// localExecs counts simulations this process actually ran — not
-	// served from the memo, the store or a peer. Summed across a
+	// served from the store, a flight or a peer. Summed across a
 	// cluster it audits the exactly-once invariant.
 	localExecs atomic.Uint64
 
@@ -151,17 +151,13 @@ type Server struct {
 
 // New builds a Server and starts its worker pool.
 func New(opts Options) *Server {
-	// A caller-supplied Runner may be shared with other servers; only a
-	// private one gets the dedup chain installed as its compute hook.
-	ownRunner := opts.Runner == nil
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:   opts,
-		runner: opts.Runner,
-		store:  opts.Store,
-		queue:  make(chan *Job, opts.QueueDepth),
-		jobs:   make(map[string]*Job),
-		byKey:  make(map[string]*Job),
+		opts:  opts,
+		store: opts.Store,
+		queue: make(chan *Job, opts.QueueDepth),
+		jobs:  make(map[string]*Job),
+		byKey: make(map[string]*Job),
 	}
 	if s.store == nil {
 		s.store, _ = store.Open("", nil) // memory-only never fails
@@ -169,11 +165,9 @@ func New(opts Options) *Server {
 	if opts.Cluster != nil {
 		s.cluster = newClusterState(*opts.Cluster, opts.Workers, opts.QueueDepth)
 	}
-	if ownRunner {
-		// Cache misses fall through memory to the disk store, then the
-		// owning peer (coordinator mode), then a local simulation.
-		s.runner.SetCompute(s.computeOutcome)
-	}
+	// Store misses not already in flight go to the owning peer
+	// (coordinator mode), then a local simulation.
+	s.runner = experiment.NewStoreRunner(context.Background(), experiment.Config{Seed: 1}, s.store, s.computeOutcome)
 	s.metrics = newMetrics(s)
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -385,14 +379,13 @@ func (s *Server) execute(job *Job) {
 		// cached and deduplicated results never re-observe old timings
 		// into the stage histograms.
 		cfg.OnStages = s.metrics.observeRunStages
-		o, err := s.run(ctx, cfg)
+		o, err := s.runner.OutcomeConfig(ctx, cfg)
 		if err != nil && canceledErr(err) {
 			err = errClientCanceled
 		}
 		var res *RunResult
 		var sv *StageView
 		if err == nil {
-			_ = s.store.Put(store.RecordOf(job.Key, o))
 			t0 := time.Now()
 			res = summarize(o)
 			render := time.Since(t0)
@@ -403,7 +396,7 @@ func (s *Server) execute(job *Job) {
 		}
 		s.finalize(job, func() { job.finishRun(res, sv, err) }, err)
 	case "campaign":
-		cells, err := campaign.Run(ctx, s.campaignRunner(), job.Plan, job.Camp)
+		cells, err := campaign.Run(ctx, s.runner, job.Plan, job.Camp)
 		t0 := time.Now()
 		res, grid := campaignResult(job.Plan, cells)
 		render := time.Since(t0)
@@ -442,14 +435,6 @@ func (s *Server) putViewRecord(key, kind string, view any) {
 		StoredAt:   time.Now().UTC(),
 		View:       raw,
 	})
-}
-
-// run invokes the shared memoizing runner (or the test seam).
-func (s *Server) run(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
-	if s.opts.execute != nil {
-		return s.opts.execute(ctx, cfg)
-	}
-	return s.runner.OutcomeConfig(ctx, cfg)
 }
 
 // finalize applies a job's terminal transition and maintains the dedup

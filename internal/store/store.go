@@ -1,9 +1,13 @@
-// Package store is the daemon's durable content-addressed result
-// store: every completed simulation outcome (and every rendered
-// campaign view) is appended to an integrity-checked on-disk log
-// keyed by its canonical key, so results survive a restart and warm
-// the dedup cache on boot — the paper's remove-redundant-work lesson
-// applied across process lifetimes, not just across requests.
+// Package store is the content-addressed result cache: the one
+// in-process copy of every completed simulation outcome (and every
+// rendered campaign view), keyed by its canonical key. It is the
+// experiment.Runner's memo, which checks it before its singleflight
+// table and a compute call. Given a directory, each record is also
+// appended to an integrity-checked on-disk log, so results survive a
+// restart and warm the daemon's dedup chain (job table → store →
+// singleflight → peer or local simulation) on boot — the paper's
+// remove-redundant-work lesson applied across process lifetimes, not
+// just across requests.
 //
 // The on-disk format reuses the corruption-detecting framing of the
 // chunked trace format (internal/trace): an 8-byte magic + version
@@ -37,6 +41,7 @@ import (
 	"time"
 
 	"oscachesim/internal/core"
+	"oscachesim/internal/kernel"
 	"oscachesim/internal/stats"
 	"oscachesim/internal/workload"
 )
@@ -80,6 +85,9 @@ type Record struct {
 	Counters   *stats.Counters `json:"counters,omitempty"`
 	GenStalls  uint64          `json:"gen_stalls,omitempty"`
 	GenStallNS int64           `json:"gen_stall_ns,omitempty"`
+	// Deferred carries the kernel's Table 4 counters; nil in records
+	// written before it was added.
+	Deferred *kernel.DeferredCopyStats `json:"deferred,omitempty"`
 
 	// View payload (Kind == "campaign"): the rendered API
 	// result, opaque to this package.
@@ -88,7 +96,7 @@ type Record struct {
 
 // RecordOf renders a completed run outcome as its durable record.
 func RecordOf(key string, o *core.Outcome) *Record {
-	c := o.Counters
+	c, d := o.Counters, o.Deferred
 	return &Record{
 		Key:        key,
 		Kind:       "run",
@@ -100,12 +108,14 @@ func RecordOf(key string, o *core.Outcome) *Record {
 		Counters:   &c,
 		GenStalls:  o.GenStalls,
 		GenStallNS: int64(o.GenStallTime),
+		Deferred:   &d,
 	}
 }
 
 // Outcome reconstructs a servable outcome from a run record: the
-// counters, reference count and identifying config fields every API
-// summary and report projection reads. Execution-local detail that
+// counters, reference count, Table 4 deferred-copy counters and
+// identifying config fields every API summary, report projection and
+// paper experiment reads. Execution-local detail that
 // never leaves the producing process (stage wall clock, per-CPU
 // clocks, conflict censuses) is absent — by design, those describe an
 // execution, not a result. Returns an error for non-run records.
@@ -117,7 +127,7 @@ func (r *Record) Outcome() (*core.Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: record %s: %w", r.Key, err)
 	}
-	return &core.Outcome{
+	o := &core.Outcome{
 		Config: core.RunConfig{
 			Workload: workload.Name(r.Workload),
 			System:   sys,
@@ -126,7 +136,11 @@ func (r *Record) Outcome() (*core.Outcome, error) {
 		Refs:         r.Refs,
 		GenStalls:    r.GenStalls,
 		GenStallTime: time.Duration(r.GenStallNS),
-	}, nil
+	}
+	if r.Deferred != nil {
+		o.Deferred = *r.Deferred
+	}
+	return o, nil
 }
 
 // Stats is a snapshot of the store's state for /v1/cluster and the
@@ -151,7 +165,8 @@ type Stats struct {
 // Store is a durable (or, with an empty directory, memory-only)
 // content-addressed result store. Safe for concurrent use.
 type Store struct {
-	dir string
+	dir    string
+	logger *slog.Logger // nil: no logging
 
 	mu      sync.Mutex
 	index   map[string]*Record
@@ -165,10 +180,10 @@ type Store struct {
 // log into the in-memory index. dir == "" opens a memory-only store —
 // same API, nothing persisted — so callers need no special case when
 // durability is not configured. logger, when non-nil, receives one
-// summary line of the replay (and one warning when records were
-// skipped).
+// summary line of the replay, one warning when records were skipped,
+// and one warning per failed append.
 func Open(dir string, logger *slog.Logger) (*Store, error) {
-	s := &Store{dir: dir, index: make(map[string]*Record)}
+	s := &Store{dir: dir, logger: logger, index: make(map[string]*Record)}
 	if dir == "" {
 		return s, nil
 	}
@@ -218,15 +233,9 @@ func (s *Store) replayLog(f *os.File) error {
 			return fmt.Errorf("store: %w", err)
 		}
 		s.size = int64(len(logMagic))
-		if _, err := f.Seek(s.size, io.SeekStart); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
 		return nil
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
+	br := bufio.NewReaderSize(io.NewSectionReader(f, 0, info.Size()), 1<<16)
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil || hdr != logMagic {
 		return fmt.Errorf("store: %s is not a result store log", f.Name())
@@ -275,9 +284,6 @@ func (s *Store) replayLog(f *os.File) error {
 		if err := f.Truncate(good); err != nil {
 			return fmt.Errorf("store: truncating torn tail: %w", err)
 		}
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		return fmt.Errorf("store: %w", err)
 	}
 	s.size = good
 	return nil
@@ -334,6 +340,9 @@ func readFrame(br *bufio.Reader) (frameLen int64, payload []byte, err error) {
 // Put stores a record. The first record for a key wins — results are
 // content-addressed, so a second put for the same key is by
 // construction the same result and is dropped without touching disk.
+// The record is indexed even when its append fails, so the result
+// stays servable for this process's lifetime; the error is returned
+// and logged.
 func (s *Store) Put(rec *Record) error {
 	if rec == nil || rec.Key == "" {
 		return errors.New("store: record needs a key")
@@ -343,23 +352,36 @@ func (s *Store) Put(rec *Record) error {
 	if _, ok := s.index[rec.Key]; ok {
 		return nil
 	}
-	if s.file != nil {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("store: encoding %s: %w", rec.Key, err)
-		}
-		s.scratch = s.scratch[:0]
-		s.scratch = binary.AppendUvarint(s.scratch, uint64(len(payload)))
-		s.scratch = binary.LittleEndian.AppendUint32(s.scratch, crc32.ChecksumIEEE(payload))
-		s.scratch = append(s.scratch, payload...)
-		// One write per record: a torn frame from a crash mid-write is
-		// exactly what replay's tail truncation repairs.
-		if _, err := s.file.Write(s.scratch); err != nil {
-			return fmt.Errorf("store: appending %s: %w", rec.Key, err)
-		}
-		s.size += int64(len(s.scratch))
-	}
 	s.index[rec.Key] = rec
+	if s.file == nil {
+		return nil
+	}
+	err := s.append(rec)
+	if err != nil && s.logger != nil {
+		s.logger.Warn("result store append failed; the result is served from memory only",
+			"key", rec.Key, "err", err)
+	}
+	return err
+}
+
+// append writes rec's frame at the end of the log. The frame goes to
+// offset s.size, not the file offset, so the torn bytes of a failed
+// write are overwritten by the next frame instead of preceding it.
+func (s *Store) append(rec *Record) error {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("store: encoding %s: %w", rec.Key, err)
+	}
+	s.scratch = s.scratch[:0]
+	s.scratch = binary.AppendUvarint(s.scratch, uint64(len(payload)))
+	s.scratch = binary.LittleEndian.AppendUint32(s.scratch, crc32.ChecksumIEEE(payload))
+	s.scratch = append(s.scratch, payload...)
+	// One write per record: a torn frame from a crash mid-write is
+	// exactly what replay's tail truncation repairs.
+	if _, err := s.file.WriteAt(s.scratch, s.size); err != nil {
+		return fmt.Errorf("store: appending %s: %w", rec.Key, err)
+	}
+	s.size += int64(len(s.scratch))
 	return nil
 }
 

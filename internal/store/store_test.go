@@ -6,8 +6,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"oscachesim/internal/core"
@@ -98,6 +101,69 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 	if v := s2.Get("view-key"); v == nil || v.Kind != "sweep" || string(v.View) != `{"points":[]}` {
 		t.Fatalf("view record drifted: %+v", v)
+	}
+}
+
+// viewRecord is a small record under key.
+func viewRecord(key string) *Record {
+	return &Record{Key: key, Kind: "campaign", SimVersion: core.SimVersion, View: json.RawMessage(`{}`)}
+}
+
+// TestShortWriteKeepsLaterRecords pins that a short append costs no
+// later record: the next frame overwrites the torn bytes instead of
+// landing after them, so replay reads every record and skips nothing.
+func TestShortWriteKeepsLaterRecords(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, nil)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := s.Put(viewRecord("a-key")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	// A short write: part of a frame reaches the end of the log.
+	if _, err := s.file.Seek(0, io.SeekEnd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.file.Write([]byte{0x40, 0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(viewRecord("b-key")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s2, err := Open(dir, nil)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	st := s2.Stats()
+	if st.Replayed != 2 || st.SkippedCorrupt != 0 || st.SkippedTruncated != 0 {
+		t.Fatalf("replay stats %+v, want 2 records and no skips", st)
+	}
+}
+
+// TestFailedAppendStaysServable pins that a record whose append fails
+// is still indexed — the result stays servable for the process's
+// lifetime — while the error is returned and logged.
+func TestFailedAppendStaysServable(t *testing.T) {
+	var logs bytes.Buffer
+	s, err := Open(t.TempDir(), slog.New(slog.NewTextHandler(&logs, nil)))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	s.file.Close() // the log becomes unwritable under the store
+	rec := viewRecord("a-key")
+	if err := s.Put(rec); err == nil {
+		t.Fatal("Put on an unwritable log returned nil")
+	}
+	if got := s.Get(rec.Key); got != rec {
+		t.Fatalf("Get after a failed append = %v, want the record", got)
+	}
+	if !strings.Contains(logs.String(), "level=WARN") {
+		t.Errorf("failed append not logged as a warning:\n%s", logs.String())
 	}
 }
 

@@ -262,7 +262,8 @@ type Experiment = experiment.Experiment
 // paper order.
 func Experiments() []Experiment { return experiment.All() }
 
-// ExperimentRunner memoizes simulation outcomes across experiments.
+// ExperimentRunner shares simulation outcomes across experiments
+// through a content-addressed result store.
 type ExperimentRunner = experiment.Runner
 
 // ExperimentConfig controls experiment scale and determinism.
