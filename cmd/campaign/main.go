@@ -57,13 +57,12 @@ func main() {
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		maxCells = flag.Int("maxcells", 0, "grid-size bound (0 = the default 256)")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "simulations run at once (1 = serial; output is identical)")
-		stream   = flag.Bool("stream", false, "always generate each workload concurrently with its simulation, single-round runs too (multi-round runs stream anyway; identical output)")
 		verbose  = flag.Bool("v", false, "print per-cell coordinates and raw metrics")
 	)
 	flag.Parse()
 
 	g := campaign.Grid{
-		L2Line: *l2line, Scale: *scale, Seed: *seed, Stream: *stream, MaxCells: *maxCells,
+		L2Line: *l2line, Scale: *scale, Seed: *seed, MaxCells: *maxCells,
 	}
 	if *scnArg != "" {
 		spec, err := scenario.Resolve(*scnArg)
@@ -124,9 +123,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	r := experiment.NewRunnerContext(ctx, experiment.Config{
-		Scale: *scale, Seed: *seed, Workers: *workers, Stream: *stream,
-	})
+	r := experiment.NewRunnerContext(ctx, experiment.Config{Scale: *scale, Seed: *seed, Workers: *workers})
 
 	fmt.Fprintf(os.Stderr, "campaign: %d cells (%d unique) across axes %v\n",
 		len(plan.Cells), len(plan.Unique), plan.Axes)

@@ -58,7 +58,6 @@ func main() {
 		seeds   = flag.Int64("seeds", 5, "rotate seeds 1..N (1 = all requests identical)")
 		poll    = flag.Duration("poll", 25*time.Millisecond, "job status poll interval")
 		timeout = flag.Duration("timeout", 5*time.Minute, "per-request end-to-end budget")
-		stream  = flag.Bool("stream", false, "request streaming generation (stream:true) so every run, single-round ones too, takes the daemon's chunked pipeline (the daemon streams multi-round runs anyway)")
 
 		clusterList  = flag.String("cluster", "", "comma-separated node base URLs, coordinator first; submissions go to the coordinator and the per-node execution table is reported")
 		expectUnique = flag.Int("expect-unique", -1, "assert total cluster-wide simulation executions equal this (exactly-once audit); -1 disables")
@@ -103,7 +102,10 @@ func main() {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				lat, deduped, err := oneRequest(client, *addr, runBody(*wname, *system, *scale, 1+int64(i)%*seeds, *stream), *poll, *timeout, &retries)
+				body, _ := json.Marshal(map[string]any{
+					"workload": *wname, "system": *system, "scale": *scale, "seed": 1 + int64(i)%*seeds,
+				})
+				lat, deduped, err := oneRequest(client, *addr, body, *poll, *timeout, &retries)
 				if err != nil {
 					errCount.Add(1)
 					fmt.Fprintf(os.Stderr, "loadbench: request %d: %v\n", i, err)
@@ -193,18 +195,6 @@ func clusterAudit(client *http.Client, nodes []string, expectUnique int) bool {
 		return false
 	}
 	return true
-}
-
-// runBody renders one /v1/runs request body.
-func runBody(w, sys string, scale int, seed int64, stream bool) []byte {
-	body := map[string]any{
-		"workload": w, "system": sys, "scale": scale, "seed": seed,
-	}
-	if stream {
-		body["stream"] = true
-	}
-	b, _ := json.Marshal(body)
-	return b
 }
 
 // oneRequest submits a run and waits for its terminal state, honoring

@@ -9,7 +9,6 @@
 //	ossim -scenario my-workload.json   # a declarative scenario spec file
 //	ossim -list-workloads              # enumerate workloads and presets
 //	ossim -v           # append the per-stage timing breakdown
-//	ossim -stream -v   # overlap generation with simulation; report stalls
 package main
 
 import (
@@ -41,7 +40,6 @@ func main() {
 		pureUp  = flag.Bool("pure-update", false, "use the update protocol on every page")
 		tfile   = flag.String("trace", "", "simulate this captured trace file instead of generating a workload")
 		docheck = flag.Bool("check", false, "run the differential oracle in lockstep and fail on any divergence")
-		stream  = flag.Bool("stream", false, "always generate the workload concurrently with the simulation in bounded chunks, single-round runs too (multi-round runs stream anyway; identical output, flat memory)")
 		verbose = flag.Bool("v", false, "append the per-stage timing breakdown (and generator stalls when streaming)")
 		ncpus   = flag.Int("cpus", 0, "processor count (0 = the paper's 4; directory coherence allows up to 256)")
 		cohname = flag.String("coherence", "", "coherence protocol: snoop (default) or directory")
@@ -77,7 +75,7 @@ func main() {
 	}
 	cfg := core.RunConfig{
 		System: sys, Scale: *scale, Seed: *seed,
-		DeferredCopy: *dcopy, PureUpdate: *pureUp, Stream: *stream,
+		DeferredCopy: *dcopy, PureUpdate: *pureUp,
 		Machine: machineFromFlags(*ncpus, *cohname, *l1wb),
 	}
 	if *scnArg != "" {

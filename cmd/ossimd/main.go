@@ -35,8 +35,8 @@
 //
 // The pre-v1 paths (/v1/run, /v1/sweep, /v1/jobs/{id}[/stream],
 // /metrics) have been removed; they answer 404 with a JSON error naming
-// the v1 successor. The retired /v1/sweeps routes answer 308 to their
-// /v1/campaigns counterparts for one release.
+// the v1 successor. The retired /v1/sweeps routes answer 404 the same
+// way, naming their /v1/campaigns counterparts.
 //
 // Logs are structured (log/slog): request records with method, path,
 // status and latency, and job lifecycle records keyed by job id.

@@ -53,7 +53,6 @@ func run(args []string, stdout io.Writer) error {
 		scale   = fs.Int("scale", 0, "scheduling rounds per workload (0 = default)")
 		seed    = fs.Int64("seed", 1, "deterministic seed")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "experiments rendered at once (1 = serial; output is identical)")
-		stream  = fs.Bool("stream", false, "always generate workloads concurrently with simulation in bounded chunks, single-round runs too (multi-round runs stream anyway; identical output, flat memory)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -67,9 +66,7 @@ func run(args []string, stdout io.Writer) error {
 	// instead of letting the renders run to completion.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	r := experiment.NewRunnerContext(ctx, experiment.Config{
-		Scale: *scale, Seed: *seed, Workers: *workers, Stream: *stream,
-	})
+	r := experiment.NewRunnerContext(ctx, experiment.Config{Scale: *scale, Seed: *seed, Workers: *workers})
 	// Renders finish out of order; each is printed as soon as every
 	// experiment selected before it has been.
 	var (

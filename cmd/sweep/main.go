@@ -52,7 +52,6 @@ func main() {
 		scale   = flag.Int("scale", 0, "scheduling rounds (0 = default)")
 		seed    = flag.Int64("seed", 1, "deterministic seed")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "simulations run at once (1 = serial; output is identical)")
-		stream  = flag.Bool("stream", false, "always generate each workload concurrently with its simulation in bounded chunks, single-round runs too (multi-round runs stream anyway; identical output, flat memory)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProf = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 		verbose = flag.Bool("v", false, "append per-worker pool stats (busy/idle time, runs)")
@@ -90,7 +89,7 @@ func main() {
 		base.Coherence = kind
 	}
 	g := campaign.Grid{
-		Base: &base, L2Line: *l2line, Scale: *scale, Seed: *seed, Stream: *stream,
+		Base: &base, L2Line: *l2line, Scale: *scale, Seed: *seed,
 	}
 	switch {
 	case *scnArg != "":
@@ -127,9 +126,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	r := experiment.NewRunnerContext(ctx, experiment.Config{
-		Scale: *scale, Seed: *seed, Workers: *workers, Stream: *stream,
-	})
+	r := experiment.NewRunnerContext(ctx, experiment.Config{Scale: *scale, Seed: *seed, Workers: *workers})
 
 	// Run the grid's unique cells through the runner's worker pool,
 	// then render serially, reading each cell back from the runner's

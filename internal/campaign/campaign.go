@@ -99,11 +99,11 @@ type Grid struct {
 	// Base optionally overrides the base machine at every cell; nil
 	// means the paper's machine.
 	Base *sim.Params
-	// Scale, Seed and Stream apply to every cell (core.RunConfig).
-	// Stream forces the chunk pipeline; without it a cell streams only
-	// when it is multi-round.
-	Scale  int
-	Seed   int64
+	// Scale and Seed apply to every cell (core.RunConfig).
+	Scale int
+	Seed  int64
+	// Deprecated: Stream is copied into each cell's Cfg, where core.Run
+	// ignores it: a cell streams if and only if it is multi-round.
 	Stream bool
 	// MaxCells bounds the expanded grid (0 = DefaultMaxCells).
 	MaxCells int

@@ -173,15 +173,9 @@ type RunConfig struct {
 	// primary-cache eviction is attributed to the (evictor, victim)
 	// data-structure pair.
 	TrackConflicts bool
-	// Stream always generates the workload on a producer goroutine
-	// overlapped with the simulation, holding only O(NumCPUs × chunk
-	// budget) trace references in memory instead of the whole trace —
-	// the bounded-memory choice. Without it Run still streams every
-	// multi-round run, for the overlap; Stream adds single-round runs.
-	// The simulated reference sequences are byte-identical to the
-	// materialized path, so Stream is an execution strategy, not a
-	// configuration: it is excluded from CanonicalKey. Ignored with
-	// Monitor (which needs replayable materialized sources).
+	// Deprecated: Stream is ignored. Run streams a run if and only if
+	// it has no Monitor and generates more than one scheduling round
+	// (see Rounds). Excluded from CanonicalKey.
 	Stream bool
 	// Monitor, when non-nil, is called with the freshly built simulator
 	// before Run starts, letting callers attach an observer (the
@@ -303,12 +297,11 @@ func machineParams(cfg RunConfig) sim.Params {
 // simulation promptly; the returned error then wraps context.Cause(ctx).
 //
 // Run generates the workload concurrently with the simulation in
-// bounded chunks (see workload.Stream) when cfg.Stream is set, and on
-// its own whenever the run generates more than one scheduling round
-// (see rounds). The results are byte-identical to the materialized
-// path. Monitor forces the materialized path regardless, because a
-// monitor may hold the simulator (and its replayable sources) after
-// Run returns.
+// bounded chunks (see workload.Stream) whenever the run generates more
+// than one scheduling round (see Rounds) and has no Monitor; otherwise
+// it builds the trace whole first. The results are byte-identical on
+// both paths. A Monitor forces the materialized path because it may
+// hold the simulator (and its replayable sources) after Run returns.
 func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -319,7 +312,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		}
 		cfg.Workload = workload.SpecWorkloadName(cfg.Scenario)
 	}
-	if cfg.Monitor == nil && (cfg.Stream || cfg.Rounds() > 1) {
+	if cfg.Monitor == nil && cfg.Rounds() > 1 {
 		return runStreaming(ctx, cfg)
 	}
 

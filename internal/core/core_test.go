@@ -201,11 +201,12 @@ func TestRunPureUpdate(t *testing.T) {
 	}
 }
 
-// TestRunStreamingMatchesMaterialized pins the tentpole contract at the
-// core boundary: Stream is an execution strategy, not a configuration —
-// the streamed pipeline must produce the exact counters, reference
-// totals, and deferred-copy stats the materialized path does, across
-// systems with different kernel builds and machine models.
+// TestRunStreamingMatchesMaterialized pins the pipeline contract at the
+// core boundary: streaming is an execution strategy, not a
+// configuration — the streamed pipeline (every run here is
+// multi-round) must produce the exact counters, reference totals, and
+// deferred-copy stats the materialized path does, across systems with
+// different kernel builds and machine models, under one CanonicalKey.
 func TestRunStreamingMatchesMaterialized(t *testing.T) {
 	cfgs := []RunConfig{
 		{Workload: workload.Shell, System: Base, Scale: testScale, Seed: 1},
@@ -218,9 +219,7 @@ func TestRunStreamingMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v materialized: %v", cfg.System, err)
 		}
-		scfg := cfg
-		scfg.Stream = true
-		str, err := Run(context.Background(), scfg)
+		str, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%v streaming: %v", cfg.System, err)
 		}
@@ -234,7 +233,7 @@ func TestRunStreamingMatchesMaterialized(t *testing.T) {
 			t.Errorf("%v: streaming deferred stats differ", cfg.System)
 		}
 		if str.Config.CanonicalKey() != mat.Config.CanonicalKey() {
-			t.Errorf("%v: Stream leaked into CanonicalKey", cfg.System)
+			t.Errorf("%v: the Monitor leaked into CanonicalKey", cfg.System)
 		}
 	}
 }
@@ -272,8 +271,8 @@ func TestHeadlineRobustAcrossSeeds(t *testing.T) {
 // TestRunStageTimings pins the stage-timing contract of Run: a
 // materialized run records Build and Simulate (no Stream), a streaming
 // run records Stream and Simulate (no Build), and OnStages fires
-// exactly once with the outcome's own timings. The run is single-round,
-// so it is materialized unless Stream is set.
+// exactly once with the outcome's own timings. A single-round run is
+// materialized and a multi-round one streams.
 func TestRunStageTimings(t *testing.T) {
 	var fired int
 	var got StageTimings
@@ -304,8 +303,7 @@ func TestRunStageTimings(t *testing.T) {
 		t.Errorf("materialized run reported gen stalls: %d/%v", o.GenStalls, o.GenStallTime)
 	}
 
-	cfg.OnStages = func(s StageTimings) { fired++; got = s }
-	cfg.Stream = true
+	cfg.Scale = testScale
 	fired = 0
 	so, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -324,9 +322,9 @@ func TestRunStageTimings(t *testing.T) {
 
 // TestRunPathSelection pins which pipeline Run picks, read off the
 // stage timings (Build for materialized, Stream for streamed): a
-// single-round run is materialized, a multi-round run streams, a
-// Monitor forces the materialized path, and Stream streams even a
-// single-round run.
+// single-round run is materialized, a multi-round run streams, and a
+// Monitor forces the materialized path. The deprecated Stream is
+// ignored.
 func TestRunPathSelection(t *testing.T) {
 	mix := preset(t, "os-mix")
 	one := &scenario.Spec{Name: "one-round", Phases: []scenario.Phase{{Rounds: 1}}}
@@ -338,8 +336,7 @@ func TestRunPathSelection(t *testing.T) {
 		{"scale 1", RunConfig{Workload: workload.Shell, Scale: 1}, false},
 		{"multi-round", RunConfig{Workload: workload.Shell, Scale: testScale}, true},
 		{"monitor", materialized(RunConfig{Workload: workload.Shell, Scale: testScale}), false},
-		{"monitor with stream", materialized(RunConfig{Workload: workload.Shell, Scale: testScale, Stream: true}), false},
-		{"stream at scale 1", RunConfig{Workload: workload.Shell, Scale: 1, Stream: true}, true},
+		{"deprecated stream at scale 1", RunConfig{Workload: workload.Shell, Scale: 1, Stream: true}, false},
 		{"one-round scenario", RunConfig{Scenario: one}, false},
 		{"multi-round scenario", RunConfig{Scenario: mix}, true},
 	}

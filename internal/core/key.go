@@ -26,14 +26,12 @@ const SimVersion = "oscachesim/sim/v1"
 // deduplicate and cache on, across processes and restarts.
 //
 // Runtime plumbing (Monitor, Progress) is excluded — it cannot change
-// results. Stream is likewise excluded: it selects an execution
-// strategy (generation overlapped with simulation in bounded chunks)
-// that is pinned byte-identical to the materialized path by the
-// streaming determinism tier, so a cached materialized result answers
-// a streaming request and vice versa. The Machine's Attrs and
-// RegionNamer are also excluded: Run derives both from hashed fields
-// (System, UpdateSet, PureUpdate, TrackConflicts), overwriting
-// whatever the caller supplied.
+// results. So is the deprecated, ignored Stream. Whether Run streams
+// follows from hashed fields (Scale, Scenario) and the Monitor, and
+// both pipelines are pinned byte-identical by the determinism tiers.
+// The Machine's Attrs and RegionNamer are also excluded: Run derives
+// both from hashed fields (System, UpdateSet, PureUpdate,
+// TrackConflicts), overwriting whatever the caller supplied.
 //
 // Scale and Seed are hashed after the same normalization Run applies
 // (Seed 0 means 1). Scale 0 means "workload default" and hashes as 0:

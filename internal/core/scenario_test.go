@@ -66,17 +66,15 @@ func TestRunScenario(t *testing.T) {
 }
 
 // TestRunScenarioStreamIdentical pins the strategy-independence of
-// scenario runs: the streaming path must reproduce the materialized
-// counters exactly (the canonical key ignores Stream for this reason).
+// scenario runs: the streaming path (os-mix is multi-round) must
+// reproduce the materialized counters exactly.
 func TestRunScenarioStreamIdentical(t *testing.T) {
 	base := RunConfig{Scenario: preset(t, "os-mix"), System: BCPref, Seed: 3}
 	a, err := Run(context.Background(), materialized(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed := base
-	streamed.Stream = true
-	b, err := Run(context.Background(), streamed)
+	b, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}

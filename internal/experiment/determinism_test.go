@@ -46,41 +46,6 @@ func TestParallelSchedulerDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamingDeterminism renders every experiment twice — once on a
-// serial reference runner and once with Stream set on four workers —
-// and requires byte-identical reports. The reference runner's runs are
-// multi-round, so core.Run streams them too and this compares two
-// streamed renders; the equivalence of the streamed and materialized
-// paths is carried by the golden files, which were generated
-// materialized, and by core's TestRunStreamingMatchesMaterialized.
-// Stream changes only when refs exist, never which refs or what they
-// cost. The streaming runner is also parallel, so under -race this
-// doubles as a contention test of the producer/consumer pipeline.
-func TestStreamingDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-grid double render is slow")
-	}
-	cfg := TestConfig()
-	materialized := NewRunner(cfg)
-	scfg := cfg
-	scfg.Stream = true
-	scfg.Workers = 4
-	streaming := NewRunner(scfg)
-	for _, e := range All() {
-		want, err := e.Render(materialized)
-		if err != nil {
-			t.Fatalf("%s materialized: %v", e.ID, err)
-		}
-		got, err := e.Render(streaming)
-		if err != nil {
-			t.Fatalf("%s streaming: %v", e.ID, err)
-		}
-		if got != want {
-			t.Errorf("%s: streaming render differs from materialized", e.ID)
-		}
-	}
-}
-
 // TestRunConfigsOrderAndProgress checks the scheduler's two output
 // contracts directly: outcomes come back in input order regardless of
 // which worker ran them, and a shared Progress accumulates every
@@ -167,7 +132,6 @@ func TestDirectoryDeterminism(t *testing.T) {
 
 	streamed := base
 	streamed.Machine = machine()
-	streamed.Stream = true
 	gotStream, err := core.Run(context.Background(), streamed)
 	if err != nil {
 		t.Fatal(err)

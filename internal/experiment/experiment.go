@@ -39,13 +39,6 @@ type Config struct {
 	// serial, so the zero Config is serial. Outcomes are
 	// byte-identical at every width; only wall-clock changes.
 	Workers int
-	// Stream always generates each workload concurrently with its
-	// simulation in bounded chunks (core.RunConfig.Stream) instead of
-	// materializing it first; without it core.Run streams only
-	// multi-round runs. Results are byte-identical either way — pinned
-	// by the streaming determinism tier — so this only trades peak
-	// memory and wall clock.
-	Stream bool
 }
 
 // DefaultConfig returns the configuration used for the published
@@ -144,11 +137,7 @@ func (r *Runner) Stats() CacheStats {
 // configFor is the base configuration of one (workload, system) run
 // under the Runner's scale and seed.
 func (r *Runner) configFor(w workload.Name, sys core.System) core.RunConfig {
-	return core.RunConfig{
-		Workload: w, System: sys,
-		Scale: r.cfg.Scale, Seed: r.cfg.Seed,
-		Stream: r.cfg.Stream,
-	}
+	return core.RunConfig{Workload: w, System: sys, Scale: r.cfg.Scale, Seed: r.cfg.Seed}
 }
 
 // Outcome returns the (cached) outcome of a workload under a system on

@@ -89,7 +89,6 @@ func (cr *CampaignRequest) plan() (*campaign.Plan, string, error) {
 		L2Line:   cr.L2Line,
 		Scale:    cr.Scale,
 		Seed:     cr.Seed,
-		Stream:   cr.Stream,
 		MaxCells: maxCampaignCells,
 		CPUs:     cr.CPUs,
 		Sharers:  cr.Sharers,

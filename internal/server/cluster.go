@@ -331,6 +331,10 @@ func (s *Server) handleInternalCompute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
+	if err := checkBounds(cfg); err != nil {
+		s.clientError(w, err)
+		return
+	}
 	gate := s.computeGate()
 	select {
 	case gate <- struct{}{}:

@@ -7,17 +7,20 @@ import (
 	"testing"
 )
 
-// TestIntraWorkersRejected pins the end of the intra_workers
-// deprecation window: the job option of the removed intra-run engine
-// is now an unknown field, so the strict decoder answers 400
-// bad_request on both submitting resources.
+// TestIntraWorkersRejected pins the retired job options: intra_workers
+// (the removed intra-run engine) and stream (core.Run picks its
+// pipeline from the run alone) are unknown fields, so the strict
+// decoder answers 400 bad_request on both submitting resources and
+// names the field.
 func TestIntraWorkersRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	for path, body := range map[string]string{
-		"/v1/runs":      `{"workload":"TRFD_4","system":"Base","scale":2,"intra_workers":2}`,
-		"/v1/campaigns": `{"workload":"TRFD_4","systems":["Base"],"scale":2,"intra_workers":2}`,
+	for _, c := range []struct{ path, field, body string }{
+		{"/v1/runs", "intra_workers", `{"workload":"TRFD_4","system":"Base","scale":2,"intra_workers":2}`},
+		{"/v1/campaigns", "intra_workers", `{"workload":"TRFD_4","systems":["Base"],"scale":2,"intra_workers":2}`},
+		{"/v1/runs", "stream", `{"workload":"TRFD_4","system":"Base","scale":1,"stream":true}`},
+		{"/v1/campaigns", "stream", `{"workload":"TRFD_4","systems":["Base"],"scale":1,"stream":true}`},
 	} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,13 +28,13 @@ func TestIntraWorkersRejected(t *testing.T) {
 		err = json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
 		if err != nil {
-			t.Fatalf("%s: error body: %v", path, err)
+			t.Fatalf("%s %s: error body: %v", c.path, c.field, err)
 		}
 		if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_request" {
-			t.Errorf("%s: HTTP %d code %q, want 400 bad_request", path, resp.StatusCode, eb.Error.Code)
+			t.Errorf("%s %s: HTTP %d code %q, want 400 bad_request", c.path, c.field, resp.StatusCode, eb.Error.Code)
 		}
-		if !strings.Contains(eb.Error.Message, `unknown field "intra_workers"`) {
-			t.Errorf("%s: message %q does not name the unknown field", path, eb.Error.Message)
+		if !strings.Contains(eb.Error.Message, `unknown field "`+c.field+`"`) {
+			t.Errorf("%s %s: message %q does not name the unknown field", c.path, c.field, eb.Error.Message)
 		}
 	}
 }

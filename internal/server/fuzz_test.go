@@ -33,6 +33,7 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		`[1,2,3]`,
 		`"just a string"`,
 		`{"workload":"TRFD_4","system":"Base","machine":{"l1d_size_kb":18446744073709551615}}`,
+		`{"workload":"Shell","system":"Base","scale":1,"machine":{"mshr":1125899906842624}}`,
 		`{"scenario":{"preset":"fs-naive"},"system":"Base"}`,
 		`{"scenario":{"spec":{"name":"t","phases":[{"rounds":1,"sharing_degree":2,"shared_frac":0.3}]}},"system":"Base"}`,
 		`{"scenario":{"spec":{"name":"t","phases":[{"rounds":0}]}},"system":"Base"}`,
@@ -152,7 +153,8 @@ func FuzzDecodeCampaignRequest(f *testing.F) {
 // rejection is a *RequestError, and anything accepted satisfies
 // sim.Params.Validate — in particular the processor-count ceiling of
 // the selected coherence protocol, so a fuzz-crafted spec can neither
-// put 65 CPUs on the snooping bus nor 257 on the directory machine.
+// put 65 CPUs on the snooping bus nor 257 on the directory machine —
+// and keeps every buffer capacity within maxBufDepth.
 func FuzzMachineSpec(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -172,6 +174,11 @@ func FuzzMachineSpec(f *testing.F) {
 		`{"l1_writeback":true}`,
 		`{"num_cpus":-1}`,
 		`{"l1d_size_kb":18446744073709551615}`,
+		// Buffer capacities are allocated per CPU up front.
+		`{"mshr":1125899906842624}`,
+		`{"l1_wb_depth":1125899906842624}`,
+		`{"l2_wb_depth":1125899906842624}`,
+		`{"mshr":256,"l1_wb_depth":256,"l2_wb_depth":257}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -193,6 +200,11 @@ func FuzzMachineSpec(f *testing.F) {
 		}
 		if verr := p.Validate(); verr != nil {
 			t.Fatalf("accepted machine fails validation: %v", verr)
+		}
+		for _, d := range []int{p.MSHREntries, p.L1WriteBufDepth, p.L2WriteBufDepth} {
+			if d > maxBufDepth {
+				t.Fatalf("accepted buffer capacity %d over the bound %d", d, maxBufDepth)
+			}
 		}
 		switch p.Coherence {
 		case sim.CoherenceSnoop:

@@ -21,8 +21,10 @@ import (
 // (never a panic, never an unvalidated configuration).
 
 // Request size and parameter bounds. They exist to keep one request
-// from monopolizing the daemon: a simulated cache's line array is
-// allocated eagerly, and scale multiplies trace length.
+// from monopolizing the daemon: a simulated cache's line array and
+// every per-CPU buffer are allocated eagerly, and scale multiplies
+// trace length. The public decoders check them field by field;
+// checkBounds applies them to a configuration that arrives whole.
 const (
 	// maxBodyBytes bounds a request body.
 	maxBodyBytes = 1 << 20
@@ -32,6 +34,11 @@ const (
 	maxLineBytes = 1024
 	// maxAssoc bounds requested associativity.
 	maxAssoc = 64
+	// maxBufDepth bounds every per-CPU buffer capacity: MSHR entries,
+	// both write-buffer depths and prefetch-buffer lines.
+	maxBufDepth = 256
+	// maxCycles bounds a requested memory or DMA latency.
+	maxCycles = 1 << 20
 	// maxScale bounds requested scheduling rounds per workload.
 	maxScale = 1000
 	// maxScenarioRounds bounds a scenario request's effective rounds
@@ -108,6 +115,55 @@ func (s *ScenarioRequest) resolve(scale int) (*scenario.Spec, error) {
 	return spec, nil
 }
 
+// checkBounds applies the request bounds to a configuration that did
+// not come through the public decoders (a forwarded compute), so no
+// route admits a run the public API would refuse. Machine violations
+// are *FieldError values named by their sim.Params path.
+func checkBounds(cfg core.RunConfig) error {
+	if err := (&JobOptions{Scale: cfg.Scale, Seed: cfg.Seed}).validate(); err != nil {
+		return err
+	}
+	if cfg.Scenario != nil {
+		// The public resolver validates and bounds an inline spec.
+		raw, _ := json.Marshal(cfg.Scenario)
+		if _, err := (&ScenarioRequest{Spec: raw}).resolve(cfg.Scale); err != nil {
+			return err
+		}
+	}
+	p := cfg.Machine
+	if p == nil {
+		return nil
+	}
+	if err := machineError(p.Validate()); err != nil {
+		return err
+	}
+	// Validate leaves only an unused PrefBufLines non-positive; as an
+	// unsigned value a negative one fails its bound too.
+	for _, b := range []struct {
+		name     string
+		v, bound uint64
+	}{
+		{"L1I.Size", p.L1I.Size, maxCacheKB * 1024},
+		{"L1D.Size", p.L1D.Size, maxCacheKB * 1024},
+		{"L2.Size", p.L2.Size, maxCacheKB * 1024},
+		{"L1I.LineSize", p.L1I.LineSize, maxLineBytes},
+		{"L1D.LineSize", p.L1D.LineSize, maxLineBytes},
+		{"L2.LineSize", p.L2.LineSize, maxLineBytes},
+		{"L1I.Assoc", uint64(p.L1I.Assoc), maxAssoc},
+		{"L1D.Assoc", uint64(p.L1D.Assoc), maxAssoc},
+		{"L2.Assoc", uint64(p.L2.Assoc), maxAssoc},
+		{"MSHREntries", uint64(p.MSHREntries), maxBufDepth},
+		{"L1WriteBufDepth", uint64(p.L1WriteBufDepth), maxBufDepth},
+		{"L2WriteBufDepth", uint64(p.L2WriteBufDepth), maxBufDepth},
+		{"PrefBufLines", uint64(p.PrefBufLines), maxBufDepth},
+	} {
+		if b.v > b.bound {
+			return fieldErrf("machine."+b.name, b.v, "out of range [1, %d]", b.bound)
+		}
+	}
+	return nil
+}
+
 // RunRequest is the body of POST /v1/runs: the shared workload
 // selection and job options plus one system and its run attributes.
 type RunRequest struct {
@@ -171,7 +227,6 @@ func (rr *RunRequest) toConfig() (core.RunConfig, error) {
 		Seed:         rr.Seed,
 		DeferredCopy: rr.DeferredCopy,
 		PureUpdate:   rr.PureUpdate,
-		Stream:       rr.Stream,
 	}
 	if rr.Machine != nil {
 		p, err := rr.Machine.toParams()

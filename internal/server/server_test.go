@@ -138,15 +138,12 @@ func TestRunJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestStreamingRun submits a streaming run and checks the service-level
-// contract: the job completes with full counters, the progress view
-// reports generation alongside simulation (gen_refs), and — because
-// Stream is an execution strategy excluded from the canonical key — a
-// later materialized submit of the same configuration dedupes onto the
-// streamed job's result.
+// TestStreamingRun submits a multi-round run, which streams, and checks
+// the service-level contract: the job completes with full counters and
+// the progress view reports generation alongside simulation (gen_refs).
 func TestStreamingRun(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 8})
-	body := fmt.Sprintf(`{"workload":"TRFD_4","system":"Blk_Dma","scale":%d,"seed":5,"stream":true}`, testScale)
+	body := fmt.Sprintf(`{"workload":"TRFD_4","system":"Blk_Dma","scale":%d,"seed":5}`, testScale)
 	status, sub, _ := postJSON(t, ts.URL+"/v1/runs", body)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d, want 202", status)
@@ -160,12 +157,6 @@ func TestStreamingRun(t *testing.T) {
 	}
 	if v.Progress == nil || v.Progress.GenRefs != v.Progress.Refs {
 		t.Fatalf("finished progress %+v, want gen_refs == refs", v.Progress)
-	}
-
-	mat := fmt.Sprintf(`{"workload":"TRFD_4","system":"Blk_Dma","scale":%d,"seed":5}`, testScale)
-	status, again, _ := postJSON(t, ts.URL+"/v1/runs", mat)
-	if status != http.StatusOK || !again.Deduped || again.ID != sub.ID {
-		t.Errorf("materialized submit got HTTP %d %+v, want dedup onto streamed job %s", status, again, sub.ID)
 	}
 }
 
@@ -655,18 +646,7 @@ func TestJobViewStageTimings(t *testing.T) {
 		t.Errorf("queue_wait_seconds %v", v.QueueWaitSeconds)
 	}
 
-	// A streaming run reports stream instead of build.
-	sbody := fmt.Sprintf(`{"workload":"ARC2D+Fsck","system":"Base","scale":%d,"seed":78,"stream":true}`, testScale)
-	_, sub2, _ := postJSON(t, ts.URL+"/v1/runs", sbody)
-	v2 := waitJob(t, ts.URL, sub2.ID)
-	if v2.State != JobDone || v2.Stages == nil {
-		t.Fatalf("streaming job %s, stages %+v", v2.State, v2.Stages)
-	}
-	if v2.Stages.StreamSeconds <= 0 || v2.Stages.BuildSeconds != 0 {
-		t.Errorf("streaming stage view %+v, want stream>0 and build==0", v2.Stages)
-	}
-
-	// So does a multi-round run without "stream".
+	// A multi-round run streams, so it reports stream instead of build.
 	obody := fmt.Sprintf(`{"workload":"ARC2D+Fsck","system":"Base","scale":%d,"seed":79}`, testScale)
 	_, sub3, _ := postJSON(t, ts.URL+"/v1/runs", obody)
 	v3 := waitJob(t, ts.URL, sub3.ID)

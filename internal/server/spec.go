@@ -70,19 +70,13 @@ func isRequestError(err error) bool {
 }
 
 // JobOptions are the execution knobs every job-submitting request
-// shares: simulation scale, the deterministic seed, the streaming
-// execution strategy, and the per-job deadline.
+// shares: simulation scale, the deterministic seed and the per-job
+// deadline.
 type JobOptions struct {
 	// Scale is the scheduling-round multiplier (0 = workload default).
 	Scale int `json:"scale,omitempty"`
 	// Seed drives all generation deterministically.
 	Seed int64 `json:"seed,omitempty"`
-	// Stream always generates each workload concurrently with its
-	// simulation in bounded chunks (core.RunConfig.Stream); without it
-	// only multi-round runs stream. Results are byte-identical to a
-	// materialized run (the canonical key ignores this flag), so it
-	// only trades the job's peak memory and wall clock.
-	Stream bool `json:"stream,omitempty"`
 	// TimeoutMS optionally tightens the server's per-job deadline; it
 	// can never extend it.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -187,35 +181,20 @@ func (m *MachineSpec) toParams() (*sim.Params, error) {
 		*dst = *kb * 1024
 		return nil
 	}
-	setLine := func(dst *uint64, line *uint64, what string) error {
-		if line == nil {
-			return nil
-		}
-		if *line == 0 || *line > maxLineBytes {
-			return fieldErrf("machine."+what, *line, "out of range [1, %d]", maxLineBytes)
-		}
-		*dst = *line
-		return nil
-	}
-	setAssoc := func(dst *int, a *int, what string) error {
-		if a == nil {
-			return nil
-		}
-		if *a <= 0 || *a > maxAssoc {
-			return fieldErrf("machine."+what, *a, "out of range [1, %d]", maxAssoc)
-		}
-		*dst = *a
-		return nil
-	}
 	steps := []error{
 		setSize(&p.L1D.Size, m.L1DSizeKB, "l1d_size_kb"),
-		setLine(&p.L1D.LineSize, m.L1DLine, "l1d_line"),
-		setAssoc(&p.L1D.Assoc, m.L1DAssoc, "l1d_assoc"),
+		setBounded(&p.L1D.LineSize, m.L1DLine, "l1d_line", maxLineBytes),
+		setBounded(&p.L1D.Assoc, m.L1DAssoc, "l1d_assoc", maxAssoc),
 		setSize(&p.L1I.Size, m.L1ISizeKB, "l1i_size_kb"),
-		setLine(&p.L1I.LineSize, m.L1ILine, "l1i_line"),
+		setBounded(&p.L1I.LineSize, m.L1ILine, "l1i_line", maxLineBytes),
 		setSize(&p.L2.Size, m.L2SizeKB, "l2_size_kb"),
-		setLine(&p.L2.LineSize, m.L2Line, "l2_line"),
-		setAssoc(&p.L2.Assoc, m.L2Assoc, "l2_assoc"),
+		setBounded(&p.L2.LineSize, m.L2Line, "l2_line", maxLineBytes),
+		setBounded(&p.L2.Assoc, m.L2Assoc, "l2_assoc", maxAssoc),
+		setBounded(&p.MSHREntries, m.MSHR, "mshr", maxBufDepth),
+		setBounded(&p.L1WriteBufDepth, m.L1WBDepth, "l1_wb_depth", maxBufDepth),
+		setBounded(&p.L2WriteBufDepth, m.L2WBDepth, "l2_wb_depth", maxBufDepth),
+		setBounded(&p.MemCycles, m.MemCycles, "mem_cycles", maxCycles),
+		setBounded(&p.DMACyclesPer8B, m.DMAPer8B, "dma_cycles_per_8b", maxCycles),
 	}
 	for _, err := range steps {
 		if err != nil {
@@ -235,33 +214,34 @@ func (m *MachineSpec) toParams() (*sim.Params, error) {
 	if m.L1WriteBack != nil {
 		p.L1WriteBack = *m.L1WriteBack
 	}
-	if m.MSHR != nil {
-		p.MSHREntries = *m.MSHR
-	}
-	if m.L1WBDepth != nil {
-		p.L1WriteBufDepth = *m.L1WBDepth
-	}
-	if m.L2WBDepth != nil {
-		p.L2WriteBufDepth = *m.L2WBDepth
-	}
-	if m.MemCycles != nil {
-		if *m.MemCycles == 0 || *m.MemCycles > 1<<20 {
-			return nil, fieldErrf("machine.mem_cycles", *m.MemCycles, "out of range [1, %d]", 1<<20)
-		}
-		p.MemCycles = *m.MemCycles
-	}
-	if m.DMAPer8B != nil {
-		if *m.DMAPer8B == 0 || *m.DMAPer8B > 1<<20 {
-			return nil, fieldErrf("machine.dma_cycles_per_8b", *m.DMAPer8B, "out of range [1, %d]", 1<<20)
-		}
-		p.DMACyclesPer8B = *m.DMAPer8B
-	}
-	if err := p.Validate(); err != nil {
-		var fe *sim.FieldError
-		if errors.As(err, &fe) {
-			return nil, &FieldError{Field: "machine." + fe.Field, Value: fe.Value, Reason: fe.Reason}
-		}
-		return nil, reqErrf("invalid machine: %v", err)
+	if err := machineError(p.Validate()); err != nil {
+		return nil, err
 	}
 	return &p, nil
+}
+
+// setBounded copies an optional machine override into dst after
+// checking that it lies in [1, bound].
+func setBounded[T int | uint64](dst, v *T, what string, bound T) error {
+	if v == nil {
+		return nil
+	}
+	if *v <= 0 || *v > bound {
+		return fieldErrf("machine."+what, *v, "out of range [1, %d]", bound)
+	}
+	*dst = *v
+	return nil
+}
+
+// machineError turns a sim.Params.Validate failure into a request
+// error under the "machine." path; nil stays nil.
+func machineError(err error) error {
+	if err == nil {
+		return nil
+	}
+	var fe *sim.FieldError
+	if errors.As(err, &fe) {
+		return &FieldError{Field: "machine." + fe.Field, Value: fe.Value, Reason: fe.Reason}
+	}
+	return reqErrf("invalid machine: %v", err)
 }

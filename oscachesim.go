@@ -194,15 +194,6 @@ func WithScenario(spec *Scenario) Option {
 	return func(s *Sim) { s.cfg.Scenario = spec }
 }
 
-// WithStreaming always generates the workload concurrently with the
-// simulation in bounded chunks, so peak trace memory stays
-// O(chunk budget) no matter how large WithScale is. Without it a run
-// of more than one scheduling round streams anyway
-// (core.RunConfig.Stream); WithStreaming adds single-round runs.
-// Results are byte-identical to the materialized path; only memory
-// and wall clock change.
-func WithStreaming() Option { return func(s *Sim) { s.cfg.Stream = true } }
-
 // WithConfig replaces the whole run configuration (study knobs like
 // DeferredCopy or PureUpdate); options applied after it still take
 // effect.
@@ -243,10 +234,7 @@ func (s *Sim) Compare(ctx context.Context, systems ...System) ([]*Outcome, error
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r := experiment.NewRunnerContext(ctx, experiment.Config{
-		Scale: s.cfg.Scale, Seed: s.cfg.Seed, Workers: workers,
-		Stream: s.cfg.Stream,
-	})
+	r := experiment.NewRunnerContext(ctx, experiment.Config{Scale: s.cfg.Scale, Seed: s.cfg.Seed, Workers: workers})
 	cfgs := make([]core.RunConfig, len(systems))
 	for i, sys := range systems {
 		cfgs[i] = s.cfg
