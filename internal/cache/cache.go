@@ -78,9 +78,10 @@ type Victim struct {
 // simulator is single-goroutine by design (cycle-ordered).
 //
 // Set and tag decode is fully precomputed at construction (line mask,
-// set shift, set mask), and the direct-mapped geometry the simulated
-// machine uses throughout gets a one-way fast path in Lookup/Peek —
-// one index computation and one compare per probe, no way loop.
+// set shift, set mask). Lookup and Peek are small enough for the
+// compiler to inline at every call site, so a probe of the
+// direct-mapped geometry the simulated machine uses throughout is one
+// index computation and one compare, with no call.
 type Cache struct {
 	cfg       Config
 	lines     []Line // sets * assoc, way-major within a set
@@ -126,23 +127,21 @@ func (c *Cache) set(addr uint64) []Line {
 // Lookup returns the line holding addr, if it is present in a valid
 // state. The returned pointer stays valid until the next Fill and may
 // be used to mutate the line's coherence state in place. Lookup
-// refreshes the line's replacement age.
+// refreshes the line's replacement age; a direct-mapped cache keeps no
+// ages, since ages are compared only among the ways of one set.
 func (c *Cache) Lookup(addr uint64) (*Line, bool) {
+	// The set is decoded here rather than by c.set, and validity is
+	// tested without State.Valid, to keep Lookup within the inlining
+	// budget.
 	tag := addr &^ c.lineMask
-	if c.assoc == 1 {
-		l := &c.lines[(addr>>c.setShift)&c.setMask]
-		if l.Tag == tag && l.State.Valid() {
-			c.clock++
-			l.lastUse = c.clock
-			return l, true
-		}
-		return nil, false
-	}
-	set := c.set(addr)
+	base := int((addr>>c.setShift)&c.setMask) * c.assoc
+	set := c.lines[base : base+c.assoc]
 	for i := range set {
-		if set[i].State.Valid() && set[i].Tag == tag {
-			c.clock++
-			set[i].lastUse = c.clock
+		if set[i].Tag == tag && set[i].State != coherence.Invalid {
+			if len(set) > 1 {
+				c.clock++
+				set[i].lastUse = c.clock
+			}
 			return &set[i], true
 		}
 	}
@@ -153,16 +152,9 @@ func (c *Cache) Lookup(addr uint64) (*Line, bool) {
 // diagnostics.
 func (c *Cache) Peek(addr uint64) (*Line, bool) {
 	tag := addr &^ c.lineMask
-	if c.assoc == 1 {
-		l := &c.lines[(addr>>c.setShift)&c.setMask]
-		if l.Tag == tag && l.State.Valid() {
-			return l, true
-		}
-		return nil, false
-	}
 	set := c.set(addr)
 	for i := range set {
-		if set[i].State.Valid() && set[i].Tag == tag {
+		if set[i].Tag == tag && set[i].State.Valid() {
 			return &set[i], true
 		}
 	}

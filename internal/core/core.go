@@ -413,6 +413,14 @@ func runStreaming(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		st = workload.Stream(cfg.Workload, kernelOpt(cfg), cfg.Scale, cfg.Seed, sopt)
 	}
 
+	// A panic below must not strand the producer on a full pipeline:
+	// release it before the panic travels on to whoever recovers it.
+	defer func() {
+		if v := recover(); v != nil {
+			st.Abort()
+			panic(v)
+		}
+	}()
 	s, err := sim.New(p, st.Sources())
 	if err != nil {
 		st.Abort()

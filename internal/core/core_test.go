@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"oscachesim/internal/scenario"
 	"oscachesim/internal/sim"
@@ -383,5 +385,33 @@ func TestRounds(t *testing.T) {
 				t.Errorf("scale %d: generator makes %d rounds, want %d", c.cfg.Scale, gen, c.want)
 			}
 		}
+	}
+}
+
+// TestStreamedPanicReleasesProducer pins that a streamed run whose
+// simulation panics does not strand its trace producer: the panic still
+// reaches the caller, and the producer goroutine exits instead of
+// parking on a full pipeline forever. The machine's absurd MSHR depth
+// makes sim.New panic after the producer has started; scale 8 gives
+// each processor more references than the pipeline's budget.
+func TestStreamedPanicReleasesProducer(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := sim.DefaultParams()
+	m.MSHREntries = 1 << 50
+	cfg := RunConfig{Workload: workload.Shell, System: Base, Scale: 8, Seed: 1, Machine: &m}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Run returned without panicking")
+			}
+		}()
+		Run(context.Background(), cfg)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the panic, %d before: the producer is stranded", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

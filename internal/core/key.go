@@ -16,7 +16,9 @@ import (
 // each group once) are
 // invalidated wholesale when the simulator's behavior changes. Bump it on any change that can shift a
 // simulation result: machine timing, coherence protocol, workload
-// generation, kernel layout.
+// generation, kernel layout. TestSimVersionTracksGoldens enforces the
+// rule for everything the paper and scenario goldens capture: it pins
+// this version together with a digest of those files.
 const SimVersion = "oscachesim/sim/v1"
 
 // CanonicalKey returns a content address for the run this configuration

@@ -10,7 +10,9 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"runtime/debug"
 	"time"
 
 	"oscachesim/internal/cluster"
@@ -87,12 +89,32 @@ func (s *Server) computeOutcome(ctx context.Context, cfg core.RunConfig) (*core.
 			return o, nil
 		}
 	}
-	o, err := s.opts.execute(ctx, cfg)
+	o, err := s.executeLocal(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.localExecs.Add(1)
 	return o, nil
+}
+
+// executeLocal runs one local simulation, turning a panic into an
+// error: a faulty run fails its own job (or its campaign cell, or the
+// peer's forwarded compute) with an internal error that names the
+// panic, instead of taking the daemon down. The stack goes to the
+// logger. Every run path reaches the simulator through here.
+func (s *Server) executeLocal(ctx context.Context, cfg core.RunConfig) (o *core.Outcome, err error) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		o, err = nil, fmt.Errorf("internal: simulation panicked: %v", v)
+		if l := s.opts.Logger; l != nil {
+			l.Error("simulation panicked", "workload", string(cfg.Workload),
+				"system", cfg.System.String(), "panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+		}
+	}()
+	return s.opts.execute(ctx, cfg)
 }
 
 // forwardCompute routes one configuration to the workers owning its

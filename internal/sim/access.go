@@ -13,7 +13,7 @@ import (
 // instrFetch models one instruction: one execution cycle, plus
 // I-hierarchy stall on an L1I miss. Instructions fill through the
 // unified secondary cache like everything else.
-func (s *Simulator) instrFetch(c *cpuState, r trace.Ref, mode int) {
+func (s *Simulator) instrFetch(c *cpuState, r *trace.Ref, mode int) {
 	s.c.Instrs[mode]++
 	s.c.Time[mode].Exec++
 	if r.Block != 0 {
@@ -40,7 +40,7 @@ func (s *Simulator) instrFetch(c *cpuState, r trace.Ref, mode int) {
 
 // readAccess models a load. Loads are blocking: the processor stalls
 // until the word arrives.
-func (s *Simulator) readAccess(c *cpuState, r trace.Ref, mode int) {
+func (s *Simulator) readAccess(c *cpuState, r *trace.Ref, mode int) {
 	s.advanceDrains(c)
 	l1line := c.l1d.LineAddr(r.Addr)
 
@@ -146,7 +146,7 @@ func (s *Simulator) bypassLoads() bool {
 }
 
 // bypassRead services a block load through the bypass line registers.
-func (s *Simulator) bypassRead(c *cpuState, r trace.Ref, mode int) {
+func (s *Simulator) bypassRead(c *cpuState, r *trace.Ref, mode int) {
 	l1line := c.l1d.LineAddr(r.Addr)
 	l2line := c.l2.LineAddr(r.Addr)
 
@@ -197,7 +197,7 @@ func (s *Simulator) markBypassed(c *cpuState, l2line uint64, block uint32) {
 
 // writeAccess models a store: one cycle into the write-through primary
 // cache plus the word-wide write buffer, stalling only on overflow.
-func (s *Simulator) writeAccess(c *cpuState, r trace.Ref, mode int) {
+func (s *Simulator) writeAccess(c *cpuState, r *trace.Ref, mode int) {
 	s.advanceDrains(c)
 	s.noteBlockDstTouch(c, r)
 
@@ -268,7 +268,7 @@ func (s *Simulator) writeAccess(c *cpuState, r trace.Ref, mode int) {
 
 // bypassWrite accumulates a block store in the destination line
 // registers, flushing full L2-level lines straight to the bus.
-func (s *Simulator) bypassWrite(c *cpuState, r trace.Ref, mode int) {
+func (s *Simulator) bypassWrite(c *cpuState, r *trace.Ref, mode int) {
 	l1line := c.l1d.LineAddr(r.Addr)
 	l2line := c.l2.LineAddr(r.Addr)
 	var stall uint64
@@ -312,7 +312,7 @@ func (s *Simulator) flushDstReg(c *cpuState) (stall uint64) {
 
 // prefetchAccess models a non-binding software prefetch: one execution
 // cycle, a non-blocking fill scheduled through the lockup-free L2.
-func (s *Simulator) prefetchAccess(c *cpuState, r trace.Ref, mode int) {
+func (s *Simulator) prefetchAccess(c *cpuState, r *trace.Ref, mode int) {
 	s.advanceDrains(c)
 	s.c.Instrs[mode]++
 	s.c.Time[mode].Exec++
@@ -355,7 +355,7 @@ func (s *Simulator) prefetchAccess(c *cpuState, r trace.Ref, mode int) {
 // dmaAccess models the Blk_Dma smart-controller transfer: the
 // processor stalls while the bus pipelines the block from source to
 // destination; caches are bypassed but kept coherent by snooping.
-func (s *Simulator) dmaAccess(c *cpuState, r trace.Ref, mode int) {
+func (s *Simulator) dmaAccess(c *cpuState, r *trace.Ref, mode int) {
 	s.advanceDrains(c)
 	size := uint64(r.Len)
 	if size == 0 {
@@ -652,7 +652,7 @@ func (s *Simulator) captureMissContext(c *cpuState, addr uint64) missContext {
 // recordReadMiss classifies one primary-cache read miss per the
 // Table 2 / Table 5 taxonomies and the displacement/reuse taxonomy of
 // Section 4.1.3, using the context captured before the fill.
-func (s *Simulator) recordReadMiss(c *cpuState, r trace.Ref, mode int, stall uint64, ctx missContext) {
+func (s *Simulator) recordReadMiss(c *cpuState, r *trace.Ref, mode int, stall uint64, ctx missContext) {
 	s.c.DReadMisses[mode]++
 	inBlock := r.Block != 0
 	if ctx.reuse {
@@ -673,7 +673,7 @@ func (s *Simulator) recordReadMiss(c *cpuState, r trace.Ref, mode int, stall uin
 
 	if r.Kind != trace.KindOS {
 		if s.obs != nil {
-			s.emit(Event{Kind: EvReadMiss, CPU: c.id, Addr: r.Addr, Ref: r, CtxInval: ctx.inval})
+			s.emit(Event{Kind: EvReadMiss, CPU: c.id, Addr: r.Addr, Ref: *r, CtxInval: ctx.inval})
 		}
 		return
 	}
@@ -693,7 +693,7 @@ func (s *Simulator) recordReadMiss(c *cpuState, r trace.Ref, mode int, stall uin
 	s.c.OSMissBy[cls]++
 	if s.obs != nil {
 		s.emit(Event{
-			Kind: EvReadMiss, CPU: c.id, Addr: r.Addr, Ref: r,
+			Kind: EvReadMiss, CPU: c.id, Addr: r.Addr, Ref: *r,
 			MissClass: cls, CohClass: cohCls, Classified: true, CtxInval: ctx.inval,
 		})
 	}
@@ -711,7 +711,7 @@ func (s *Simulator) recordReadMiss(c *cpuState, r trace.Ref, mode int, stall uin
 // maps are reused across operations (cleared, not reallocated): a
 // workload performs tens of thousands of block operations, and two map
 // allocations per operation was a steady hot-path leak.
-func (s *Simulator) startBlock(c *cpuState, r trace.Ref) {
+func (s *Simulator) startBlock(c *cpuState, r *trace.Ref) {
 	c.curBlock = r.Block
 	if r.Block == 0 {
 		return
@@ -752,7 +752,7 @@ func (s *Simulator) finishBlock(c *cpuState) {
 
 // noteBlockSrcTouch records Table 3's row 1: whether each distinct
 // source line was already in the primary cache at first touch.
-func (s *Simulator) noteBlockSrcTouch(c *cpuState, r trace.Ref, cached bool) {
+func (s *Simulator) noteBlockSrcTouch(c *cpuState, r *trace.Ref, cached bool) {
 	if r.Block == 0 || r.Role != trace.BlockSrc || c.blkSrcLines == nil {
 		return
 	}
@@ -773,7 +773,7 @@ func (s *Simulator) noteBlockSrcTouch(c *cpuState, r trace.Ref, cached bool) {
 
 // noteBlockDstTouch records Table 3's rows 2-3: the secondary-cache
 // state of each distinct destination line at first touch.
-func (s *Simulator) noteBlockDstTouch(c *cpuState, r trace.Ref) {
+func (s *Simulator) noteBlockDstTouch(c *cpuState, r *trace.Ref) {
 	if r.Block == 0 || r.Role != trace.BlockDst || c.blkDstLines == nil {
 		return
 	}
@@ -799,7 +799,7 @@ func (s *Simulator) noteBlockDstTouch(c *cpuState, r trace.Ref) {
 }
 
 // noteDMABlock records the block stats of a DMA-executed operation.
-func (s *Simulator) noteDMABlock(c *cpuState, r trace.Ref, size uint64) {
+func (s *Simulator) noteDMABlock(c *cpuState, r *trace.Ref, size uint64) {
 	if r.Block == 0 {
 		return
 	}
@@ -820,9 +820,14 @@ func (s *Simulator) advanceDrains(c *cpuState) { s.probeDrains(c.id, c.time) }
 // untouched. It then records the new horizon, dropping the processor
 // from drainMask once both buffers are empty.
 func (s *Simulator) probeDrains(id int, until uint64) {
-	if s.drainAt[id] > until {
-		return
+	if s.drainAt[id] <= until {
+		s.drainNow(id, until)
 	}
+}
+
+// drainNow is probeDrains' out-of-line half, kept apart so that the
+// horizon check inlines into every probe site.
+func (s *Simulator) drainNow(id int, until uint64) {
 	at := s.advanceDrainsUntil(s.cpus[id], until)
 	s.drainAt[id] = at
 	if at == never {

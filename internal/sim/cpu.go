@@ -87,18 +87,29 @@ type cpuState struct {
 // delivery").
 const refWindow = 32
 
-// next returns the processor's next reference, refilling its window
-// with one batch read when it runs dry, or false at the end of its
-// stream.
-func (c *cpuState) next() (trace.Ref, bool) {
+// next returns the processor's next reference, or nil at the end of
+// its stream. The reference is executed in place: the pointer addresses
+// c's window and stays valid only until c's next call to next, which
+// may refill the window. next is small enough to inline into step; the
+// batch read lives out of line in refill.
+func (c *cpuState) next() *trace.Ref {
 	if c.pos == c.n {
-		c.pos, c.n = 0, c.src.Read(c.win[:])
-		if c.n == 0 {
-			return trace.Ref{}, false
-		}
+		return c.refill()
 	}
 	c.pos++
-	return c.win[c.pos-1], true
+	return &c.win[c.pos-1]
+}
+
+// refill reads the processor's next batch into its window and returns
+// the batch's first reference (consumed), or nil when the stream is
+// exhausted.
+func (c *cpuState) refill() *trace.Ref {
+	c.pos, c.n = 0, c.src.Read(c.win[:])
+	if c.n == 0 {
+		return nil
+	}
+	c.pos = 1
+	return &c.win[0]
 }
 
 // pendingFill is an in-flight prefetch.

@@ -295,8 +295,8 @@ func (s *Simulator) step(c *cpuState) {
 			s.probeDrains(w*64+b, c.time)
 		}
 	}
-	r, ok := c.next()
-	if !ok {
+	r := c.next()
+	if r == nil {
 		c.done = true
 		s.finishBlock(c)
 		return
@@ -304,13 +304,15 @@ func (s *Simulator) step(c *cpuState) {
 	s.refs++
 	c.refs++
 	if s.obs != nil {
-		s.emit(Event{Kind: EvRef, CPU: c.id, Addr: r.Addr, Ref: r})
+		s.emit(Event{Kind: EvRef, CPU: c.id, Addr: r.Addr, Ref: *r})
 	}
 	s.exec(c, r)
 }
 
-// exec dispatches one reference.
-func (s *Simulator) exec(c *cpuState, r trace.Ref) {
+// exec dispatches one reference. r points into c's window and is valid
+// only for this call: whatever must outlive it (a lock or barrier
+// waiter, an observed Event) takes a copy.
+func (s *Simulator) exec(c *cpuState, r *trace.Ref) {
 	if r.Block != c.curBlock {
 		s.finishBlock(c)
 		s.startBlock(c, r)
@@ -351,7 +353,7 @@ func (s *Simulator) exec(c *cpuState, r trace.Ref) {
 // lockAcquire performs a test&set on the lock word. If the lock is
 // held the processor blocks; the write (and its coherence traffic)
 // happens when the lock is granted.
-func (s *Simulator) lockAcquire(c *cpuState, r trace.Ref, mode int) {
+func (s *Simulator) lockAcquire(c *cpuState, r *trace.Ref, mode int) {
 	l := s.locks[r.SyncID]
 	if l == nil {
 		l = &lockState{}
@@ -364,12 +366,12 @@ func (s *Simulator) lockAcquire(c *cpuState, r trace.Ref, mode int) {
 		s.writeAccess(c, r, mode)
 		return
 	}
-	l.waiters = append(l.waiters, waiter{cpu: c.id, arrived: c.time, ref: r})
+	l.waiters = append(l.waiters, waiter{cpu: c.id, arrived: c.time, ref: *r})
 	c.blocked = true
 }
 
 // lockRelease frees the lock or hands it to the first waiter.
-func (s *Simulator) lockRelease(c *cpuState, r trace.Ref) {
+func (s *Simulator) lockRelease(c *cpuState, r *trace.Ref) {
 	l := s.locks[r.SyncID]
 	if l == nil || !l.held || l.owner != c.id {
 		// A release without a matching acquire is tolerated (the
@@ -399,12 +401,12 @@ func (s *Simulator) lockRelease(c *cpuState, r trace.Ref) {
 	// seeding the next coherence miss on the lock). The write advances
 	// the grantee's clock, so it is re-keyed only afterwards.
 	s.c.DWrites[wmode]++
-	s.writeAccess(wc, w.ref, wmode)
+	s.writeAccess(wc, &w.ref, wmode)
 	s.runqSet(wc)
 }
 
 // barrierArrive blocks the processor until all participants arrive.
-func (s *Simulator) barrierArrive(c *cpuState, r trace.Ref, mode int) {
+func (s *Simulator) barrierArrive(c *cpuState, r *trace.Ref, mode int) {
 	need := int(r.Len)
 	if need <= 0 {
 		need = s.p.NumCPUs
@@ -414,7 +416,7 @@ func (s *Simulator) barrierArrive(c *cpuState, r trace.Ref, mode int) {
 		b = &barrierState{need: need}
 		s.barriers[r.SyncID] = b
 	}
-	b.arrived = append(b.arrived, waiter{cpu: c.id, arrived: c.time, ref: r})
+	b.arrived = append(b.arrived, waiter{cpu: c.id, arrived: c.time, ref: *r})
 	if len(b.arrived) < b.need {
 		c.blocked = true
 		return
