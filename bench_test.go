@@ -209,13 +209,14 @@ func BenchmarkEndToEndRun(b *testing.B) {
 	b.ReportMetric(float64(refs)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
 }
 
-// BenchmarkBuildAndRunStreaming is BenchmarkEndToEndRun on the
-// streaming pipeline: generation overlaps simulation and the trace is
-// never materialized. It reports B/op (the pooled chunks keep it far
-// below the materialized path's footprint), throughput, and peak-refs —
-// the pipeline's high-water mark of resident references, which stays
-// O(budget) regardless of scale where the materialized path holds the
-// whole trace.
+// BenchmarkBuildAndRunStreaming is BenchmarkEndToEndRun driven through
+// workload.Stream and sim.New by hand: generation after round 0
+// overlaps simulation and the whole trace never exists at once. It
+// reports B/op (the pooled chunks keep it far below a whole built
+// trace's footprint), throughput, and peak-refs — the pipeline's
+// high-water mark of resident references, which stays round 0 plus
+// O(budget) regardless of scale where a whole built trace grows with
+// it.
 func BenchmarkBuildAndRunStreaming(b *testing.B) {
 	b.ReportAllocs()
 	var refs uint64

@@ -241,7 +241,7 @@ func machineFromFlags(ncpus int, cohname string, l1wb bool) *sim.Params {
 // taxonomy the ossimd daemon exports as ossimd_run_stage_seconds, with
 // this invocation's report rendering as the render stage. Stream time
 // overlaps simulation, so the total excludes it; generator stalls show
-// how much of the simulate stage was spent waiting on generation.
+// how often (and how long) generation waited on the simulation.
 func reportStages(o *core.Outcome, render time.Duration) {
 	st := o.Stages
 	st.Render = render

@@ -173,18 +173,20 @@ type RunConfig struct {
 	// primary-cache eviction is attributed to the (evictor, victim)
 	// data-structure pair.
 	TrackConflicts bool
-	// Deprecated: Stream is ignored. Run streams a run if and only if
-	// it has no Monitor and generates more than one scheduling round
-	// (see Rounds). Excluded from CanonicalKey.
+	// Deprecated: Stream is ignored; Run streams every run (see Run).
+	// Excluded from CanonicalKey.
 	Stream bool
 	// Monitor, when non-nil, is called with the freshly built simulator
 	// before Run starts, letting callers attach an observer (the
-	// internal/check differential oracle) or inspect the machine.
+	// internal/check differential oracle) or inspect the machine. The
+	// simulator consumes single-use streams, so a Monitor observes the
+	// run as it happens; it cannot replay it after Run returns.
 	Monitor func(*sim.Simulator, sim.Params)
 	// Progress, when non-nil, receives sampled live counters during the
 	// run (refs processed, OS read misses, global clock) plus the
-	// workload's total reference count, for concurrent progress
-	// reporting. Runtime plumbing: excluded from CanonicalKey.
+	// references generated and the projected trace total, for
+	// concurrent progress reporting. Runtime plumbing: excluded from
+	// CanonicalKey.
 	Progress *sim.Progress
 	// OnStages, when non-nil, is called exactly once per actual
 	// simulation execution with the run's final stage timings — cached
@@ -198,13 +200,13 @@ type RunConfig struct {
 // record the observability layer attributes a run's time with, the way
 // the paper's monitor attributes stall time to miss categories.
 type StageTimings struct {
-	// Build is the materialized workload-generation time (zero for
-	// streamed runs, whose generation overlaps simulation: by default
-	// every multi-round run without a Monitor).
+	// Build is the time spent generating round 0 before the simulation
+	// starts. Every run records it.
 	Build time.Duration
-	// Stream is the streaming producer's wall time, from launch to the
-	// pipeline closing. It overlaps Simulate — the overlap is the
-	// point of streaming — so Total deliberately excludes it.
+	// Stream is the producer goroutine's wall time for the rounds after
+	// round 0, from launch to the pipeline closing; zero for a
+	// single-round run. It overlaps Simulate — the overlap is the point
+	// of streaming — so Total deliberately excludes it.
 	Stream time.Duration
 	// Simulate is the simulator's execution time.
 	Simulate time.Duration
@@ -238,8 +240,8 @@ type Outcome struct {
 	// caller that renders).
 	Stages StageTimings
 	// GenStalls and GenStallTime record how often — and for how long —
-	// a streaming run's producer blocked on a full pipeline queue. Both
-	// are zero for materialized runs.
+	// the run's producer blocked on a full pipeline queue. Both are
+	// zero for a single-round run.
 	GenStalls    uint64
 	GenStallTime time.Duration
 }
@@ -296,12 +298,10 @@ func machineParams(cfg RunConfig) sim.Params {
 // Run executes one configuration. Cancellation of ctx aborts the
 // simulation promptly; the returned error then wraps context.Cause(ctx).
 //
-// Run generates the workload concurrently with the simulation in
-// bounded chunks (see workload.Stream) whenever the run generates more
-// than one scheduling round (see Rounds) and has no Monitor; otherwise
-// it builds the trace whole first. The results are byte-identical on
-// both paths. A Monitor forces the materialized path because it may
-// hold the simulator (and its replayable sources) after Run returns.
+// Every run streams its workload (see workload.Stream): round 0 is
+// generated before the simulation starts, and a run of more than one
+// scheduling round (see Rounds) generates the rest concurrently with
+// the simulation in bounded chunks.
 func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -312,87 +312,8 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		}
 		cfg.Workload = workload.SpecWorkloadName(cfg.Scenario)
 	}
-	if cfg.Monitor == nil && cfg.Rounds() > 1 {
-		return runStreaming(ctx, cfg)
-	}
-
 	// The machine parameters come first: the workload is traced for
 	// exactly the machine's processor count.
-	p := machineParams(cfg)
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	buildStart := time.Now()
-	var built *workload.Built
-	if cfg.Scenario != nil {
-		var err error
-		built, err = workload.BuildSpec(cfg.Scenario, kernelOpt(cfg), cfg.Scale, cfg.Seed, p.NumCPUs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		built = workload.BuildN(cfg.Workload, kernelOpt(cfg), cfg.Scale, cfg.Seed, p.NumCPUs)
-	}
-	stages := StageTimings{Build: time.Since(buildStart)}
-	if cfg.Progress != nil {
-		cfg.Progress.SetTotalRefs(uint64(built.TotalRefs()))
-	}
-
-	s, err := sim.New(p, built.Sources())
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Monitor != nil {
-		cfg.Monitor(s, p)
-	}
-	simStart := time.Now()
-	res, err := s.Run(ctx)
-	stages.Simulate = time.Since(simStart)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s on %s: %w", cfg.System, cfg.Workload, err)
-	}
-	if cfg.Monitor == nil {
-		// Recycle the trace's backing arrays. A Monitor may have kept a
-		// handle on the simulator (and through it the sources), so the
-		// release is skipped in that case.
-		built.Release()
-	}
-	if cfg.OnStages != nil {
-		cfg.OnStages(stages)
-	}
-	return &Outcome{
-		Config:    cfg,
-		Counters:  res.Counters,
-		Deferred:  built.Kernel.DeferredCopies(),
-		Refs:      res.Refs,
-		CPUTime:   res.CPUTime,
-		Conflicts: res.Conflicts,
-		Stages:    stages,
-	}, nil
-}
-
-// Rounds is the number of scheduling rounds cfg generates, derived as
-// the generators derive it: Scale rounds of a classic workload
-// (0 = workload.DefaultScale), or the scenario's phase rounds, each
-// multiplied by Scale (<= 0 means 1). Run streams a multi-round run
-// because generating the later rounds overlaps simulating the earlier
-// ones on a second processor (and on one processor it measured no
-// slower). A single-round run has nothing to overlap — the simulator
-// waits for each CPU's first chunk and round 0 is generated CPU by
-// CPU — so it is built whole, which measured faster.
-func (cfg RunConfig) Rounds() int {
-	if cfg.Scenario != nil {
-		return cfg.Scenario.TotalRounds() * max(cfg.Scale, 1)
-	}
-	if cfg.Scale <= 0 {
-		return workload.DefaultScale
-	}
-	return cfg.Scale
-}
-
-// runStreaming executes one configuration with generation overlapped
-// with simulation through the chunk pipeline.
-func runStreaming(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	p := machineParams(cfg)
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -402,6 +323,7 @@ func runStreaming(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		sopt.OnProgress = cfg.Progress.GenSample
 		sopt.OnStalls = cfg.Progress.GenStallSample
 	}
+	buildStart := time.Now()
 	var st *workload.Streamed
 	if cfg.Scenario != nil {
 		var err error
@@ -412,6 +334,7 @@ func runStreaming(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	} else {
 		st = workload.Stream(cfg.Workload, kernelOpt(cfg), cfg.Scale, cfg.Seed, sopt)
 	}
+	stages := StageTimings{Build: time.Since(buildStart)}
 
 	// A panic below must not strand the producer on a full pipeline:
 	// release it before the panic travels on to whoever recovers it.
@@ -426,21 +349,24 @@ func runStreaming(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		st.Abort()
 		return nil, err
 	}
+	if cfg.Monitor != nil {
+		cfg.Monitor(s, p)
+	}
 	simStart := time.Now()
 	res, err := s.Run(ctx)
-	simElapsed := time.Since(simStart)
+	stages.Simulate = time.Since(simStart)
 	if err != nil {
 		// The producer may be parked on a full pipeline; release it and
 		// recycle whatever it queued before reporting the failure.
 		st.Abort()
 		return nil, fmt.Errorf("core: %s on %s: %w", cfg.System, cfg.Workload, err)
 	}
-	// The simulation drained every source, so the producer has finished
+	// The simulation drained every source, so generation has finished
 	// (or panicked — surface that rather than half a result).
 	if err := st.Wait(); err != nil {
 		return nil, fmt.Errorf("core: %s on %s: %w", cfg.System, cfg.Workload, err)
 	}
-	stages := StageTimings{Stream: st.Elapsed(), Simulate: simElapsed}
+	stages.Stream = st.Elapsed()
 	stalls, stallTime := st.GenStalls()
 	if cfg.OnStages != nil {
 		cfg.OnStages(stages)
@@ -456,6 +382,22 @@ func runStreaming(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		GenStalls:    stalls,
 		GenStallTime: stallTime,
 	}, nil
+}
+
+// Rounds is the number of scheduling rounds cfg generates, derived as
+// the generators derive it: Scale rounds of a classic workload
+// (0 = workload.DefaultScale), or the scenario's phase rounds, each
+// multiplied by Scale (<= 0 means 1). Run generates round 0 before the
+// simulation starts and the remaining rounds, if any, concurrently
+// with it.
+func (cfg RunConfig) Rounds() int {
+	if cfg.Scenario != nil {
+		return cfg.Scenario.TotalRounds() * max(cfg.Scale, 1)
+	}
+	if cfg.Scale <= 0 {
+		return workload.DefaultScale
+	}
+	return cfg.Scale
 }
 
 // RunAll runs one workload under several systems with a shared seed

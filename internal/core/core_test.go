@@ -9,6 +9,7 @@ import (
 	"oscachesim/internal/scenario"
 	"oscachesim/internal/sim"
 	"oscachesim/internal/stats"
+	"oscachesim/internal/trace"
 	"oscachesim/internal/workload"
 )
 
@@ -205,9 +206,9 @@ func TestRunPureUpdate(t *testing.T) {
 
 // TestRunStreamingMatchesMaterialized pins the pipeline contract at the
 // core boundary: streaming is an execution strategy, not a
-// configuration — the streamed pipeline (every run here is
+// configuration — Run's streamed pipeline (every run here is
 // multi-round) must produce the exact counters, reference totals, and
-// deferred-copy stats the materialized path does, across systems with
+// deferred-copy stats a whole built trace does, across systems with
 // different kernel builds and machine models, under one CanonicalKey.
 func TestRunStreamingMatchesMaterialized(t *testing.T) {
 	cfgs := []RunConfig{
@@ -217,10 +218,7 @@ func TestRunStreamingMatchesMaterialized(t *testing.T) {
 		{Workload: workload.TRFD4, System: BCohRelUp, Scale: testScale, Seed: 3, PureUpdate: true},
 	}
 	for _, cfg := range cfgs {
-		mat, err := Run(context.Background(), materialized(cfg))
-		if err != nil {
-			t.Fatalf("%v materialized: %v", cfg.System, err)
-		}
+		mat := reference(t, cfg)
 		str, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%v streaming: %v", cfg.System, err)
@@ -240,11 +238,38 @@ func TestRunStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// materialized returns cfg with a no-op Monitor, which keeps Run on the
-// materialized path for any round count.
-func materialized(cfg RunConfig) RunConfig {
-	cfg.Monitor = func(*sim.Simulator, sim.Params) {}
-	return cfg
+// reference runs cfg the long way, as Run's streamed pipeline must
+// reproduce it: the whole trace built with workload.BuildN or
+// workload.BuildSpec, then simulated by sim.New directly.
+func reference(t *testing.T, cfg RunConfig) *Outcome {
+	t.Helper()
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	p := machineParams(cfg)
+	var built *workload.Built
+	if cfg.Scenario != nil {
+		cfg.Workload = workload.SpecWorkloadName(cfg.Scenario)
+		var err error
+		if built, err = workload.BuildSpec(cfg.Scenario, kernelOpt(cfg), cfg.Scale, cfg.Seed, p.NumCPUs); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		built = workload.BuildN(cfg.Workload, kernelOpt(cfg), cfg.Scale, cfg.Seed, p.NumCPUs)
+	}
+	defer built.Release()
+	s, err := sim.New(p, built.Sources())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Outcome{
+		Config: cfg, Counters: res.Counters, Deferred: built.Kernel.DeferredCopies(),
+		Refs: res.Refs, CPUTime: res.CPUTime,
+	}
 }
 
 // TestHeadlineRobustAcrossSeeds guards the paper's headline against
@@ -270,11 +295,10 @@ func TestHeadlineRobustAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestRunStageTimings pins the stage-timing contract of Run: a
-// materialized run records Build and Simulate (no Stream), a streaming
-// run records Stream and Simulate (no Build), and OnStages fires
-// exactly once with the outcome's own timings. A single-round run is
-// materialized and a multi-round one streams.
+// TestRunStageTimings pins the stage-timing contract of Run: every run
+// records Build (round 0) and Simulate, a multi-round run also records
+// Stream (the overlapped producer), and OnStages fires exactly once
+// with the outcome's own timings.
 func TestRunStageTimings(t *testing.T) {
 	var fired int
 	var got StageTimings
@@ -293,16 +317,16 @@ func TestRunStageTimings(t *testing.T) {
 		t.Errorf("OnStages saw %+v, outcome has %+v", got, o.Stages)
 	}
 	if o.Stages.Build <= 0 || o.Stages.Simulate <= 0 {
-		t.Errorf("materialized run missing build/simulate timing: %+v", o.Stages)
+		t.Errorf("single-round run missing build/simulate timing: %+v", o.Stages)
 	}
 	if o.Stages.Stream != 0 {
-		t.Errorf("materialized run recorded stream time: %+v", o.Stages)
+		t.Errorf("single-round run recorded stream time: %+v", o.Stages)
 	}
 	if total := o.Stages.Total(); total != o.Stages.Build+o.Stages.Simulate {
 		t.Errorf("Total() = %v, want Build+Simulate (Render unset)", total)
 	}
 	if o.GenStalls != 0 || o.GenStallTime != 0 {
-		t.Errorf("materialized run reported gen stalls: %d/%v", o.GenStalls, o.GenStallTime)
+		t.Errorf("single-round run reported gen stalls: %d/%v", o.GenStalls, o.GenStallTime)
 	}
 
 	cfg.Scale = testScale
@@ -312,24 +336,27 @@ func TestRunStageTimings(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fired != 1 {
-		t.Fatalf("streaming OnStages fired %d times, want 1", fired)
+		t.Fatalf("multi-round OnStages fired %d times, want 1", fired)
 	}
-	if so.Stages.Stream <= 0 || so.Stages.Simulate <= 0 {
-		t.Errorf("streaming run missing stream/simulate timing: %+v", so.Stages)
+	if so.Stages.Build <= 0 || so.Stages.Stream <= 0 || so.Stages.Simulate <= 0 {
+		t.Errorf("multi-round run missing build/stream/simulate timing: %+v", so.Stages)
 	}
-	if so.Stages.Build != 0 {
-		t.Errorf("streaming run recorded build time: %+v", so.Stages)
+	if total := so.Stages.Total(); total != so.Stages.Build+so.Stages.Simulate {
+		t.Errorf("Total() = %v, want Build+Simulate (Stream overlaps)", total)
 	}
 }
 
-// TestRunPathSelection pins which pipeline Run picks, read off the
-// stage timings (Build for materialized, Stream for streamed): a
-// single-round run is materialized, a multi-round run streams, and a
-// Monitor forces the materialized path. The deprecated Stream is
-// ignored.
+// TestRunPathSelection pins Run's one path, read off the stage
+// timings: every run records Build (round 0), Stream is recorded if
+// and only if the run generates more than one round, and a Monitor
+// changes neither. The deprecated Stream is ignored.
 func TestRunPathSelection(t *testing.T) {
 	mix := preset(t, "os-mix")
 	one := &scenario.Spec{Name: "one-round", Phases: []scenario.Phase{{Rounds: 1}}}
+	monitor := func(cfg RunConfig) RunConfig {
+		cfg.Monitor = func(*sim.Simulator, sim.Params) {}
+		return cfg
+	}
 	cases := []struct {
 		name   string
 		cfg    RunConfig
@@ -337,7 +364,8 @@ func TestRunPathSelection(t *testing.T) {
 	}{
 		{"scale 1", RunConfig{Workload: workload.Shell, Scale: 1}, false},
 		{"multi-round", RunConfig{Workload: workload.Shell, Scale: testScale}, true},
-		{"monitor", materialized(RunConfig{Workload: workload.Shell, Scale: testScale}), false},
+		{"monitor at scale 1", monitor(RunConfig{Workload: workload.Shell, Scale: 1}), false},
+		{"monitor", monitor(RunConfig{Workload: workload.Shell, Scale: testScale}), true},
 		{"deprecated stream at scale 1", RunConfig{Workload: workload.Shell, Scale: 1, Stream: true}, false},
 		{"one-round scenario", RunConfig{Scenario: one}, false},
 		{"multi-round scenario", RunConfig{Scenario: mix}, true},
@@ -345,18 +373,58 @@ func TestRunPathSelection(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			c.cfg.System, c.cfg.Seed = BlkDma, 1
+			if multi := c.cfg.Rounds() > 1; multi != c.stream {
+				t.Fatalf("Rounds() = %d, case expects multi-round %v", c.cfg.Rounds(), c.stream)
+			}
 			o, err := Run(context.Background(), c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st := o.Stages
-			if c.stream && (st.Stream <= 0 || st.Build != 0) {
-				t.Errorf("stages %+v, want a streamed run (Stream>0, Build==0)", st)
+			if st.Build <= 0 {
+				t.Errorf("stages %+v, want Build>0 on every run", st)
 			}
-			if !c.stream && (st.Build <= 0 || st.Stream != 0) {
-				t.Errorf("stages %+v, want a materialized run (Build>0, Stream==0)", st)
+			if c.stream && st.Stream <= 0 {
+				t.Errorf("stages %+v, want Stream>0 on a multi-round run", st)
+			}
+			if !c.stream && st.Stream != 0 {
+				t.Errorf("stages %+v, want Stream==0 on a single-round run", st)
 			}
 		})
+	}
+}
+
+// TestRunRoundZeroOverBudget pins round 0's hand-off: a single-round
+// scenario whose per-CPU output is many times the pipeline budget
+// arrives as one chunk per CPU, runs through Run without deadlock, and
+// reproduces the whole built trace's counters.
+func TestRunRoundZeroOverBudget(t *testing.T) {
+	big := &scenario.Spec{Name: "big-round", Phases: []scenario.Phase{{Rounds: 1, UserRefs: 200_000}}}
+	cfg := RunConfig{Scenario: big, System: BCPref, Seed: 1}
+	done := make(chan struct{})
+	var o *Outcome
+	var err error
+	go func() {
+		defer close(done)
+		o, err = Run(context.Background(), cfg)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("single-round run over the pipeline budget did not finish")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reference(t, cfg)
+	if o.Refs/uint64(sim.DefaultParams().NumCPUs) < 4*trace.DefaultChunkRefs {
+		t.Fatalf("%d refs do not exceed the pipeline budget per CPU", o.Refs)
+	}
+	if o.Counters != want.Counters || o.Refs != want.Refs {
+		t.Fatal("single-round streamed run diverged from the built reference")
+	}
+	if o.Stages.Stream != 0 {
+		t.Errorf("single-round run started a producer: %+v", o.Stages)
 	}
 }
 

@@ -28,9 +28,8 @@ const SimVersion = "oscachesim/sim/v1"
 // deduplicate and cache on, across processes and restarts.
 //
 // Runtime plumbing (Monitor, Progress) is excluded — it cannot change
-// results. So is the deprecated, ignored Stream. Whether Run streams
-// follows from hashed fields (Scale, Scenario) and the Monitor, and
-// both pipelines are pinned byte-identical by the determinism tiers.
+// results. So is the deprecated, ignored Stream: Run streams every
+// run.
 // The Machine's Attrs and RegionNamer are also excluded: Run derives
 // both from hashed fields (System, UpdateSet, PureUpdate,
 // TrackConflicts), overwriting whatever the caller supplied.

@@ -66,14 +66,11 @@ func TestRunScenario(t *testing.T) {
 }
 
 // TestRunScenarioStreamIdentical pins the strategy-independence of
-// scenario runs: the streaming path (os-mix is multi-round) must
-// reproduce the materialized counters exactly.
+// scenario runs: Run's streamed pipeline (os-mix is multi-round) must
+// reproduce the whole built trace's counters exactly.
 func TestRunScenarioStreamIdentical(t *testing.T) {
 	base := RunConfig{Scenario: preset(t, "os-mix"), System: BCPref, Seed: 3}
-	a, err := Run(context.Background(), materialized(base))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := reference(t, base)
 	b, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)

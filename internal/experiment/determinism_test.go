@@ -99,9 +99,9 @@ func TestRunConfigsCancellation(t *testing.T) {
 
 // TestDirectoryDeterminism pins the generalized machine to the same
 // reproducibility bar as the paper's: a 16-CPU directory-coherent run
-// must be byte-identical whether it executes serially on the
-// materialized path, through the worker pool, or on the streaming
-// pipeline. Under -race
+// must be byte-identical whether its whole trace is built and simulated
+// serially, or it runs through core.Run's streaming pipeline, directly
+// or through the worker pool. Under -race
 // in CI this also exercises the per-home port timelines and the
 // directory map under real scheduler contention.
 func TestDirectoryDeterminism(t *testing.T) {
@@ -118,14 +118,7 @@ func TestDirectoryDeterminism(t *testing.T) {
 		Workload: workload.Shell, System: core.BlkDma, Scale: 2, Seed: 1,
 		Machine: machine(),
 	}
-	// A no-op Monitor keeps the serial reference on the materialized
-	// path, which core.Run would otherwise leave for the streamed one.
-	ref := base
-	ref.Monitor = func(*sim.Simulator, sim.Params) {}
-	want, err := core.Run(context.Background(), ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, base)
 	if want.Refs == 0 {
 		t.Fatal("no references simulated")
 	}
@@ -163,4 +156,36 @@ func TestDirectoryDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reference runs cfg the long way, as core.Run's streamed pipeline must
+// reproduce it: the whole trace built with workload.BuildN or
+// workload.BuildSpec, then simulated by sim.New directly. It covers
+// the configurations these tests run: a system on an optional machine.
+func reference(t *testing.T, cfg core.RunConfig) *core.Outcome {
+	t.Helper()
+	p := sim.DefaultParams()
+	if cfg.Machine != nil {
+		p = *cfg.Machine
+	}
+	cfg.System.Apply(&p)
+	var built *workload.Built
+	if cfg.Scenario != nil {
+		var err error
+		if built, err = workload.BuildSpec(cfg.Scenario, cfg.System.KernelOpt(), cfg.Scale, cfg.Seed, p.NumCPUs); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		built = workload.BuildN(cfg.Workload, cfg.System.KernelOpt(), cfg.Scale, cfg.Seed, p.NumCPUs)
+	}
+	defer built.Release()
+	s, err := sim.New(p, built.Sources())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &core.Outcome{Config: cfg, Counters: res.Counters, Refs: res.Refs, CPUTime: res.CPUTime}
 }

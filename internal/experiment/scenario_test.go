@@ -6,7 +6,6 @@ import (
 
 	"oscachesim/internal/core"
 	"oscachesim/internal/scenario"
-	"oscachesim/internal/sim"
 )
 
 func scenarioCfg(t *testing.T, name string, sys core.System) core.RunConfig {
@@ -19,23 +18,15 @@ func scenarioCfg(t *testing.T, name string, sys core.System) core.RunConfig {
 }
 
 // TestScenarioDeterminism pins the scenario engine's execution-strategy
-// independence: for every preset, the serial materialized run and the
-// parallel scheduler, which streams (the presets are multi-round), must
-// produce identical counters. Runs under -race in CI alongside the
-// other determinism tiers.
+// independence: for every preset, the whole built trace simulated
+// serially and the parallel scheduler, which streams, must produce
+// identical counters. Runs under -race in CI alongside the other
+// determinism tiers.
 func TestScenarioDeterminism(t *testing.T) {
 	ctx := context.Background()
-	serial := NewRunner(Config{Seed: 1})
 	parallel := NewRunner(Config{Seed: 1, Workers: 4})
 	for _, name := range scenario.PresetNames() {
-		// A no-op Monitor keeps the serial run materialized; the
-		// presets are multi-round, so core.Run would otherwise stream it.
-		ref := scenarioCfg(t, name, core.Base)
-		ref.Monitor = func(*sim.Simulator, sim.Params) {}
-		want, err := serial.OutcomeConfig(ctx, ref)
-		if err != nil {
-			t.Fatalf("%s serial: %v", name, err)
-		}
+		want := reference(t, scenarioCfg(t, name, core.Base))
 		got, err := parallel.OutcomeConfig(ctx, scenarioCfg(t, name, core.Base))
 		if err != nil {
 			t.Fatalf("%s parallel: %v", name, err)

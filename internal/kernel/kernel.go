@@ -33,8 +33,8 @@ type OptConfig struct {
 	HotSpotPrefetch bool
 }
 
-// Emitter accumulates the reference stream of one processor. In the
-// materialized path Refs simply grows for the whole build; a streaming
+// Emitter accumulates the reference stream of one processor. A build
+// (and round 0 of a stream) lets Refs simply grow; a streaming
 // producer instead sets Flush/FlushAt so the buffer is handed off in
 // bounded chunks as it fills.
 type Emitter struct {
@@ -74,7 +74,7 @@ func (e *Emitter) EmitBatch(rs []trace.Ref) {
 }
 
 // maybeFlush hands the buffer to the Flush hook once it reaches the
-// flush threshold. Nil-checked first so the materialized path pays a
+// flush threshold. Nil-checked first so an unflushed emitter pays a
 // single predictable branch.
 func (e *Emitter) maybeFlush() {
 	if e.Flush != nil && e.FlushAt > 0 && len(e.Refs) >= e.FlushAt {

@@ -2,11 +2,44 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"testing"
+	"time"
 
+	"oscachesim/internal/core"
 	"oscachesim/internal/sim"
 )
+
+// runRequestSeeds are the /v1/runs bodies both run-request fuzz
+// targets start from.
+var runRequestSeeds = []string{
+	``,
+	`{}`,
+	`{"workload":"TRFD_4","system":"Base"}`,
+	`{"workload":"TRFD_4","system":"Base","scale":2,"seed":7}`,
+	`{"workload":"TRFD+Make","system":"Blk_Dma","deferred_copy":true}`,
+	`{"workload":"TRFD_4","system":"BCoh_RelUp","pure_update":true,"timeout_ms":1000}`,
+	`{"workload":"TRFD_4","system":"Base","machine":{"l1d_size_kb":32,"l1d_line":64,"l2_line":64}}`,
+	`{"workload":"TRFD_4","system":"Base","machine":{"num_cpus":8,"mshr":4,"mem_cycles":50}}`,
+	`{"workload":"nope","system":"Base"}`,
+	`{"workload":"TRFD_4","system":"Base","scale":-1}`,
+	`{"workload":"TRFD_4","system":"Base","machine":{"l1d_line":24}}`,
+	`{"workload":"TRFD_4","system":"Base","bogus":true}`,
+	`{"workload":"TRFD_4","system":"Base"} trailing`,
+	`[1,2,3]`,
+	`"just a string"`,
+	`{"workload":"TRFD_4","system":"Base","machine":{"l1d_size_kb":18446744073709551615}}`,
+	`{"workload":"Shell","system":"Base","scale":1,"machine":{"mshr":1125899906842624}}`,
+	`{"scenario":{"preset":"fs-naive"},"system":"Base"}`,
+	`{"scenario":{"spec":{"name":"t","phases":[{"rounds":1,"sharing_degree":2,"shared_frac":0.3}]}},"system":"Base"}`,
+	`{"scenario":{"spec":{"name":"t","phases":[{"rounds":0}]}},"system":"Base"}`,
+	`{"scenario":{"preset":"fs-naive","spec":{"name":"t","phases":[{"rounds":1}]}},"system":"Base"}`,
+	`{"workload":"TRFD_4","scenario":{"preset":"fs-naive"},"system":"Base"}`,
+	`{"scenario":{},"system":"Base"}`,
+	`{"scenario":{"spec":{"name":"t","phases":[{"rounds":4096}]}},"system":"Base","scale":1000}`,
+}
 
 // FuzzDecodeRunRequest drives the /v1/runs body decoder with arbitrary
 // bytes. The contract under fuzzing: decodeRunRequest never panics, and
@@ -16,33 +49,7 @@ import (
 // if overridden, passed sim.Params.Validate, so a fuzz-crafted geometry
 // can never reach the simulator.
 func FuzzDecodeRunRequest(f *testing.F) {
-	seeds := []string{
-		``,
-		`{}`,
-		`{"workload":"TRFD_4","system":"Base"}`,
-		`{"workload":"TRFD_4","system":"Base","scale":2,"seed":7}`,
-		`{"workload":"TRFD+Make","system":"Blk_Dma","deferred_copy":true}`,
-		`{"workload":"TRFD_4","system":"BCoh_RelUp","pure_update":true,"timeout_ms":1000}`,
-		`{"workload":"TRFD_4","system":"Base","machine":{"l1d_size_kb":32,"l1d_line":64,"l2_line":64}}`,
-		`{"workload":"TRFD_4","system":"Base","machine":{"num_cpus":8,"mshr":4,"mem_cycles":50}}`,
-		`{"workload":"nope","system":"Base"}`,
-		`{"workload":"TRFD_4","system":"Base","scale":-1}`,
-		`{"workload":"TRFD_4","system":"Base","machine":{"l1d_line":24}}`,
-		`{"workload":"TRFD_4","system":"Base","bogus":true}`,
-		`{"workload":"TRFD_4","system":"Base"} trailing`,
-		`[1,2,3]`,
-		`"just a string"`,
-		`{"workload":"TRFD_4","system":"Base","machine":{"l1d_size_kb":18446744073709551615}}`,
-		`{"workload":"Shell","system":"Base","scale":1,"machine":{"mshr":1125899906842624}}`,
-		`{"scenario":{"preset":"fs-naive"},"system":"Base"}`,
-		`{"scenario":{"spec":{"name":"t","phases":[{"rounds":1,"sharing_degree":2,"shared_frac":0.3}]}},"system":"Base"}`,
-		`{"scenario":{"spec":{"name":"t","phases":[{"rounds":0}]}},"system":"Base"}`,
-		`{"scenario":{"preset":"fs-naive","spec":{"name":"t","phases":[{"rounds":1}]}},"system":"Base"}`,
-		`{"workload":"TRFD_4","scenario":{"preset":"fs-naive"},"system":"Base"}`,
-		`{"scenario":{},"system":"Base"}`,
-		`{"scenario":{"spec":{"name":"t","phases":[{"rounds":4096}]}},"system":"Base","scale":1000}`,
-	}
-	for _, s := range seeds {
+	for _, s := range runRequestSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -87,6 +94,46 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		// it is the job's identity.
 		if key := cfg.CanonicalKey(); len(key) != 64 {
 			t.Fatalf("canonical key %q is not a sha256 hex digest", key)
+		}
+	})
+}
+
+// FuzzRunRequest runs what FuzzDecodeRunRequest decodes: every body
+// decodeRunRequest accepts goes through core.Run, shrunk to a fuzzing
+// budget (scale at most 2, at most 8 CPUs, caches no larger than the
+// paper machine's) and under a deadline. The contract: no panic, and
+// every error is a request error or the deadline's cancellation.
+func FuzzRunRequest(f *testing.F) {
+	for _, s := range runRequestSeeds {
+		f.Add([]byte(s))
+	}
+	paper := sim.DefaultParams()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, _, err := decodeRunRequest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if cfg.Scale <= 0 || cfg.Scale > 2 {
+			cfg.Scale = 2
+		}
+		// Round 0 is generated whole before the deadline can stop the
+		// run, so a scenario's length is bounded up front.
+		if cfg.Scenario != nil && cfg.Scenario.EffectiveUserRefs()*cfg.Scale > 1<<17 {
+			return
+		}
+		if m := cfg.Machine; m != nil {
+			m.NumCPUs = min(m.NumCPUs, 8)
+			m.L1I.Size = min(m.L1I.Size, paper.L1I.Size)
+			m.L1D.Size = min(m.L1D.Size, paper.L1D.Size)
+			m.L2.Size = min(m.L2.Size, paper.L2.Size)
+			if m.Validate() != nil {
+				return // the clamp, not the request, broke the geometry
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		if _, err := core.Run(ctx, cfg); err != nil && !isRequestError(err) && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("accepted request failed to run: %v", err)
 		}
 	})
 }

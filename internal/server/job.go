@@ -238,9 +238,10 @@ type RunResult struct {
 	BusTransactions uint64  `json:"bus_transactions"`
 	BusBytes        uint64  `json:"bus_bytes"`
 	SimSeconds      float64 `json:"sim_seconds"`
-	// GenStalls and GenStallSeconds are a streaming run's backpressure
-	// record: how often (and for how long) the trace producer blocked
-	// on a full pipeline queue. Absent for materialized runs.
+	// GenStalls and GenStallSeconds are the run's backpressure record:
+	// how often (and for how long) the trace producer blocked on a full
+	// pipeline queue. Absent when it never blocked (always so for a
+	// single-round run).
 	GenStalls       uint64  `json:"gen_stalls,omitempty"`
 	GenStallSeconds float64 `json:"gen_stall_seconds,omitempty"`
 }
@@ -268,9 +269,9 @@ func summarize(o *core.Outcome) *RunResult {
 }
 
 // StageView is the JSON rendering of a run's wall-clock decomposition
-// (core.StageTimings). Build and Stream are mutually exclusive:
-// materialized runs build, streaming runs stream (overlapped with
-// simulation, which is why TotalSeconds excludes stream time). For a
+// (core.StageTimings). Every run builds round 0 before it simulates; a
+// run of more than one round also streams the rest, overlapped with
+// simulation, which is why TotalSeconds excludes stream time. For a
 // campaign job the fields are sums over its executions.
 type StageView struct {
 	BuildSeconds    float64 `json:"build_seconds,omitempty"`
@@ -292,8 +293,8 @@ func stageView(t core.StageTimings) *StageView {
 }
 
 // ProgressView is the progress section of a job's JSON view. GenRefs
-// tracks the workload generator: equal to TotalRefs for materialized
-// runs, advancing between Refs and TotalRefs while a streaming run's
+// tracks the workload generator: equal to TotalRefs for a single-round
+// run, advancing between Refs and TotalRefs while a multi-round run's
 // producer works ahead of its simulation.
 type ProgressView struct {
 	Refs         uint64  `json:"refs"`

@@ -9,8 +9,9 @@ import "sync/atomic"
 // advancing global clock without stopping or locking the simulation.
 //
 // Attach one via Params.Progress (or core.RunConfig.Progress, which
-// also sets the trace total). Progress is runtime plumbing, not part of
-// the simulated configuration: it is excluded from canonical run keys.
+// also feeds it the generation counters and the projected trace
+// total). Progress is runtime plumbing, not part of the simulated
+// configuration: it is excluded from canonical run keys.
 type Progress struct {
 	refs      atomic.Uint64
 	genRefs   atomic.Uint64
@@ -28,19 +29,20 @@ type Progress struct {
 type ProgressSnapshot struct {
 	// Refs is the number of trace references processed so far.
 	Refs uint64
-	// GenRefs is the number of references generated so far. Under a
-	// materialized build it equals TotalRefs from the start; under a
-	// streaming build it advances round by round as the producer runs
-	// ahead of (and overlapped with) the simulation.
+	// GenRefs is the number of references generated so far. It covers
+	// round 0 before the simulation starts and then advances round by
+	// round as the producer runs ahead of (and overlapped with) the
+	// simulation; a single-round run's GenRefs equals TotalRefs from
+	// the start.
 	GenRefs uint64
-	// GenStalls counts how often a streaming build's producer has
-	// blocked on a full pipeline queue so far — live backpressure
-	// evidence that the simulation, not generation, is the bottleneck.
-	// Always 0 for materialized builds.
+	// GenStalls counts how often the workload producer has blocked on a
+	// full pipeline queue so far — live backpressure evidence that the
+	// simulation, not generation, is the bottleneck. Always 0 for a
+	// single-round run.
 	GenStalls uint64
-	// TotalRefs is the total reference count of the built workload
-	// (0 until the workload generator reports or projects it; a
-	// streaming build projects it from the first generated round).
+	// TotalRefs is the workload's projected total reference count (0
+	// until round 0 has been generated, which projects it; exact for a
+	// single-round run).
 	TotalRefs uint64
 	// OSReadMisses is the live OS primary-data-cache read-miss count.
 	OSReadMisses uint64
@@ -50,14 +52,6 @@ type ProgressSnapshot struct {
 	// Done reports that the simulation finished (the other fields are
 	// final).
 	Done bool
-}
-
-// SetTotalRefs records the workload's total reference count. A
-// materialized build has generated every reference by the time the
-// total is known, so the generation counter advances with it.
-func (p *Progress) SetTotalRefs(n uint64) {
-	p.totalRefs.Store(n)
-	p.genRefs.Store(n)
 }
 
 // GenSample publishes one generation-side observation from a streaming

@@ -1,12 +1,10 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"oscachesim/internal/kernel"
 	"oscachesim/internal/scenario"
-	"oscachesim/internal/trace"
 )
 
 // Scenario-driven builds. BuildSpec and StreamSpec are the
@@ -15,7 +13,7 @@ import (
 // the per-round service-plan stream) drives a scenario.Generator
 // instead of a calibrated Profile, so scenario traces inherit every
 // determinism property of the built-in workloads — byte-identical
-// across repeats, across the materialized/streaming paths, and (for
+// across repeats, between BuildSpec and StreamSpec, and (for
 // the first NumCPUs processors) across machine widths.
 
 // SpecWorkloadName is the workload name a scenario build reports:
@@ -31,66 +29,45 @@ func SpecWorkloadName(spec *scenario.Spec) Name {
 // The spec is validated first; field violations surface as
 // *scenario.FieldError.
 func BuildSpec(spec *scenario.Spec, opt kernel.OptConfig, scale int, seed int64, ncpus int) (*Built, error) {
-	if ncpus == 0 {
-		ncpus = NumCPUs
-	}
-	if ncpus < 1 || ncpus > MaxCPUs {
-		return nil, fmt.Errorf("workload: BuildSpec with %d CPUs (want 1..%d)", ncpus, MaxCPUs)
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	k := kernel.New(opt)
-	g, err := newSpecGenerator(spec, k, seed, ncpus, scale)
+	pl, err := specPlan("BuildSpec", spec, opt, scale, seed, ncpus)
 	if err != nil {
 		return nil, err
 	}
-	for c := 0; c < ncpus; c++ {
-		g.ems[c] = &kernel.Emitter{CPU: uint8(c), Refs: trace.GetBatch(1 << 14)}
-	}
-	total := g.scen.TotalRounds()
-	for round := 0; round < total; round++ {
-		g.specRound(round)
-		if round == 0 && total > 1 {
-			// As in BuildN: the first round sizes the rest.
-			for c := 0; c < ncpus; c++ {
-				g.ems[c].Reserve(len(g.ems[c].Refs) * (total - 1) * 11 / 10)
-			}
-		}
-	}
-	per := make([][]trace.Ref, ncpus)
-	for c := 0; c < ncpus; c++ {
-		per[c] = g.ems[c].Refs
-	}
-	return &Built{Name: SpecWorkloadName(spec), PerCPU: per, Kernel: k, released: new(bool)}, nil
+	return pl.build(), nil
 }
 
-// StreamSpec starts generating a scenario trace on a producer
-// goroutine; the per-CPU reference sequences are byte-identical to
-// BuildSpec's for the same (spec, opt, scale, seed).
+// StreamSpec starts generating a scenario trace as Stream does; the
+// per-CPU reference sequences are byte-identical to BuildSpec's for
+// the same (spec, opt, scale, seed).
 func StreamSpec(spec *scenario.Spec, opt kernel.OptConfig, scale int, seed int64, sopt StreamOptions) (*Streamed, error) {
-	ncpus := sopt.NumCPUs
-	if ncpus == 0 {
-		ncpus = NumCPUs
-	}
-	if ncpus < 1 || ncpus > MaxCPUs {
-		return nil, fmt.Errorf("workload: StreamSpec with %d CPUs (want 1..%d)", ncpus, MaxCPUs)
-	}
-	if err := spec.Validate(); err != nil {
+	return streamSpec(spec, opt, scale, seed, sopt, chunkRefs, budgetRefs)
+}
+
+// streamSpec is StreamSpec with the pipeline's chunk size and budget
+// chosen by the caller.
+func streamSpec(spec *scenario.Spec, opt kernel.OptConfig, scale int, seed int64, sopt StreamOptions, chunk, budget int) (*Streamed, error) {
+	pl, err := specPlan("StreamSpec", spec, opt, scale, seed, sopt.NumCPUs)
+	if err != nil {
 		return nil, err
 	}
-	st := newStreamed(SpecWorkloadName(spec), kernel.New(opt), ncpus, sopt)
-	chunk := chunkSize(sopt)
-	go st.pump(chunk, sopt, func() (*generator, int, func(int)) {
-		g, err := newSpecGenerator(spec, st.Kernel, seed, st.n, scale)
-		if err != nil {
-			// The spec validated above; a failure here means the base
-			// profile list drifted from the scenario package's copy.
-			panic(err)
-		}
-		return g, g.scen.TotalRounds(), g.specRound
-	})
-	return st, nil
+	return pl.stream(sopt, chunk, budget), nil
+}
+
+// specPlan validates a scenario and resolves its generation; fn names
+// the entry point in the error an out-of-range ncpus returns.
+func specPlan(fn string, spec *scenario.Spec, opt kernel.OptConfig, scale int, seed int64, ncpus int) (plan, error) {
+	ncpus, err := resolveCPUs(fn, ncpus)
+	if err != nil {
+		return plan{}, err
+	}
+	if err := spec.Validate(); err != nil {
+		return plan{}, err
+	}
+	g, err := newSpecGenerator(spec, kernel.New(opt), seed, ncpus, scale)
+	if err != nil {
+		return plan{}, err
+	}
+	return plan{name: SpecWorkloadName(spec), g: g, rounds: g.scen.TotalRounds(), round: g.specRound}, nil
 }
 
 // newSpecGenerator builds the generator state of a scenario build:

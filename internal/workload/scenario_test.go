@@ -113,7 +113,7 @@ func TestStreamSpecMatchesBuildSpec(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, err := StreamSpec(spec, opt, 1, 7, StreamOptions{ChunkRefs: 512, NumCPUs: ncpus})
+				st, err := streamSpec(spec, opt, 1, 7, StreamOptions{NumCPUs: ncpus}, 512, 2048)
 				if err != nil {
 					t.Fatal(err)
 				}

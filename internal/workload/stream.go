@@ -8,50 +8,50 @@ import (
 	"oscachesim/internal/trace"
 )
 
-// Streaming workload generation. Stream runs the same generator as
-// Build on a producer goroutine, but instead of materializing the
-// whole trace it hands fixed-size pooled chunks to a
-// trace.ChunkPipeline as they fill. The simulator consumes the
-// pipeline's per-CPU ChunkSources concurrently, so generation overlaps
-// simulation and peak trace memory is O(NumCPUs × budget) instead of
-// O(scale). The generator itself is untouched — both paths drive the
+// Streaming workload generation. Stream generates round 0 on the
+// caller's goroutine exactly as Build does and hands each CPU's round-0
+// buffer to a trace.ChunkPipeline as that CPU's first chunk. When more
+// rounds remain, a producer goroutine generates them into fixed-size
+// pooled chunks, which it hands over as they fill. The simulator
+// consumes the pipeline's per-CPU ChunkSources concurrently, so the
+// later rounds overlap simulation and peak trace memory is round 0 plus
+// O(NumCPUs × budget) instead of O(scale). Build and Stream drive the
 // identical round loop with identical RNG streams, so the reference
 // sequences (and therefore the simulated reports) are byte-identical.
 
-// DefaultChunkRefs is the per-chunk reference count when StreamOptions
-// does not choose. At the default profile rates one chunk is roughly
-// one scheduling round per CPU.
-const DefaultChunkRefs = 1 << 13
+// Pipeline sizing. chunkRefs is the per-CPU flush granularity of the
+// rounds after round 0; at the default profile rates one chunk is
+// roughly one scheduling round per CPU. budgetRefs is the per-CPU soft
+// cap on references queued in the pipeline (see trace.ChunkPipeline
+// for the soft-budget semantics).
+const (
+	chunkRefs  = trace.DefaultChunkRefs
+	budgetRefs = 4 * chunkRefs
+)
 
-// StreamOptions tunes the streaming pipeline. The zero value is ready
-// to use.
+// StreamOptions configures a stream. The zero value is ready to use.
 type StreamOptions struct {
 	// NumCPUs is the processor count to trace (0 = NumCPUs, the
 	// paper's 4). Must not exceed MaxCPUs; see BuildN.
 	NumCPUs int
-	// ChunkRefs is the flush granularity per CPU (0 = DefaultChunkRefs).
-	ChunkRefs int
-	// BudgetRefs is the per-CPU soft cap on references queued in the
-	// pipeline (0 = 4 × ChunkRefs). See trace.ChunkPipeline for the
-	// soft-budget semantics.
-	BudgetRefs int
 	// OnProgress, when set, is called once per generated round with the
-	// references sent so far and a projected total (estimated from the
-	// first round; 0 until then). Called from the producer goroutine.
+	// references sent so far and a projected total (estimated from
+	// round 0). Called from the caller's goroutine for round 0 and from
+	// the producer goroutine after that.
 	OnProgress func(generated, projectedTotal uint64)
 	// OnStalls, when set, is called once per generated round with the
 	// pipeline's cumulative producer-stall count — the number of times
-	// generation blocked on a full queue so far. Called from the
-	// producer goroutine.
+	// generation blocked on a full queue so far. Called where
+	// OnProgress is.
 	OnStalls func(stalls uint64)
 }
 
-// Streamed is an in-flight streaming workload build: the producer
-// goroutine generating the trace plus the pipeline the simulator
-// consumes. Exactly one simulation may consume a Streamed, and the
-// consumer must finish with either Wait (after draining the sources)
-// or Abort (after an error) — both are required for goroutine and pool
-// hygiene.
+// Streamed is a generated workload on its way to a simulation: round 0
+// queued in the pipeline the simulator consumes, plus the producer
+// goroutine generating the later rounds, if any. Exactly one
+// simulation may consume a Streamed, and the consumer must finish with
+// either Wait (after draining the sources) or Abort (after an error) —
+// both are required for goroutine and pool hygiene.
 type Streamed struct {
 	Name   Name
 	Kernel *kernel.Kernel
@@ -60,127 +60,132 @@ type Streamed struct {
 	pipe    *trace.ChunkPipeline
 	done    chan struct{}
 	err     error
-	started time.Time
 	elapsed time.Duration // producer wall time; written before done closes
 }
 
-// Stream starts generating a workload trace on a producer goroutine,
-// deterministically from the seed — the same (name, opt, scale, seed)
-// produces the same per-CPU reference sequences as Build.
+// Stream generates a workload trace deterministically from the seed —
+// the same (name, opt, scale, seed) produces the same per-CPU
+// reference sequences as Build. Round 0 is generated before Stream
+// returns; a producer goroutine generates the rest.
 func Stream(name Name, opt kernel.OptConfig, scale int, seed int64, sopt StreamOptions) *Streamed {
-	if scale <= 0 {
-		scale = DefaultScale
+	return stream(name, opt, scale, seed, sopt, chunkRefs, budgetRefs)
+}
+
+// stream is Stream with the pipeline's chunk size and budget chosen by
+// the caller.
+func stream(name Name, opt kernel.OptConfig, scale int, seed int64, sopt StreamOptions, chunk, budget int) *Streamed {
+	return classicPlan("Stream", name, opt, scale, seed, sopt.NumCPUs).stream(sopt, chunk, budget)
+}
+
+// stream generates round 0, queues each CPU's round-0 buffer as that
+// CPU's first chunk — every queue is still empty, so no Send blocks —
+// and starts the producer goroutine only if more rounds remain.
+func (pl plan) stream(sopt StreamOptions, chunk, budget int) *Streamed {
+	st := &Streamed{
+		Name:   pl.name,
+		Kernel: pl.g.k,
+		n:      pl.g.n,
+		pipe:   trace.NewChunkPipeline(pl.g.n, budget),
+		done:   make(chan struct{}),
 	}
-	ncpus := sopt.NumCPUs
-	if ncpus == 0 {
-		ncpus = NumCPUs
+	st.err = st.queueRoundZero(pl)
+	// Rounds are statistically alike; round 0 projects the total for
+	// progress reporting.
+	projected := st.pipe.Sent() * uint64(pl.rounds)
+	st.progress(sopt, projected)
+	if st.err != nil || pl.rounds == 1 {
+		st.pipe.Close()
+		close(st.done)
+		return st
 	}
-	if ncpus < 1 || ncpus > MaxCPUs {
-		panic(fmt.Sprintf("workload: Stream with %d CPUs (want 1..%d)", ncpus, MaxCPUs))
-	}
-	st := newStreamed(name, kernel.New(opt), ncpus, sopt)
-	chunk := chunkSize(sopt)
-	go st.pump(chunk, sopt, func() (*generator, int, func(int)) {
-		g := newGenerator(ProfileFor(st.Name), st.Kernel, seed, st.n)
-		return g, scale, g.round
-	})
+	go st.pump(pl, sopt, chunk, projected)
 	return st
 }
 
-// newStreamed assembles the pipeline state shared by Stream and
-// StreamSpec.
-func newStreamed(name Name, k *kernel.Kernel, ncpus int, sopt StreamOptions) *Streamed {
-	budget := sopt.BudgetRefs
-	if budget <= 0 {
-		budget = 4 * chunkSize(sopt)
+// queueRoundZero generates round 0 on the caller's goroutine and queues
+// every CPU's buffer. A generator panic comes back as the error.
+func (st *Streamed) queueRoundZero(pl plan) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = producerPanic(r)
+		}
+	}()
+	pl.roundZero()
+	for c, e := range pl.g.ems {
+		st.pipe.Send(c, e.Refs)
+		e.Refs = nil
 	}
-	return &Streamed{
-		Name:    name,
-		Kernel:  k,
-		n:       ncpus,
-		pipe:    trace.NewChunkPipeline(ncpus, budget),
-		done:    make(chan struct{}),
-		started: time.Now(),
+	return nil
+}
+
+// producerPanic is the error a generator panic becomes.
+func producerPanic(r any) error {
+	return fmt.Errorf("workload: stream producer panicked: %v", r)
+}
+
+// progress reports the references sent so far to the stream's
+// callbacks.
+func (st *Streamed) progress(sopt StreamOptions, projected uint64) {
+	if sopt.OnProgress != nil {
+		sopt.OnProgress(st.pipe.Sent(), projected)
+	}
+	if sopt.OnStalls != nil {
+		n, _ := st.pipe.Stalls()
+		sopt.OnStalls(n)
 	}
 }
 
-// chunkSize resolves the flush granularity.
-func chunkSize(sopt StreamOptions) int {
-	if sopt.ChunkRefs > 0 {
-		return sopt.ChunkRefs
-	}
-	return DefaultChunkRefs
-}
-
-// pump runs a generator round loop on the producer goroutine,
-// flushing chunks into the pipeline. mk builds the generator and
-// returns the round count and per-round function — the classic
-// profile loop and the scenario loop differ only there. pump always
-// closes the pipeline and the done channel, even on panic, so
-// consumers never hang on a dead producer.
-func (st *Streamed) pump(chunk int, sopt StreamOptions, mk func() (*generator, int, func(int))) {
+// pump generates rounds 1 and later on the producer goroutine,
+// flushing chunks into the pipeline. pump always closes the pipeline
+// and the done channel, even on panic, so consumers never hang on a
+// dead producer.
+func (st *Streamed) pump(pl plan, sopt StreamOptions, chunk int, projected uint64) {
+	start := time.Now()
 	defer close(st.done)
-	defer func() { st.elapsed = time.Since(st.started) }()
+	defer func() { st.elapsed = time.Since(start) }()
 	defer st.pipe.Close()
 	defer func() {
 		if r := recover(); r != nil {
-			st.err = fmt.Errorf("workload: stream producer panicked: %v", r)
+			st.err = producerPanic(r)
 		}
 	}()
 
-	g, rounds, roundFn := mk()
 	aborted := false
-	for c := 0; c < st.n; c++ {
-		cpu := c
-		g.ems[c] = &kernel.Emitter{
-			CPU:     uint8(c),
-			Refs:    trace.GetBatch(chunk),
-			FlushAt: chunk,
-			Flush: func(refs []trace.Ref) []trace.Ref {
-				if aborted {
-					return refs[:0]
-				}
-				if !st.pipe.Send(cpu, refs) {
-					// Consumer aborted: discard in place and keep
-					// reusing this one buffer so the rest of the round
-					// generates into it without queueing anywhere.
-					aborted = true
-					return refs[:0]
-				}
-				return trace.GetBatch(chunk)
-			},
+	for c, e := range pl.g.ems {
+		e.Refs = trace.GetBatch(chunk)
+		e.FlushAt = chunk
+		e.Flush = func(refs []trace.Ref) []trace.Ref {
+			if aborted {
+				return refs[:0]
+			}
+			if !st.pipe.Send(c, refs) {
+				// Consumer aborted: discard in place and keep reusing
+				// this one buffer so the rest of the round generates
+				// into it without queueing anywhere.
+				aborted = true
+				return refs[:0]
+			}
+			return trace.GetBatch(chunk)
 		}
 	}
 
-	var projected uint64
-	for round := 0; round < rounds; round++ {
-		roundFn(round)
+	for round := 1; round < pl.rounds; round++ {
+		pl.round(round)
 		// Flush every emitter at the round boundary so a consumer never
 		// starves on references that are generated but still buffered.
-		for c := 0; c < st.n; c++ {
-			g.ems[c].FlushPending()
+		for _, e := range pl.g.ems {
+			e.FlushPending()
 		}
 		if aborted {
 			return
 		}
-		if round == 0 {
-			// Rounds are statistically alike; the first one projects
-			// the total for progress reporting.
-			projected = st.pipe.Sent() * uint64(rounds)
-		}
-		if sopt.OnProgress != nil {
-			sopt.OnProgress(st.pipe.Sent(), projected)
-		}
-		if sopt.OnStalls != nil {
-			n, _ := st.pipe.Stalls()
-			sopt.OnStalls(n)
-		}
+		st.progress(sopt, projected)
 	}
 	// The final buffers were flushed at the last round boundary; return
 	// the (now empty) emit buffers to the pool.
-	for c := 0; c < st.n; c++ {
-		trace.PutBatch(g.ems[c].Refs)
-		g.ems[c].Refs = nil
+	for _, e := range pl.g.ems {
+		trace.PutBatch(e.Refs)
+		e.Refs = nil
 	}
 }
 
@@ -195,10 +200,9 @@ func (st *Streamed) Sources() []trace.Source {
 	return srcs
 }
 
-// Wait blocks until the producer goroutine has finished and returns
-// its error, if any. Call it after the simulation has drained the
-// sources; the Kernel's deferred-copy counters are stable only after
-// Wait returns.
+// Wait blocks until generation has finished and returns its error, if
+// any. Call it after the simulation has drained the sources; the
+// Kernel's deferred-copy counters are stable only after Wait returns.
 func (st *Streamed) Wait() error {
 	<-st.done
 	return st.err
@@ -219,7 +223,7 @@ func (st *Streamed) Abort() {
 func (st *Streamed) TotalRefs() uint64 { return st.pipe.Sent() }
 
 // PeakPendingRefs reports the pipeline's high-water mark of resident
-// references — the streaming memory ceiling, which stays O(budget)
+// references — the streaming memory ceiling: round 0 plus O(budget)
 // regardless of scale.
 func (st *Streamed) PeakPendingRefs() int { return st.pipe.PeakPendingRefs() }
 
@@ -228,6 +232,8 @@ func (st *Streamed) PeakPendingRefs() int { return st.pipe.PeakPendingRefs() }
 // after Wait or Abort.
 func (st *Streamed) GenStalls() (uint64, time.Duration) { return st.pipe.Stalls() }
 
-// Elapsed returns the producer goroutine's wall time, from Stream to
-// the pipeline closing. Valid only after Wait or Abort returns.
+// Elapsed returns the producer goroutine's wall time, from its start
+// after round 0 to the pipeline closing; zero for a single-round
+// stream, which starts no producer. Valid only after Wait or Abort
+// returns.
 func (st *Streamed) Elapsed() time.Duration { return st.elapsed }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestStreamMatchesBuild(t *testing.T) {
 	for _, name := range Names() {
 		for _, opt := range opts {
 			built := Build(name, opt, 3, 7)
-			st := Stream(name, opt, 3, 7, StreamOptions{ChunkRefs: 512})
+			st := stream(name, opt, 3, 7, StreamOptions{}, 512, 2048)
 			got := drainStream(t, st)
 			for c := range built.PerCPU {
 				want := built.PerCPU[c]
@@ -60,17 +61,43 @@ func TestStreamMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestStreamRoundZeroPanic pins that a generator panic in round 0,
+// which runs on the caller's goroutine, surfaces from Wait as producer
+// panics do, with the stream closed and no producer started.
+func TestStreamRoundZeroPanic(t *testing.T) {
+	for _, rounds := range []int{1, 3} {
+		g := newGenerator(ProfileFor(Shell), kernel.New(kernel.OptConfig{}), 1, NumCPUs)
+		fault := func(round int) {
+			g.round(round)
+			panic("seeded fault")
+		}
+		st := plan{name: Shell, g: g, rounds: rounds, round: fault}.stream(StreamOptions{}, chunkRefs, budgetRefs)
+		var buf [64]trace.Ref
+		for _, src := range st.Sources() {
+			if n := src.Read(buf[:]); n != 0 {
+				t.Fatalf("%d rounds: a panicked round 0 delivered %d refs", rounds, n)
+			}
+		}
+		err := st.Wait()
+		if err == nil || !strings.Contains(err.Error(), "workload: stream producer panicked: seeded fault") {
+			t.Fatalf("%d rounds: Wait = %v, want the producer panic", rounds, err)
+		}
+		if st.Elapsed() != 0 {
+			t.Errorf("%d rounds: a producer ran for %v after round 0 panicked", rounds, st.Elapsed())
+		}
+	}
+}
+
 // TestStreamBoundedMemory pins the O(chunk) memory ceiling: at 10× the
 // default scale the pipeline's peak resident references must stay a
 // small multiple of the configured budget — independent of the ~10M-ref
-// trace length — where the materialized path would hold every ref.
+// trace length — where a whole built trace would hold every ref.
 func TestStreamBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10× DefaultScale generation")
 	}
 	const scale = 10 * DefaultScale
-	sopt := StreamOptions{ChunkRefs: 1 << 13, BudgetRefs: 4 << 13}
-	st := Stream(Shell, kernel.OptConfig{}, scale, 1, sopt)
+	st := Stream(Shell, kernel.OptConfig{}, scale, 1, StreamOptions{})
 	// A healthy consumer never lets one empty queue hold up the others:
 	// each stream drains on its own goroutine.
 	srcs := st.Sources()
@@ -80,7 +107,7 @@ func TestStreamBoundedMemory(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]trace.Ref, sopt.ChunkRefs)
+			buf := make([]trace.Ref, chunkRefs)
 			for n := src.Read(buf); n > 0; n = src.Read(buf) {
 				counts[c] += uint64(n)
 			}
@@ -103,7 +130,7 @@ func TestStreamBoundedMemory(t *testing.T) {
 	// The budget is soft (the starvation escape may overshoot), so the
 	// assertion allows slack — but the ceiling must be a handful of
 	// budgets, nowhere near the trace length.
-	ceiling := 4 * NumCPUs * sopt.BudgetRefs
+	ceiling := 4 * NumCPUs * budgetRefs
 	if peak := st.PeakPendingRefs(); peak > ceiling {
 		t.Fatalf("peak resident refs %d exceeds ceiling %d (total trace %d)", peak, ceiling, total)
 	}
@@ -115,7 +142,7 @@ func TestStreamBoundedMemory(t *testing.T) {
 // releases a producer parked on the budget, and Wait returns without
 // error (the producer stops generating, it does not fail).
 func TestStreamAbort(t *testing.T) {
-	st := Stream(Shell, kernel.OptConfig{}, 50, 1, StreamOptions{ChunkRefs: 256, BudgetRefs: 256})
+	st := stream(Shell, kernel.OptConfig{}, 50, 1, StreamOptions{}, 256, 256)
 	src := st.Sources()[0]
 	var buf [10]trace.Ref
 	for i := 0; i < 100; i++ {
@@ -139,7 +166,6 @@ func TestStreamProgress(t *testing.T) {
 	var calls int
 	var lastGen, lastProj uint64
 	st := Stream(TRFD4, kernel.OptConfig{}, 4, 1, StreamOptions{
-		ChunkRefs: 1024,
 		OnProgress: func(generated, projected uint64) {
 			calls++
 			if generated < lastGen {

@@ -106,43 +106,82 @@ func Build(name Name, opt kernel.OptConfig, scale int, seed int64) *Built {
 // from a CPU-independent stream — so the paper goldens are unaffected
 // by the generalization. ncpus must be in [1, MaxCPUs].
 func BuildN(name Name, opt kernel.OptConfig, scale int, seed int64, ncpus int) *Built {
-	if ncpus == 0 {
-		ncpus = NumCPUs
-	}
-	if ncpus < 1 || ncpus > MaxCPUs {
-		panic(fmt.Sprintf("workload: BuildN with %d CPUs (want 1..%d)", ncpus, MaxCPUs))
+	return classicPlan("BuildN", name, opt, scale, seed, ncpus).build()
+}
+
+// plan is one trace generation: the generator, the workload name it
+// reports, its round count and its per-round step. The classic profile
+// loop and the scenario loop differ only in the step. BuildN and
+// BuildSpec drive every round through build; Stream and StreamSpec
+// drive round 0 through roundZero and the rest on their producer.
+type plan struct {
+	name   Name
+	g      *generator
+	rounds int
+	round  func(int)
+}
+
+// classicPlan resolves a classic workload's generation; fn names the
+// entry point in the panic an out-of-range ncpus raises.
+func classicPlan(fn string, name Name, opt kernel.OptConfig, scale int, seed int64, ncpus int) plan {
+	ncpus, err := resolveCPUs(fn, ncpus)
+	if err != nil {
+		panic(err.Error())
 	}
 	if scale <= 0 {
 		scale = DefaultScale
 	}
-	p := ProfileFor(name)
-	k := kernel.New(opt)
-	g := newGenerator(p, k, seed, ncpus)
-	for c := 0; c < ncpus; c++ {
-		g.ems[c] = &kernel.Emitter{CPU: uint8(c), Refs: trace.GetBatch(1 << 14)}
-	}
-	for round := 0; round < scale; round++ {
-		g.round(round)
-		if round == 0 && scale > 1 {
-			// Rounds are statistically alike, so the first round sizes
-			// the rest: reserve the remaining capacity (plus 10% slack)
-			// in one step instead of a doubling cascade of copies.
-			for c := 0; c < ncpus; c++ {
-				g.ems[c].Reserve(len(g.ems[c].Refs) * (scale - 1) * 11 / 10)
-			}
-		}
-	}
-	per := make([][]trace.Ref, ncpus)
-	for c := 0; c < ncpus; c++ {
-		per[c] = g.ems[c].Refs
-	}
-	return &Built{Name: name, PerCPU: per, Kernel: k, released: new(bool)}
+	g := newGenerator(ProfileFor(name), kernel.New(opt), seed, ncpus)
+	return plan{name: name, g: g, rounds: scale, round: g.round}
 }
 
-// newGenerator builds the generator state shared by BuildN and the
-// streaming producer: per-CPU RNGs, process assignments and the
-// global service-plan RNG. Emitters are left for the caller, whose
-// flush policies differ.
+// resolveCPUs applies the NumCPUs default to ncpus and checks it
+// against MaxCPUs.
+func resolveCPUs(fn string, ncpus int) (int, error) {
+	if ncpus == 0 {
+		ncpus = NumCPUs
+	}
+	if ncpus < 1 || ncpus > MaxCPUs {
+		return 0, fmt.Errorf("workload: %s with %d CPUs (want 1..%d)", fn, ncpus, MaxCPUs)
+	}
+	return ncpus, nil
+}
+
+// roundZero gives every processor an emitter with no flush threshold
+// and generates round 0 into it.
+func (pl plan) roundZero() {
+	for c := range pl.g.ems {
+		pl.g.ems[c] = &kernel.Emitter{CPU: uint8(c), Refs: trace.GetBatch(1 << 14)}
+	}
+	pl.round(0)
+}
+
+// build generates every round into the round-0 emitters and returns
+// the whole trace.
+func (pl plan) build() *Built {
+	pl.roundZero()
+	if pl.rounds > 1 {
+		// Rounds are statistically alike, so the first round sizes the
+		// rest: reserve the remaining capacity (plus 10% slack) in one
+		// step instead of a doubling cascade of copies.
+		for _, e := range pl.g.ems {
+			e.Reserve(len(e.Refs) * (pl.rounds - 1) * 11 / 10)
+		}
+	}
+	for round := 1; round < pl.rounds; round++ {
+		pl.round(round)
+	}
+	per := make([][]trace.Ref, pl.g.n)
+	for c, e := range pl.g.ems {
+		per[c] = e.Refs
+	}
+	return &Built{Name: pl.name, PerCPU: per, Kernel: pl.g.k, released: new(bool)}
+}
+
+// newGenerator builds the generator state of one plan: per-CPU RNGs,
+// process assignments and the global service-plan RNG. Emitters are
+// left to roundZero and the stream producer, whose flush policies
+// differ.
 func newGenerator(p Profile, k *kernel.Kernel, seed int64, ncpus int) *generator {
 	g := &generator{
 		p:      p,
