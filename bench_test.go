@@ -272,23 +272,32 @@ func BenchmarkScenarioBuild(b *testing.B) {
 	}
 }
 
-// benchSweep runs the Figure 6 cache-size grid (3 sizes x 3 systems x
-// 4 workloads) through the scheduler at the given width with a cold
-// cache each iteration — the workload of `cmd/sweep`. The serial and
-// parallel variants quantify the scheduler's wall-clock win; their
+// figure6Configs is the Figure 6 cache-size grid (4 workloads x 3
+// sizes x 3 systems) as the campaign planner expands it: 36
+// configurations in grid order, each on an explicit machine.
+func figure6Configs(tb testing.TB) []RunConfig {
+	tb.Helper()
+	p, err := NewCampaignPlan(CampaignGrid{
+		Workloads: Workloads(),
+		Systems:   []System{Base, BlkDma, BCPref},
+		L1SizesKB: []uint64{16, 32, 64},
+		Scale:     benchScale,
+		Seed:      1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p.Unique
+}
+
+// benchSweep runs the Figure 6 cache-size grid through the scheduler
+// at the given width with a cold cache each iteration — the workload
+// of `campaign -sizes 16,32,64` over all four workloads. The serial
+// and parallel variants quantify the scheduler's wall-clock win; their
 // outputs are verified identical by TestParallelSchedulerDeterminism.
 func benchSweep(b *testing.B, workers int) {
 	b.Helper()
-	var cfgs []RunConfig
-	for _, w := range Workloads() {
-		for _, kb := range []uint64{16, 32, 64} {
-			for _, sys := range []System{Base, BlkDma, BCPref} {
-				p := DefaultMachine()
-				p.L1D.Size = kb * 1024
-				cfgs = append(cfgs, RunConfig{Workload: w, System: sys, Scale: benchScale, Seed: 1, Machine: &p})
-			}
-		}
-	}
+	cfgs := figure6Configs(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := experiment.NewRunner(experiment.Config{Scale: benchScale, Seed: 1, Workers: workers})
@@ -312,16 +321,7 @@ func TestSweepAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	var cfgs []RunConfig
-	for _, w := range Workloads() {
-		for _, kb := range []uint64{16, 32, 64} {
-			for _, sys := range []System{Base, BlkDma, BCPref} {
-				p := DefaultMachine()
-				p.L1D.Size = kb * 1024
-				cfgs = append(cfgs, RunConfig{Workload: w, System: sys, Scale: benchScale, Seed: 1, Machine: &p})
-			}
-		}
-	}
+	cfgs := figure6Configs(t)
 	sweep := func() {
 		r := experiment.NewRunner(experiment.Config{Scale: benchScale, Seed: 1})
 		if _, err := r.RunConfigs(context.Background(), cfgs, nil); err != nil {

@@ -7,6 +7,10 @@
 // normalized stacked-time comparison plus an optional machine-readable
 // axis diff (e.g. snoop vs directory at each CPU count).
 //
+// With -v it also prints one compact line per grid point, each system
+// normalized to the first with its miss count (the Figures 6-7 view),
+// and the worker pool's per-worker busy/idle time.
+//
 // The same grids are served over HTTP by ossimd's POST /v1/campaigns;
 // this command is the offline equivalent, sharing the planner and the
 // runner's worker pool and store-backed result cache.
@@ -16,6 +20,7 @@
 //	campaign -workloads TRFD_4 -systems Base,BCPref -cpus 4,16 \
 //	         -coherence snoop,directory -diff coherence:snoop:directory
 //	campaign -scenario sharing -sharers 1,2,4,8 -cpus 8 -row sharers
+//	campaign -workloads TRFD_4,TRFD+Make,ARC2D+Fsck,Shell -sizes 16,32,64 -v
 package main
 
 import (
@@ -23,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -34,6 +40,7 @@ import (
 	"oscachesim/internal/campaign"
 	"oscachesim/internal/core"
 	"oscachesim/internal/experiment"
+	"oscachesim/internal/prof"
 	"oscachesim/internal/report"
 	"oscachesim/internal/scenario"
 	"oscachesim/internal/sim"
@@ -57,9 +64,16 @@ func main() {
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		maxCells = flag.Int("maxcells", 0, "grid-size bound (0 = the default 256)")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "simulations run at once (1 = serial; output is identical)")
-		verbose  = flag.Bool("v", false, "print per-cell coordinates and raw metrics")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+		memProf  = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
+		verbose  = flag.Bool("v", false, "print one normalized line per grid point and per-worker pool stats")
 	)
 	flag.Parse()
+	stopProfiles, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
+	defer stopProfiles()
 
 	g := campaign.Grid{
 		L2Line: *l2line, Scale: *scale, Seed: *seed, MaxCells: *maxCells,
@@ -86,7 +100,6 @@ func main() {
 		}
 		g.Systems = append(g.Systems, sys)
 	}
-	var err error
 	if g.CPUs, err = parseInts(*cpus); err != nil {
 		fatal(err)
 	}
@@ -149,14 +162,74 @@ func main() {
 	}
 	if *verbose {
 		fmt.Println()
-		for _, gc := range grid {
-			fmt.Printf("  %-50s os_cycles=%.0f d1_miss_rate=%.4f bus_bytes=%.0f\n",
-				report.CoordText(gc.Coords, ""), gc.Values["os_cycles"], gc.Values["d1_miss_rate"], gc.Values["bus_bytes"])
-		}
+		writeRows(os.Stdout, plan, cells)
 	}
 	st := r.Stats()
 	fmt.Printf("-- %d simulations for %d cells (%d deduplicated), %d cache hits\n",
 		st.Executions, len(cells), len(cells)-len(plan.Unique), st.Hits+st.Joins)
+	if *verbose {
+		for i, ws := range r.LastSchedulerStats() {
+			fmt.Printf("   worker %d: runs=%d busy=%s idle=%s\n",
+				i, ws.Runs, ws.Busy.Round(time.Millisecond), ws.Idle.Round(time.Millisecond))
+		}
+	}
+}
+
+// pointFormats label a grid point's value on each axis a -v row can
+// vary along.
+var pointFormats = map[string]string{
+	campaign.AxisCPUs:      "%scpu",
+	campaign.AxisCoherence: "%s",
+	campaign.AxisL1KB:      "%sKB",
+	campaign.AxisLineB:     "%sB",
+	campaign.AxisSharers:   "d=%s",
+}
+
+// writeRows prints the compact -v view: a header whenever the workload
+// changes, then one line per grid point with each system normalized to
+// the plan's first system and its miss count. A workload grid reports
+// OS time and OS data-read misses, the paper's metric; a scenario grid
+// is a user-level study, so it reports total cycles and all data-read
+// misses. A row is labelled by the axes that take more than one value.
+func writeRows(w io.Writer, p *campaign.Plan, cells []campaign.CellOutcome) {
+	var varying []string
+	for _, axis := range p.Axes {
+		if pointFormats[axis] != "" && len(p.AxisValues(axis)) > 1 {
+			varying = append(varying, axis)
+		}
+	}
+	metric := func(o *core.Outcome) (uint64, uint64) {
+		if p.Grid.Scenario != nil {
+			return o.Counters.Cycles, o.Counters.TotalDReadMisses()
+		}
+		return o.OSTime(), o.Counters.OSDReadMisses()
+	}
+	// Cells come system-innermost, so each run of len(Systems) cells is
+	// one row.
+	nsys := len(p.Grid.Systems)
+	var workloadLabel string
+	var baseTime uint64
+	for _, co := range cells {
+		coords := co.Cell.Coords
+		if wl := coords[campaign.AxisWorkload]; wl != workloadLabel {
+			workloadLabel = wl
+			fmt.Fprintf(w, "== %s\n", wl)
+		}
+		t, misses := metric(co.Outcome)
+		i := co.Cell.Index % nsys
+		if i == 0 {
+			baseTime = t
+			var label []string
+			for _, axis := range varying {
+				label = append(label, fmt.Sprintf(pointFormats[axis], coords[axis]))
+			}
+			fmt.Fprintf(w, "  %-6s", strings.Join(label, " "))
+		}
+		fmt.Fprintf(w, "  %s=%.3f (misses=%d)", coords[campaign.AxisSystem], float64(t)/float64(baseTime), misses)
+		if i == nsys-1 {
+			fmt.Fprintln(w)
+		}
+	}
 }
 
 // narrate prints aggregate progress to stderr once a second until the

@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"oscachesim/internal/core"
-	"oscachesim/internal/experiment"
-	"oscachesim/internal/report"
 	"oscachesim/internal/scenario"
 	"oscachesim/internal/sim"
 	"oscachesim/internal/workload"
@@ -295,54 +293,5 @@ func TestRunCancellationMidGrid(t *testing.T) {
 	snap := prog.Snapshot()
 	if snap.UniqueDone != 1 || snap.CellsDone != 1 {
 		t.Errorf("snapshot after cancel %+v", snap)
-	}
-}
-
-// TestRunRealRunner runs a tiny grid end to end on the real
-// experiment runner and checks the report projections.
-func TestRunRealRunner(t *testing.T) {
-	g := Grid{
-		Workloads: []workload.Name{"TRFD_4"},
-		Systems:   []core.System{core.Base, core.BCPref},
-		Scale:     1,
-		Seed:      1,
-	}
-	p, err := NewPlan(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := experiment.NewRunner(experiment.Config{Scale: 1, Seed: 1})
-	var prog Progress
-	cells, err := Run(context.Background(), r, p, &prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 {
-		t.Fatalf("%d cells", len(cells))
-	}
-	grid := GridCells(cells)
-	for i, gc := range grid {
-		if gc.Values["os_cycles"] <= 0 || gc.Values["cycles"] <= 0 {
-			t.Errorf("cell %d values %v", i, gc.Values)
-		}
-	}
-	chart := Chart("test", AxisSystem, grid)
-	for _, want := range []string{"Base", "BCPref", "total="} {
-		if !strings.Contains(chart, want) {
-			t.Errorf("chart missing %q:\n%s", want, chart)
-		}
-	}
-	rows := report.DiffCells(grid, AxisSystem, "Base", "BCPref", DiffMetrics)
-	if len(rows) != len(DiffMetrics) {
-		t.Fatalf("%d diff rows, want %d", len(rows), len(DiffMetrics))
-	}
-	for _, row := range rows {
-		if row.From <= 0 {
-			t.Errorf("diff row %s from %v", row.Metric, row.From)
-		}
-	}
-	st := prog.Snapshot()
-	if st.Stages.Simulate <= 0 {
-		t.Errorf("aggregate stages %+v, want simulate > 0", st.Stages)
 	}
 }

@@ -399,17 +399,3 @@ func (cfg RunConfig) Rounds() int {
 	}
 	return cfg.Scale
 }
-
-// RunAll runs one workload under several systems with a shared seed
-// and returns outcomes in order.
-func RunAll(ctx context.Context, name workload.Name, systems []System, scale int, seed int64) ([]*Outcome, error) {
-	outs := make([]*Outcome, 0, len(systems))
-	for _, sys := range systems {
-		o, err := Run(ctx, RunConfig{Workload: name, System: sys, Scale: scale, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		outs = append(outs, o)
-	}
-	return outs, nil
-}

@@ -151,16 +151,6 @@ func TestOptimizationShape(t *testing.T) {
 	}
 }
 
-func TestRunAll(t *testing.T) {
-	outs, err := RunAll(context.Background(), workload.Shell, []System{Base, BlkDma}, testScale, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 2 || outs[0].Config.System != Base || outs[1].Config.System != BlkDma {
-		t.Errorf("RunAll outcomes wrong: %v", outs)
-	}
-}
-
 func TestRunCustomMachine(t *testing.T) {
 	p := sim.DefaultParams()
 	p.L1D.Size = 16 * 1024

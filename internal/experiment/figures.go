@@ -5,9 +5,9 @@ import (
 	"strings"
 
 	"oscachesim/internal/bus"
+	"oscachesim/internal/campaign"
 	"oscachesim/internal/core"
 	"oscachesim/internal/report"
-	"oscachesim/internal/sim"
 	"oscachesim/internal/stats"
 	"oscachesim/internal/trace"
 	"oscachesim/internal/workload"
@@ -184,28 +184,40 @@ func Figure3(r *Runner) (string, error) {
 	return b.String(), nil
 }
 
-// sweepFigure renders an execution-time sweep over machine geometries.
-func sweepFigure(r *Runner, title, axis string, machines []sim.Params, labels []string) (string, error) {
-	systems := []core.System{core.Base, core.BlkDma, core.BCPref}
+// geometryFigure renders an execution-time sweep over the one machine
+// axis g declares, for every workload under Base, Blk_Dma and BCPref:
+// each system's OS time normalized to Base at each point, a value of
+// axis labelled with unit. The cells come from the campaign planner,
+// which owns the rule that turns a geometry into a machine, and are
+// read serially, so the render runs at most one simulation at a time.
+func geometryFigure(r *Runner, title, axis, unit string, g campaign.Grid) (string, error) {
+	g.Workloads = workload.Names()
+	g.Systems = []core.System{core.Base, core.BlkDma, core.BCPref}
+	g.Scale, g.Seed = r.cfg.Scale, r.cfg.Seed
+	plan, err := campaign.NewPlan(g)
+	if err != nil {
+		return "", err
+	}
+	outs := make([]*core.Outcome, len(plan.Cells))
+	for i, c := range plan.Cells {
+		if outs[i], err = r.OutcomeConfig(r.ctx, c.Cfg); err != nil {
+			return "", err
+		}
+	}
+	// Cells run workload, then point, then system innermost.
+	nsys := len(g.Systems)
+	npts := len(plan.Cells) / len(g.Workloads) / nsys
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	for _, w := range workload.Names() {
+	for wi, w := range g.Workloads {
 		fmt.Fprintf(&b, "  %s: (normalized to Base at each %s)\n", w, axis)
-		for si, sys := range systems {
+		for si, sys := range g.Systems {
 			fmt.Fprintf(&b, "    %-8s", sys)
-			for mi, m := range machines {
-				base, err := r.OutcomeOn(w, core.Base, m)
-				if err != nil {
-					return "", err
-				}
-				o := base
-				if si != 0 {
-					o, err = r.OutcomeOn(w, sys, m)
-					if err != nil {
-						return "", err
-					}
-				}
-				fmt.Fprintf(&b, "  %s=%5.2f", labels[mi], float64(o.OSTime())/float64(base.OSTime()))
+			for pt := 0; pt < npts; pt++ {
+				row := (wi*npts + pt) * nsys
+				// Axes[1] is the one machine axis, between workload and system.
+				label := plan.Cells[row].Coords[plan.Axes[1]] + unit
+				fmt.Fprintf(&b, "  %s=%5.2f", label, float64(outs[row+si].OSTime())/float64(outs[row].OSTime()))
 			}
 			b.WriteString("\n")
 		}
@@ -217,31 +229,15 @@ func sweepFigure(r *Runner, title, axis string, machines []sim.Params, labels []
 // Figure6 regenerates the primary-cache-size sweep (16/32/64 KB, line
 // size fixed at 16 bytes; 256-KB L2 with 32-byte lines).
 func Figure6(r *Runner) (string, error) {
-	var machines []sim.Params
-	var labels []string
-	for _, kb := range []uint64{16, 32, 64} {
-		p := sim.DefaultParams()
-		p.L1D.Size = kb * 1024
-		machines = append(machines, p)
-		labels = append(labels, fmt.Sprintf("%dKB", kb))
-	}
-	return sweepFigure(r, "Figure 6: Normalized OS execution time vs primary data cache size", "size", machines, labels)
+	return geometryFigure(r, "Figure 6: Normalized OS execution time vs primary data cache size", "size", "KB",
+		campaign.Grid{L1SizesKB: []uint64{16, 32, 64}})
 }
 
 // Figure7 regenerates the line-size sweep (16/32/64-byte L1D lines,
 // 32-KB cache; the paper pairs it with a 64-byte-line secondary cache).
 func Figure7(r *Runner) (string, error) {
-	var machines []sim.Params
-	var labels []string
-	for _, ls := range []uint64{16, 32, 64} {
-		p := sim.DefaultParams()
-		p.L1D.LineSize = ls
-		p.L1I.LineSize = ls
-		p.L2.LineSize = 64
-		machines = append(machines, p)
-		labels = append(labels, fmt.Sprintf("%dB", ls))
-	}
-	return sweepFigure(r, "Figure 7: Normalized OS execution time vs primary data cache line size", "line size", machines, labels)
+	return geometryFigure(r, "Figure 7: Normalized OS execution time vs primary data cache line size", "line size", "B",
+		campaign.Grid{LineSizes: []uint64{16, 32, 64}, L2Line: 64})
 }
 
 // UpdateTraffic regenerates the Section 5.2 traffic study: the bus

@@ -2,6 +2,7 @@ package server
 
 import (
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -50,5 +51,59 @@ func TestRoutesMatchContract(t *testing.T) {
 				t.Errorf("API.md documents %q but the server does not register it", span)
 			}
 		}
+	}
+}
+
+// TestDocsRequestBodiesDecode decodes every `curl … -d '…'` request
+// body in README.md and API.md the way its route does: strictly, with
+// unknown fields rejected, then through the run or campaign validation
+// and the request bounds. A renamed field or an out-of-range value in
+// a documented example fails here instead of in a reader's shell.
+func TestDocsRequestBodiesDecode(t *testing.T) {
+	// The body may span lines; the route is the /v1 path on the curl line.
+	curl := regexp.MustCompile(`curl [^\n]*?(/v1/[a-z/]+)[^\n]*? -d '([^']*)'`)
+	checked := 0
+	for _, doc := range []string{"README.md", "API.md"} {
+		data, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range curl.FindAllStringSubmatch(string(data), -1) {
+			route, body := m[1], m[2]
+			where := doc + ": POST " + route + " " + body
+			switch route {
+			case "/v1/runs":
+				cfg, _, err := decodeRunRequest(strings.NewReader(body))
+				if err == nil {
+					err = checkBounds(cfg)
+				}
+				if err != nil {
+					t.Errorf("%s: %v", where, err)
+				}
+			case "/v1/campaigns":
+				var cr CampaignRequest
+				err := decodeJSON(strings.NewReader(body), &cr)
+				if err != nil {
+					t.Errorf("%s: %v", where, err)
+					break
+				}
+				p, _, err := cr.plan()
+				if err != nil {
+					t.Errorf("%s: %v", where, err)
+					break
+				}
+				for _, cfg := range p.Unique {
+					if err := checkBounds(cfg); err != nil {
+						t.Errorf("%s: %v", where, err)
+					}
+				}
+			default:
+				t.Errorf("%s: no request decoder for this route", where)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no documented request bodies found")
 	}
 }

@@ -182,6 +182,107 @@ func TestRestartServesFromStore(t *testing.T) {
 	}
 }
 
+// TestRestartMidCampaign restarts the coordinator in the middle of a
+// campaign: the first daemon completes two of the grid's unique
+// configurations over a file-backed store and stops with the rest
+// unfinished; a new daemon on the same directory, given the whole
+// campaign again, computes only the missing configurations, each key
+// exactly once, and credits the stored ones to their cells.
+func TestRestartMidCampaign(t *testing.T) {
+	dir := t.TempDir()
+	// cpus [4, 16, 4]: six cells, four unique configurations.
+	body := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base","BCPref"],"cpus":[4,16,4],"scale":%d,"seed":5}`, testScale)
+	const before = 2
+
+	st1, err := store.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	done1 := map[string]bool{}
+	blocked := make(chan struct{}, 1)
+	var calls1 int
+	s1, ts1 := newTestServer(t, Options{
+		Workers:    1,
+		QueueDepth: 4,
+		Store:      st1,
+		execute: func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
+			mu.Lock()
+			calls1++
+			if calls1 <= before {
+				done1[cfg.CanonicalKey()] = true
+				mu.Unlock()
+				return &core.Outcome{Config: cfg}, nil
+			}
+			mu.Unlock()
+			select {
+			case blocked <- struct{}{}:
+			case <-ctx.Done():
+			}
+			<-ctx.Done()
+			return nil, context.Cause(ctx)
+		},
+	})
+	status, sub, _ := postJSON(t, ts1.URL+"/v1/campaigns", body)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", status)
+	}
+	<-blocked // two configurations stored, the third in flight
+	req, _ := http.NewRequest(http.MethodDelete, ts1.URL+"/v1/campaigns/"+sub.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if v := waitJob(t, ts1.URL, sub.ID); v.State != JobCanceled {
+		t.Fatalf("first daemon's campaign ended %s, want canceled", v.State)
+	}
+	ts1.Close()
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls2 := map[string]int{}
+	_, ts2 := newTestServer(t, Options{
+		Workers:    1,
+		QueueDepth: 4,
+		Store:      st2,
+		execute: func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
+			mu.Lock()
+			calls2[cfg.CanonicalKey()]++
+			mu.Unlock()
+			return &core.Outcome{Config: cfg}, nil
+		},
+	})
+	status, sub, _ = postJSON(t, ts2.URL+"/v1/campaigns", body)
+	if status != http.StatusAccepted {
+		t.Fatalf("resubmit after restart: HTTP %d, want 202 (the campaign never finished)", status)
+	}
+	v := waitJob(t, ts2.URL, sub.ID)
+	if v.State != JobDone || v.Campaign == nil || v.Campaign.CellsDone != 6 || v.Campaign.UniqueCells != 4 {
+		t.Fatalf("resubmitted campaign: state %s campaign %+v, want done with 6 cells from 4 unique", v.State, v.Campaign)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(done1) != before || len(calls2) != 4-before {
+		t.Fatalf("first daemon stored %d configurations, restarted daemon computed %d; want %d and %d",
+			len(done1), len(calls2), before, 4-before)
+	}
+	for key, n := range calls2 {
+		if n != 1 || done1[key] {
+			t.Errorf("key %s computed %d times after restart (stored before: %v), want once and only if missing",
+				key, n, done1[key])
+		}
+	}
+}
+
 // TestRetiredSweepRecordNotFound: a "sweep" record, as the retired
 // sweep job kind appended to results.log, is not a servable result
 // after a restart — GET and HEAD /v1/results/{key} both answer 404,
