@@ -301,7 +301,7 @@ func benchSweep(b *testing.B, workers int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := experiment.NewRunner(experiment.Config{Scale: benchScale, Seed: 1, Workers: workers})
-		if _, err := r.RunConfigs(context.Background(), cfgs, nil); err != nil {
+		if _, err := r.RunConfigs(context.Background(), cfgs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,7 +324,7 @@ func TestSweepAllocBudget(t *testing.T) {
 	cfgs := figure6Configs(t)
 	sweep := func() {
 		r := experiment.NewRunner(experiment.Config{Scale: benchScale, Seed: 1})
-		if _, err := r.RunConfigs(context.Background(), cfgs, nil); err != nil {
+		if _, err := r.RunConfigs(context.Background(), cfgs); err != nil {
 			t.Fatal(err)
 		}
 	}

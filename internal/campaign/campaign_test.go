@@ -198,7 +198,7 @@ type stubRunner struct {
 	block chan struct{} // when non-nil, configs after the first block here
 }
 
-func (r *stubRunner) RunConfigsEach(ctx context.Context, cfgs []core.RunConfig, prog *sim.Progress, each func(int, *core.Outcome)) ([]*core.Outcome, error) {
+func (r *stubRunner) RunConfigsEach(ctx context.Context, cfgs []core.RunConfig, each func(int, *core.Outcome)) ([]*core.Outcome, error) {
 	outs := make([]*core.Outcome, len(cfgs))
 	for i, cfg := range cfgs {
 		if r.block != nil && i > 0 {

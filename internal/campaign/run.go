@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"oscachesim/internal/core"
-	"oscachesim/internal/sim"
 )
 
 // ConfigRunner is the fan-out surface Run drives — the per-completion
@@ -15,7 +14,7 @@ import (
 // *experiment.Runner satisfies it; tests substitute deterministic
 // stubs.
 type ConfigRunner interface {
-	RunConfigsEach(ctx context.Context, cfgs []core.RunConfig, prog *sim.Progress, each func(idx int, o *core.Outcome)) ([]*core.Outcome, error)
+	RunConfigsEach(ctx context.Context, cfgs []core.RunConfig, each func(idx int, o *core.Outcome)) ([]*core.Outcome, error)
 }
 
 // Progress aggregates a running campaign: cells and unique
@@ -133,7 +132,7 @@ func Run(ctx context.Context, r ConfigRunner, p *Plan, prog *Progress) ([]CellOu
 		prog.uniqueDone.Add(1)
 		prog.cellsDone.Add(int64(len(p.ByKey[p.UniqueKeys[idx]])))
 	}
-	outs, err := r.RunConfigsEach(ctx, cfgs, nil, each)
+	outs, err := r.RunConfigsEach(ctx, cfgs, each)
 	if err != nil {
 		mu.Lock()
 		defer mu.Unlock()

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -157,12 +159,26 @@ func TestComputeRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg[%d]: EncodeConfig: %v", i, err)
 		}
-		got, err := creq.Config()
+		body, err := json.Marshal(creq)
+		if err != nil {
+			t.Fatalf("cfg[%d]: Marshal: %v", i, err)
+		}
+		// Decode the way the worker does: unknown fields are errors.
+		var wire ComputeRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&wire); err != nil {
+			t.Fatalf("cfg[%d]: strict decode of %s: %v", i, body, err)
+		}
+		got, err := wire.Config()
 		if err != nil {
 			t.Fatalf("cfg[%d]: Config: %v", i, err)
 		}
 		if got.CanonicalKey() != cfg.CanonicalKey() {
-			t.Fatalf("cfg[%d]: key drifted across the wire", i)
+			t.Fatalf("cfg[%d]: key drifted across the wire: %s", i, body)
+		}
+		if (got.UpdateSet == nil) != (cfg.UpdateSet == nil) {
+			t.Errorf("cfg[%d]: update set nil-ness lost across the wire: %s", i, body)
 		}
 	}
 }

@@ -12,38 +12,21 @@ import (
 	"time"
 
 	"oscachesim/internal/core"
-	"oscachesim/internal/scenario"
-	"oscachesim/internal/sim"
 	"oscachesim/internal/store"
-	"oscachesim/internal/workload"
 )
 
 // ComputePath is the internal endpoint workers serve compute forwards
 // on.
 const ComputePath = "/v1/internal/compute"
 
-// ComputeRequest is the wire form of one forwarded simulation: every
-// result-affecting field of core.RunConfig plus the coordinator's
-// canonical key, which the worker recomputes and verifies — a version
-// skew between nodes (different SimVersion, divergent config
-// serialization) fails loudly instead of poisoning the cluster's
-// content-addressed caches.
+// ComputeRequest is the wire form of one forwarded simulation: the run
+// configuration itself plus the coordinator's canonical key, which the
+// worker recomputes and verifies — a version skew between nodes
+// (different SimVersion, divergent config serialization) fails loudly
+// instead of poisoning the cluster's content-addressed caches.
 type ComputeRequest struct {
-	Key          string         `json:"key"`
-	Workload     string         `json:"workload,omitempty"`
-	Scenario     *scenario.Spec `json:"scenario,omitempty"`
-	System       string         `json:"system"`
-	Scale        int            `json:"scale,omitempty"`
-	Seed         int64          `json:"seed,omitempty"`
-	Machine      *sim.Params    `json:"machine,omitempty"`
-	DeferredCopy bool           `json:"deferred_copy,omitempty"`
-	PureUpdate   bool           `json:"pure_update,omitempty"`
-	// UpdateSet is only meaningful when HasUpdateSet is true: nil and
-	// empty update sets are distinct configurations (see
-	// core.RunConfig.UpdateSet) and JSON cannot tell them apart alone.
-	UpdateSet    []uint64 `json:"update_set,omitempty"`
-	HasUpdateSet bool     `json:"has_update_set,omitempty"`
-	PrefDist     int      `json:"pref_dist,omitempty"`
+	Key string         `json:"key"`
+	Run core.RunConfig `json:"run"`
 }
 
 // EncodeConfig renders a run configuration for forwarding. It refuses
@@ -57,52 +40,18 @@ func EncodeConfig(cfg core.RunConfig) (*ComputeRequest, error) {
 	if cfg.TrackConflicts {
 		return nil, errors.New("cluster: a conflict-census run cannot be forwarded")
 	}
-	return &ComputeRequest{
-		Key:          cfg.CanonicalKey(),
-		Workload:     string(cfg.Workload),
-		Scenario:     cfg.Scenario,
-		System:       cfg.System.String(),
-		Scale:        cfg.Scale,
-		Seed:         cfg.Seed,
-		Machine:      cfg.Machine,
-		DeferredCopy: cfg.DeferredCopy,
-		PureUpdate:   cfg.PureUpdate,
-		UpdateSet:    cfg.UpdateSet,
-		HasUpdateSet: cfg.UpdateSet != nil,
-		PrefDist:     cfg.PrefDist,
-	}, nil
+	return &ComputeRequest{Key: cfg.CanonicalKey(), Run: cfg}, nil
 }
 
-// Config rebuilds the run configuration and verifies its canonical key
-// matches the coordinator's — the receiving side of the skew check.
+// Config returns the run configuration after verifying its canonical
+// key matches the coordinator's — the receiving side of the skew check.
 func (cr *ComputeRequest) Config() (core.RunConfig, error) {
-	sys, err := core.ParseSystem(cr.System)
-	if err != nil {
-		return core.RunConfig{}, fmt.Errorf("cluster: %w", err)
-	}
-	cfg := core.RunConfig{
-		Workload:     workload.Name(cr.Workload),
-		Scenario:     cr.Scenario,
-		System:       sys,
-		Scale:        cr.Scale,
-		Seed:         cr.Seed,
-		Machine:      cr.Machine,
-		DeferredCopy: cr.DeferredCopy,
-		PureUpdate:   cr.PureUpdate,
-		PrefDist:     cr.PrefDist,
-	}
-	if cr.HasUpdateSet {
-		cfg.UpdateSet = cr.UpdateSet
-		if cfg.UpdateSet == nil {
-			cfg.UpdateSet = []uint64{}
-		}
-	}
-	if got := cfg.CanonicalKey(); got != cr.Key {
+	if got := cr.Run.CanonicalKey(); got != cr.Key {
 		return core.RunConfig{}, fmt.Errorf(
 			"cluster: key mismatch (version skew?): coordinator sent %.12s…, this node computes %.12s…",
 			cr.Key, got)
 	}
-	return cfg, nil
+	return cr.Run, nil
 }
 
 // RetryAfterError reports a worker that answered 429: it is healthy

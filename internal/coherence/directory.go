@@ -137,24 +137,6 @@ func DirReadMiss(e DirEntry, req int, ownerDirty bool) DirAction {
 	return a
 }
 
-// DirWriteMiss returns the action for a write miss (read-exclusive)
-// arriving at the home node.
-func DirWriteMiss(e DirEntry, req int, ownerDirty bool) DirAction {
-	a := DirAction{Next: Modified, Invalidate: true}
-	if e.Owner != NoOwner && e.Owner != req {
-		a.OwnerSupply = true
-		a.MemoryWrite = ownerDirty
-	}
-	return a
-}
-
-// DirUpgrade returns the action for a write hit on a Shared line:
-// an ownership request that invalidates the other holders without a
-// data transfer.
-func DirUpgrade(e DirEntry, req int) DirAction {
-	return DirAction{Next: Modified, Invalidate: true}
-}
-
 // ApplyFill records req receiving the line in state next.
 func (e *DirEntry) ApplyFill(req int, next State) {
 	e.Sharers.Add(req)

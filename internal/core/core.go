@@ -80,6 +80,25 @@ func ParseSystem(name string) (System, error) {
 	return 0, fmt.Errorf("core: unknown system %q (want one of %v)", name, Systems())
 }
 
+// MarshalText renders the system as its name, so a RunConfig's JSON
+// form carries "BCPref", not an enum ordinal.
+func (s System) MarshalText() ([]byte, error) {
+	if s < 0 || s >= NumSystems {
+		return nil, fmt.Errorf("core: cannot encode %s", s)
+	}
+	return []byte(s.String()), nil
+}
+
+// UnmarshalText parses a system name (ParseSystem).
+func (s *System) UnmarshalText(b []byte) error {
+	sys, err := ParseSystem(string(b))
+	if err != nil {
+		return err
+	}
+	*s = sys
+	return nil
+}
+
 // KernelOpt returns the software-side (kernel build) configuration of
 // the system.
 func (s System) KernelOpt() kernel.OptConfig {
@@ -137,63 +156,65 @@ type RunConfig struct {
 	// Workload names the traced workload. When Scenario is set the
 	// field is display-only: Run overwrites it with the scenario's
 	// "scenario:<name>" label.
-	Workload workload.Name
+	Workload workload.Name `json:"workload,omitempty"`
 	// Scenario, when non-nil, replaces the named workload with a
 	// declarative user-defined one (see internal/scenario). The spec
 	// is validated at Run time; its content hash joins CanonicalKey,
 	// so equal specs deduplicate in every result cache.
-	Scenario *scenario.Spec
+	Scenario *scenario.Spec `json:"scenario,omitempty"`
 	// System selects the machine/kernel configuration.
-	System System
+	System System `json:"system"`
 	// Scale is the number of generated scheduling rounds (0 = the
 	// workload default).
-	Scale int
+	Scale int `json:"scale,omitempty"`
 	// Seed makes the run deterministic; runs comparing systems must
 	// share a seed so they face the same workload.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Machine optionally overrides the base machine (cache geometry
 	// sweeps); nil means the paper's machine. System-specific fields
 	// (block scheme, page attributes) are set by Apply regardless.
-	Machine *sim.Params
+	Machine *sim.Params `json:"machine,omitempty"`
 	// DeferredCopy additionally enables the Section 4.2.1 deferred
 	// sub-page copying study.
-	DeferredCopy bool
+	DeferredCopy bool `json:"deferred_copy,omitempty"`
 	// PureUpdate applies the Firefly update protocol to every page
 	// (the comparison point of the Section 5.2 traffic study) instead
 	// of the system's own protocol selection.
-	PureUpdate bool
+	PureUpdate bool `json:"pure_update,omitempty"`
 	// UpdateSet, when non-nil, overrides the pages that receive the
 	// update attribute (the selective-update granularity ablation);
-	// kernel.UpdatePages lists the candidates.
-	UpdateSet []uint64
+	// kernel.UpdatePages lists the candidates. Nil and empty are
+	// different configurations, so its JSON form keeps null and []
+	// apart (no omitempty).
+	UpdateSet []uint64 `json:"update_set"`
 	// PrefDist, when positive, overrides the software-pipelining
 	// distance of block-operation prefetching (the Blk_Pref ablation).
-	PrefDist int
+	PrefDist int `json:"pref_dist,omitempty"`
 	// TrackConflicts enables the Section 6 conflict census: every
 	// primary-cache eviction is attributed to the (evictor, victim)
 	// data-structure pair.
-	TrackConflicts bool
+	TrackConflicts bool `json:"track_conflicts,omitempty"`
 	// Deprecated: Stream is ignored; Run streams every run (see Run).
 	// Excluded from CanonicalKey.
-	Stream bool
+	Stream bool `json:"-"`
 	// Monitor, when non-nil, is called with the freshly built simulator
 	// before Run starts, letting callers attach an observer (the
 	// internal/check differential oracle) or inspect the machine. The
 	// simulator consumes single-use streams, so a Monitor observes the
 	// run as it happens; it cannot replay it after Run returns.
-	Monitor func(*sim.Simulator, sim.Params)
+	Monitor func(*sim.Simulator, sim.Params) `json:"-"`
 	// Progress, when non-nil, receives sampled live counters during the
 	// run (refs processed, OS read misses, global clock) plus the
 	// references generated and the projected trace total, for
 	// concurrent progress reporting. Runtime plumbing: excluded from
 	// CanonicalKey.
-	Progress *sim.Progress
+	Progress *sim.Progress `json:"-"`
 	// OnStages, when non-nil, is called exactly once per actual
 	// simulation execution with the run's final stage timings — cached
 	// or deduplicated results do not re-fire it, so subscribers (the
 	// ossimd stage histograms) attribute wall clock only to work that
 	// happened. Runtime plumbing: excluded from CanonicalKey.
-	OnStages func(StageTimings)
+	OnStages func(StageTimings) `json:"-"`
 }
 
 // StageTimings is the wall-clock decomposition of one run — the span

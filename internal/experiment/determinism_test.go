@@ -46,22 +46,20 @@ func TestParallelSchedulerDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunConfigsOrderAndProgress checks the scheduler's two output
+// TestRunConfigsOrderAndDedup checks the scheduler's two output
 // contracts directly: outcomes come back in input order regardless of
-// which worker ran them, and a shared Progress accumulates every
-// completed run's reference total.
-func TestRunConfigsOrderAndProgress(t *testing.T) {
+// which worker ran them, and a duplicated configuration shares one
+// simulation.
+func TestRunConfigsOrderAndDedup(t *testing.T) {
 	r := NewRunner(Config{Scale: 3, Seed: 1, Workers: 3})
 	var cfgs []core.RunConfig
 	for _, sys := range []core.System{core.Base, core.BlkDma, core.BCPref, core.Base} {
 		cfgs = append(cfgs, core.RunConfig{Workload: workload.Shell, System: sys, Scale: 3, Seed: 1})
 	}
-	var prog sim.Progress
-	outs, err := r.RunConfigs(context.Background(), cfgs, &prog)
+	outs, err := r.RunConfigs(context.Background(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantRefs uint64
 	for i, o := range outs {
 		if o == nil {
 			t.Fatalf("outcome %d missing", i)
@@ -69,15 +67,11 @@ func TestRunConfigsOrderAndProgress(t *testing.T) {
 		if o.Config.System != cfgs[i].System {
 			t.Errorf("outcome %d: got system %s, want %s", i, o.Config.System, cfgs[i].System)
 		}
-		wantRefs += o.Refs
 	}
 	if st := r.Stats(); st.Executions != 3 {
 		t.Errorf("stats %+v: duplicate configuration did not share one simulation", st)
 	}
 	sameResult(t, outs[0], outs[3])
-	if got := prog.Snapshot().Refs; got != wantRefs {
-		t.Errorf("progress refs = %d, want %d", got, wantRefs)
-	}
 }
 
 // TestRunConfigsCancellation checks that a failing configuration
@@ -90,7 +84,7 @@ func TestRunConfigsCancellation(t *testing.T) {
 		{Workload: workload.Shell, System: core.Base, Scale: 3, Seed: 1},
 		{Workload: workload.TRFD4, System: core.Base, Scale: 3, Seed: 1},
 	}
-	if _, err := r.RunConfigs(ctx, cfgs, nil); err == nil {
+	if _, err := r.RunConfigs(ctx, cfgs); err == nil {
 		t.Fatal("want error from canceled context")
 	} else if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
@@ -133,7 +127,7 @@ func TestDirectoryDeterminism(t *testing.T) {
 	r := NewRunner(Config{Scale: 2, Seed: 1, Workers: 4})
 	par := base
 	par.Machine = machine()
-	outs, err := r.RunConfigs(context.Background(), []core.RunConfig{par}, nil)
+	outs, err := r.RunConfigs(context.Background(), []core.RunConfig{par})
 	if err != nil {
 		t.Fatal(err)
 	}

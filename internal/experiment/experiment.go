@@ -16,7 +16,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -40,10 +39,6 @@ type Config struct {
 	// byte-identical at every width; only wall-clock changes.
 	Workers int
 }
-
-// DefaultConfig returns the configuration used for the published
-// EXPERIMENTS.md numbers.
-func DefaultConfig() Config { return Config{Scale: 0, Seed: 1, Workers: runtime.GOMAXPROCS(0)} }
 
 // TestConfig returns the reduced, fully deterministic configuration the
 // test suite standardizes on: a small fixed scale so the whole

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"oscachesim/internal/core"
-	"oscachesim/internal/sim"
-	"oscachesim/internal/trace"
 )
 
 // This file is the Runner's worker pool: it fans independent jobs —
@@ -111,13 +109,12 @@ func forEach(ctx context.Context, n, w int, job func(ctx context.Context, i int)
 // RunConfigs executes every configuration and returns outcomes in
 // input order. With Workers > 1 the work fans across that many
 // workers; duplicated configurations are computed once via the Runner
-// cache. A non-nil prog receives each completed run's totals
-// (references, OS read misses, cycles) as accumulating deltas.
+// cache.
 //
 // The first error cancels the remaining work and is returned; partial
 // outcomes are discarded.
-func (r *Runner) RunConfigs(ctx context.Context, cfgs []core.RunConfig, prog *sim.Progress) ([]*core.Outcome, error) {
-	return r.RunConfigsEach(ctx, cfgs, prog, nil)
+func (r *Runner) RunConfigs(ctx context.Context, cfgs []core.RunConfig) ([]*core.Outcome, error) {
+	return r.RunConfigsEach(ctx, cfgs, nil)
 }
 
 // RunConfigsEach is RunConfigs with a per-completion hook: each, when
@@ -127,7 +124,7 @@ func (r *Runner) RunConfigs(ctx context.Context, cfgs []core.RunConfig, prog *si
 // caller synchronizes. Callers that need partial results on
 // cancellation (a campaign reporting the cells that finished) collect
 // them here; the returned slice is still all-or-nothing.
-func (r *Runner) RunConfigsEach(ctx context.Context, cfgs []core.RunConfig, prog *sim.Progress, each func(idx int, o *core.Outcome)) ([]*core.Outcome, error) {
+func (r *Runner) RunConfigsEach(ctx context.Context, cfgs []core.RunConfig, each func(idx int, o *core.Outcome)) ([]*core.Outcome, error) {
 	outs := make([]*core.Outcome, len(cfgs))
 	sched, err := forEach(ctx, len(cfgs), r.cfg.Workers, func(ctx context.Context, i int) error {
 		o, err := r.OutcomeConfig(ctx, cfgs[i])
@@ -135,7 +132,6 @@ func (r *Runner) RunConfigsEach(ctx context.Context, cfgs []core.RunConfig, prog
 			return err
 		}
 		outs[i] = o
-		publishOutcome(prog, o)
 		if each != nil {
 			each(i, o)
 		}
@@ -167,13 +163,4 @@ func (r *Runner) RenderEach(exps []Experiment, each func(idx int, out string)) e
 		return nil
 	})
 	return err
-}
-
-// publishOutcome feeds one completed run's totals to an aggregate
-// progress feed.
-func publishOutcome(prog *sim.Progress, o *core.Outcome) {
-	if prog == nil {
-		return
-	}
-	prog.Publish(o.Refs, o.Counters.DReadMisses[trace.KindOS], o.Counters.Cycles)
 }

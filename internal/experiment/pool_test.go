@@ -67,7 +67,7 @@ func TestPoolRespectsWorkerBound(t *testing.T) {
 	} {
 		var p concurrencyProbe
 		r := hookRunner(tc.cfg, p.compute)
-		if _, err := r.RunConfigsEach(context.Background(), distinctConfigs(16), nil, nil); err != nil {
+		if _, err := r.RunConfigsEach(context.Background(), distinctConfigs(16), nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := p.peak.Load(); got > tc.want || (tc.want == 1 && got != 1) {

@@ -22,7 +22,7 @@ func TestRunnerParallelWarmUp(t *testing.T) {
 		r.configFor(workload.Shell, core.Base), // duplicate: same-key contention
 		r.configFor(workload.TRFD4, core.Base),
 	}
-	if _, err := r.RunConfigs(r.ctx, cfgs, nil); err != nil {
+	if _, err := r.RunConfigs(r.ctx, cfgs); err != nil {
 		t.Fatal(err)
 	}
 	// Post-warm-up reads must hit the cache and agree with a serial
@@ -59,7 +59,7 @@ func TestSchedulerStats(t *testing.T) {
 			cfgs = append(cfgs, core.RunConfig{Workload: w, System: sys, Scale: 3, Seed: 1})
 		}
 	}
-	if _, err := r.RunConfigs(r.ctx, cfgs, nil); err != nil {
+	if _, err := r.RunConfigs(r.ctx, cfgs); err != nil {
 		t.Fatal(err)
 	}
 	sched := r.LastSchedulerStats()
@@ -78,7 +78,7 @@ func TestSchedulerStats(t *testing.T) {
 	}
 
 	serial := NewRunner(Config{Scale: 3, Seed: 1})
-	if _, err := serial.RunConfigs(serial.ctx, cfgs[:2], nil); err != nil {
+	if _, err := serial.RunConfigs(serial.ctx, cfgs[:2]); err != nil {
 		t.Fatal(err)
 	}
 	sched = serial.LastSchedulerStats()

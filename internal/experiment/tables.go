@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"oscachesim/internal/core"
 	"oscachesim/internal/stats"
@@ -242,18 +241,4 @@ func Table5(r *Runner) (string, error) {
 		t.AddRow(cells...)
 	}
 	return t.String(), nil
-}
-
-// RenderAll runs every experiment and concatenates the output.
-func RenderAll(r *Runner) (string, error) {
-	var b strings.Builder
-	for _, e := range All() {
-		out, err := e.Render(r)
-		if err != nil {
-			return "", fmt.Errorf("%s: %w", e.ID, err)
-		}
-		b.WriteString(out)
-		b.WriteString("\n")
-	}
-	return b.String(), nil
 }

@@ -87,14 +87,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSince records the seconds elapsed since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(time.Since(t0).Seconds())
-}
-
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	if h == nil {
@@ -134,27 +126,6 @@ type HistogramSnapshot struct {
 	Counts []uint64
 	Count  uint64
 	Sum    float64
-}
-
-// Merge accumulates another snapshot taken over the same bounds into
-// this one — the aggregation path for per-worker histograms folded
-// into one report.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	if len(s.Counts) == 0 {
-		s.Bounds = o.Bounds
-		s.Counts = append([]uint64(nil), o.Counts...)
-		s.Count = o.Count
-		s.Sum = o.Sum
-		return
-	}
-	if len(o.Counts) != len(s.Counts) {
-		panic("obs: merging histograms with different bucket layouts")
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear

@@ -100,33 +100,6 @@ func TestHistogramConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	b := NewHistogram([]float64{1, 2})
-	a.Observe(0.5)
-	a.Observe(1.5)
-	b.Observe(1.5)
-	b.Observe(10)
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	if s.Count != 4 {
-		t.Errorf("merged count %d, want 4", s.Count)
-	}
-	if want := []uint64{1, 2, 1}; s.Counts[0] != want[0] || s.Counts[1] != want[1] || s.Counts[2] != want[2] {
-		t.Errorf("merged counts %v, want %v", s.Counts, want)
-	}
-	if math.Abs(s.Sum-13.5) > 1e-9 {
-		t.Errorf("merged sum %v, want 13.5", s.Sum)
-	}
-
-	// Merging into an empty snapshot adopts the other's layout.
-	var empty HistogramSnapshot
-	empty.Merge(b.Snapshot())
-	if empty.Count != 2 || len(empty.Counts) != 3 {
-		t.Errorf("merge into empty: %+v", empty)
-	}
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram([]float64{10, 20, 30, 40})
 	// 100 uniform observations in (0, 40]: quantiles interpolate.
@@ -168,7 +141,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(1)
-	h.ObserveSince(time.Now())
 	h.ObserveDuration(time.Second)
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Error("nil histogram has observations")

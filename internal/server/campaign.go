@@ -208,7 +208,9 @@ func campaignKey(p *campaign.Plan, row string, diff *DiffSpec) string {
 type CampaignCell struct {
 	Coords map[string]string `json:"coords"`
 	Key    string            `json:"key"`
-	Result *RunResult        `json:"result"`
+	// Result is the cell's run record rendered; a stored campaign
+	// record leaves it out.
+	Result *RunResult `json:"result,omitempty"`
 }
 
 // CampaignResult is the JSON result of a campaign job. A canceled
@@ -221,22 +223,38 @@ type CampaignResult struct {
 	Cells       []CampaignCell `json:"cells"`
 }
 
-// campaignResult renders completed cells as the API result plus the
-// grid projection the report endpoint serves.
-func campaignResult(p *campaign.Plan, cells []campaign.CellOutcome) (*CampaignResult, []report.GridCell) {
-	res := &CampaignResult{
-		CellsTotal:  len(p.Cells),
-		CellsDone:   len(cells),
-		UniqueCells: len(p.Unique),
+// campaignResult is the result of plan's cells at idx — every cell
+// when idx is nil — giving each cell's coordinates and key;
+// decodeCells adds the results from the cells' run records.
+func campaignResult(p *campaign.Plan, idx []int) *CampaignResult {
+	res := &CampaignResult{CellsTotal: len(p.Cells), UniqueCells: len(p.Unique)}
+	add := func(c campaign.Cell) {
+		res.Cells = append(res.Cells, CampaignCell{Coords: c.Coords, Key: c.Key})
 	}
-	for _, co := range cells {
-		res.Cells = append(res.Cells, CampaignCell{
-			Coords: co.Cell.Coords,
-			Key:    co.Cell.Key,
-			Result: summarize(co.Outcome),
-		})
+	if idx == nil {
+		for _, c := range p.Cells {
+			add(c)
+		}
 	}
-	return res, campaign.GridCells(cells)
+	for _, i := range idx {
+		add(p.Cells[i])
+	}
+	res.CellsDone = len(res.Cells)
+	return res
+}
+
+// keptCells returns the indices of plan's cells in completed, the
+// partial grid (in cell order) of a campaign canceled mid-run; never
+// nil.
+func keptCells(p *campaign.Plan, completed []campaign.CellOutcome) []int {
+	kept := []int{}
+	for i, c := range p.Cells {
+		if len(completed) > 0 && completed[0].Cell.Key == c.Key {
+			kept = append(kept, i)
+			completed = completed[1:]
+		}
+	}
+	return kept
 }
 
 // handleCampaign accepts a parameter grid as one job.
@@ -256,41 +274,31 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	job.Camp = &campaign.Progress{OnStages: s.metrics.observeRunStages}
 	job.RowAxis = row
 	job.Diff = cr.Diff
-	job.Cfg = plan.Unique[0]
 	job.Request = &cr
 	s.respondSubmit(w, job)
 }
 
-// lookupKind finds a job by id and kind.
+// lookupKind finds a job by id and kind; kind "" accepts any.
 func (s *Server) lookupKind(id, kind string) (*Job, bool) {
 	j, ok := s.lookup(id)
-	if !ok || j.Kind != kind {
+	if !ok || (kind != "" && j.Kind != kind) {
 		return nil, false
 	}
 	return j, true
 }
 
-// handleKindJob reports one job's status, 404ing ids of other kinds so
-// each resource's collection stays self-consistent.
-func (s *Server) handleKindJob(kind string) http.HandlerFunc {
+// handleJob reports one job's status, 404ing ids of other kinds so
+// each resource's collection stays self-consistent. GET /v1/runs/{id}
+// passes kind "" and answers any job, as the original status endpoint
+// did.
+func (s *Server) handleJob(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		job, ok := s.lookupKind(r.PathValue("id"), kind)
 		if !ok {
 			writeError(w, http.StatusNotFound, "not_found", "unknown job")
 			return
 		}
-		writeJSON(w, http.StatusOK, job.view(false))
-	}
-}
-
-// handleKindStream is handleStream behind a kind check.
-func (s *Server) handleKindStream(kind string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if _, ok := s.lookupKind(r.PathValue("id"), kind); !ok {
-			writeError(w, http.StatusNotFound, "not_found", "unknown job")
-			return
-		}
-		s.handleStream(w, r)
+		writeJSON(w, http.StatusOK, s.view(job, false))
 	}
 }
 
@@ -308,24 +316,19 @@ func (s *Server) handleCancel(kind string) http.HandlerFunc {
 		for {
 			switch st := job.State(); {
 			case st.terminal():
-				writeJSON(w, http.StatusOK, job.view(false))
+				writeJSON(w, http.StatusOK, s.view(job, false))
 				return
 			case st == JobQueued:
 				if !job.cancelQueued("canceled by client") {
 					// Lost the race with a worker: re-read the state.
 					continue
 				}
-				s.mu.Lock()
-				if s.byKey[job.Key] == job {
-					delete(s.byKey, job.Key)
-				}
-				s.mu.Unlock()
-				s.metrics.jobFinished(job)
-				writeJSON(w, http.StatusOK, job.view(false))
+				s.settle(job, 0)
+				writeJSON(w, http.StatusOK, s.view(job, false))
 				return
 			default:
 				job.signalCancel()
-				writeJSON(w, http.StatusAccepted, job.view(false))
+				writeJSON(w, http.StatusAccepted, s.view(job, false))
 				return
 			}
 		}
@@ -366,12 +369,14 @@ func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "unknown job")
 		return
 	}
-	res, grid, state := job.campaignSnapshot()
-	if res == nil {
+	v, kept := job.status(false)
+	d, ok := s.result(job, v.State, kept)
+	if !ok {
 		writeError(w, http.StatusConflict, "not_ready",
-			"campaign has no results yet (state "+string(state)+")")
+			"campaign has no results yet (state "+string(v.State)+")")
 		return
 	}
+	res, grid := d.camp, campaign.GridCells(d.cells)
 	q := r.URL.Query()
 	row := q.Get("row_axis")
 	if row == "" {
@@ -407,7 +412,7 @@ func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, CampaignReport{
-		ID: job.ID, State: state,
+		ID: job.ID, State: v.State,
 		CellsTotal: res.CellsTotal, CellsDone: res.CellsDone, UniqueCells: res.UniqueCells,
 		RowAxis: row, Table: table, Diff: dv, Cells: grid,
 	})

@@ -46,6 +46,13 @@ func TestCampaignLifecycle(t *testing.T) {
 	if v.State != JobDone {
 		t.Fatalf("campaign finished %s (error %q), want done", v.State, v.Error)
 	}
+	// A campaign's progress is its grid aggregate: the per-run fields
+	// stay zero, queued and done alike.
+	for _, pv := range []*ProgressView{sub.Progress, v.Progress} {
+		if pv == nil || pv.RoundsDone != 0 || pv.RoundsTotal != 0 || pv.Refs != 0 || pv.TotalRefs != 0 {
+			t.Errorf("campaign progress %+v carries per-run fields", pv)
+		}
+	}
 	c := v.Campaign
 	if c == nil {
 		t.Fatal("done campaign has no result")
@@ -248,13 +255,13 @@ func TestCampaignDedupCells(t *testing.T) {
 func TestCampaignCancelMidGrid(t *testing.T) {
 	started := make(chan int, 8)
 	var calls atomic.Int32
-	_, ts := newTestServer(t, Options{
+	srv, ts := newTestServer(t, Options{
 		Workers:    1,
 		QueueDepth: 4,
 		execute: func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
 			n := int(calls.Add(1))
 			started <- n
-			if n == 1 {
+			if n != 2 {
 				return &core.Outcome{Config: cfg}, nil
 			}
 			<-ctx.Done()
@@ -313,6 +320,32 @@ func TestCampaignCancelMidGrid(t *testing.T) {
 	rep := getCampaignReport(t, ts.URL, sub.ID, "")
 	if rep.State != JobCanceled || rep.CellsDone != 1 {
 		t.Errorf("partial report state %s cells %d", rep.State, rep.CellsDone)
+	}
+
+	// A run job computes a cell the cancel left missing. The canceled
+	// campaign keeps the cells it had: its result is fixed at the
+	// cancel, not whatever the store holds later.
+	job, _ := srv.lookup(sub.ID)
+	var missing campaign.Cell
+	for _, cell := range job.Plan.Cells {
+		if cell.Key != c.Cells[0].Key {
+			missing = cell
+			break
+		}
+	}
+	runReq := fmt.Sprintf(`{"workload":"TRFD_4","system":%q,"scale":%d,"seed":1,"machine":{"num_cpus":%s}}`,
+		missing.Coords["system"], testScale, missing.Coords["cpus"])
+	_, rsub, _ := postJSON(t, ts.URL+"/v1/runs", runReq)
+	if rv := waitJob(t, ts.URL, rsub.ID); rv.State != JobDone || rv.Key != missing.Key {
+		t.Fatalf("run of the missing cell: state %s, key %.12s, want done under the cell's key %.12s",
+			rv.State, rv.Key, missing.Key)
+	}
+	if v := getJob(t, ts.URL, sub.ID); v.Campaign == nil || v.Campaign.CellsDone != 1 {
+		t.Errorf("canceled campaign after its missing cell was computed: %+v, want cells_done 1", v.Campaign)
+	}
+	if rep := getCampaignReport(t, ts.URL, sub.ID, ""); rep.CellsDone != 1 || len(rep.Cells) != 1 {
+		t.Errorf("canceled campaign's report after its missing cell was computed: cells_done %d, %d grid cells, want 1",
+			rep.CellsDone, len(rep.Cells))
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"oscachesim/internal/campaign"
 	"oscachesim/internal/core"
-	"oscachesim/internal/report"
 	"oscachesim/internal/sim"
 	"oscachesim/internal/stats"
 )
@@ -25,7 +24,7 @@ const (
 	JobQueued JobState = "queued"
 	// JobRunning: a worker is simulating.
 	JobRunning JobState = "running"
-	// JobDone: finished successfully; Result is set.
+	// JobDone: finished successfully; its result is in the store.
 	JobDone JobState = "done"
 	// JobFailed: finished with an error; Error is set.
 	JobFailed JobState = "failed"
@@ -42,14 +41,16 @@ func (s JobState) terminal() bool {
 // Job is one unit of queued simulation work: a single run or a
 // campaign. A job is created by an accepted POST, executed by exactly
 // one worker, and observed concurrently by status and stream handlers.
+// A job holds a lifecycle and the key of its result, never the result
+// itself: the store holds that, and every view decodes it from there.
 type Job struct {
 	// Immutable after creation.
 	ID      string
 	Kind    string // "run" or "campaign"
 	Key     string // canonical content address (deduplication key)
 	Timeout time.Duration
-	Request any // the decoded request body, echoed in status
-	Cfg     core.RunConfig
+	Request any            // the decoded request body, echoed in status
+	Cfg     core.RunConfig // the configuration (Kind == "run")
 
 	// Campaign plan and report defaults (Kind == "campaign").
 	Plan    *campaign.Plan
@@ -70,10 +71,11 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	err      string
-	result   *RunResult
-	camp     *CampaignResult
-	grid     []report.GridCell
-	stages   *StageView
+	// kept holds, for a campaign canceled mid-grid, the indices of the
+	// cells that completed before the cancel (non-nil, possibly empty);
+	// their results are the cells' run records in the store.
+	kept   []int
+	stages *StageView
 	// cancelFn aborts the running job's context; cancelAsked records
 	// a DELETE that raced ahead of the worker arming it.
 	cancelFn    context.CancelCauseFunc
@@ -125,59 +127,27 @@ func (j *Job) setRunning() (time.Duration, bool) {
 	return j.started.Sub(j.created), true
 }
 
-// finishRun completes a run job. A client cancellation
-// (errClientCanceled) lands in state "canceled"; any other error fails
-// the job.
-func (j *Job) finishRun(res *RunResult, stages *StageView, err error) {
+// finish completes a job. Success lands in state "done" with the
+// job's stage timings. A client cancellation (errClientCanceled) lands
+// in "canceled", where a campaign keeps kept, the indices of the cells
+// that completed before it. Any other error fails the job.
+func (j *Job) finish(err error, stages *StageView, kept []int) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	switch {
 	case err == nil:
 		j.state = JobDone
-		j.result = res
-		j.stages = stages
-	case errors.Is(err, errClientCanceled):
-		j.state = JobCanceled
-		j.err = err.Error()
-	default:
-		j.state = JobFailed
-		j.err = err.Error()
-	}
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// finishCampaign completes a campaign job. A client cancellation
-// (errClientCanceled) lands in state "canceled" keeping the partial
-// result; any other error fails the job.
-func (j *Job) finishCampaign(res *CampaignResult, grid []report.GridCell, stages *StageView, err error) {
-	j.mu.Lock()
-	j.finished = time.Now()
-	switch {
-	case err == nil:
-		j.state = JobDone
-		j.camp = res
-		j.grid = grid
 		j.stages = stages
 	case errors.Is(err, errClientCanceled):
 		j.state = JobCanceled
 		j.err = errClientCanceled.Error()
-		j.camp = res
-		j.grid = grid
+		j.kept = kept
 	default:
 		j.state = JobFailed
 		j.err = err.Error()
 	}
 	j.mu.Unlock()
 	close(j.done)
-}
-
-// campaignSnapshot returns a campaign job's result and grid (nil until
-// terminal with results) and its state.
-func (j *Job) campaignSnapshot() (*CampaignResult, []report.GridCell, JobState) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.camp, j.grid, j.state
 }
 
 // cancelQueued atomically cancels the job if no worker has picked it
@@ -343,8 +313,19 @@ type JobView struct {
 	Error            string  `json:"error,omitempty"`
 }
 
-// view renders the job's current state.
-func (j *Job) view(deduped bool) *JobView {
+// view renders the job's current state, its result decoded from the
+// store.
+func (s *Server) view(j *Job, deduped bool) *JobView {
+	v, kept := j.status(deduped)
+	if r, ok := s.result(j, v.State, kept); ok {
+		v.Result, v.Campaign = r.run, r.camp
+	}
+	return v
+}
+
+// status renders the job's lifecycle and progress, returning with it
+// the cells a canceled campaign kept; Server.view adds the result.
+func (j *Job) status(deduped bool) (*JobView, []int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := &JobView{
@@ -355,8 +336,6 @@ func (j *Job) view(deduped bool) *JobView {
 		Key:       j.Key,
 		CreatedAt: j.created,
 		Request:   j.Request,
-		Result:    j.result,
-		Campaign:  j.camp,
 		Stages:    j.stages,
 		Error:     j.err,
 	}
@@ -372,22 +351,27 @@ func (j *Job) view(deduped bool) *JobView {
 		t := j.finished
 		v.FinishedAt = &t
 	}
-	snap := j.Progress.Snapshot()
-	rt := j.Cfg.Rounds()
-	pv := &ProgressView{
-		Refs:         snap.Refs,
-		GenRefs:      snap.GenRefs,
-		TotalRefs:    snap.TotalRefs,
-		Fraction:     snap.Fraction(),
-		RoundsTotal:  rt,
-		OSReadMisses: snap.OSReadMisses,
-		Cycles:       snap.Cycles,
-	}
-	if j.state == JobDone {
-		pv.Fraction = 1
-	}
-	pv.RoundsDone = int(pv.Fraction * float64(rt))
-	if j.Kind == "campaign" && j.Plan != nil {
+	pv := &ProgressView{}
+	switch j.Kind {
+	case "run":
+		snap := j.Progress.Snapshot()
+		rt := j.Cfg.Rounds()
+		pv = &ProgressView{
+			Refs:         snap.Refs,
+			GenRefs:      snap.GenRefs,
+			TotalRefs:    snap.TotalRefs,
+			Fraction:     snap.Fraction(),
+			RoundsTotal:  rt,
+			OSReadMisses: snap.OSReadMisses,
+			Cycles:       snap.Cycles,
+		}
+		if j.state == JobDone {
+			pv.Fraction = 1
+		}
+		pv.RoundsDone = int(pv.Fraction * float64(rt))
+	case "campaign":
+		// A campaign's progress is its grid aggregate; the per-run
+		// fields stay zero.
 		cs := j.Camp.Snapshot()
 		pv.CellsDone = cs.CellsDone
 		pv.CellsTotal = cs.CellsTotal
@@ -410,22 +394,5 @@ func (j *Job) view(deduped bool) *JobView {
 		}
 	}
 	v.Progress = pv
-	return v
-}
-
-// simSeconds returns the simulated seconds a finished job served.
-func (j *Job) simSeconds() float64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch {
-	case j.result != nil:
-		return j.result.SimSeconds
-	case j.camp != nil:
-		var s float64
-		for _, c := range j.camp.Cells {
-			s += c.Result.SimSeconds
-		}
-		return s
-	}
-	return 0
+	return v, j.kept
 }

@@ -4,7 +4,6 @@ import (
 	"expvar"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"oscachesim/internal/core"
@@ -57,7 +56,6 @@ type metrics struct {
 
 	campaignDur *obs.Histogram
 
-	mu         sync.Mutex
 	simSeconds expvar.Float
 
 	queueWait *obs.Histogram
@@ -105,7 +103,7 @@ func newMetrics(s *Server) *metrics {
 	mt.reg.GaugeFunc("ossimd_cache_hit_ratio", "hits / (hits + misses), 0 when idle",
 		func() float64 { return mt.hitRatio() })
 	mt.reg.GaugeFunc("ossimd_sim_seconds_served", "total simulated seconds of completed jobs",
-		func() float64 { mt.mu.Lock(); defer mt.mu.Unlock(); return mt.simSeconds.Value() })
+		func() float64 { return mt.simSeconds.Value() })
 	mt.reg.GaugeFunc("ossimd_store_records", "distinct keys in the durable result store",
 		func() float64 { return float64(s.store.Len()) })
 	mt.reg.GaugeFunc("ossimd_store_replay_skipped", "corrupt or truncated records skipped at boot replay",
@@ -188,13 +186,11 @@ func (mt *metrics) rejectedHit() { mt.rejected.Inc() }
 // jobServedFromStore records a submitted job the durable store
 // answered: it finished without ever running, so it counts as a dedup
 // hit and a completion but never touches the running gauge.
-func (mt *metrics) jobServedFromStore(j *Job) {
+func (mt *metrics) jobServedFromStore(simSeconds float64) {
 	mt.deduped.Inc()
 	mt.storeServed.Inc()
 	mt.done.Inc()
-	mt.mu.Lock()
-	mt.simSeconds.Set(mt.simSeconds.Value() + j.simSeconds())
-	mt.mu.Unlock()
+	mt.simSeconds.Add(simSeconds)
 }
 
 // ensureNodeGauges registers the per-node cluster gauges on first
@@ -267,14 +263,14 @@ func (mt *metrics) campaignFinished(cells, unique int, elapsed time.Duration) {
 	mt.campaignDur.ObserveDuration(elapsed)
 }
 
-func (mt *metrics) jobFinished(j *Job) {
+// jobFinished records a terminal job; simSeconds is the simulated time
+// a done job's result covers.
+func (mt *metrics) jobFinished(j *Job, simSeconds float64) {
 	switch j.State() {
 	case JobDone:
 		mt.running.Add(-1)
 		mt.done.Inc()
-		mt.mu.Lock()
-		mt.simSeconds.Set(mt.simSeconds.Value() + j.simSeconds())
-		mt.mu.Unlock()
+		mt.simSeconds.Add(simSeconds)
 	case JobFailed:
 		mt.running.Add(-1)
 		mt.failed.Inc()

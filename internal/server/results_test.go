@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,15 +103,19 @@ func TestRestartServesFromStore(t *testing.T) {
 	}
 	s1, ts1 := newTestServer(t, Options{Workers: 2, QueueDepth: 8, Store: st1})
 	var keys []string
+	first := map[string]*JobView{}
 	for path, body := range map[string]string{
 		"/v1/runs": runReq, "/v1/campaigns": campReq,
 	} {
 		_, sub, _ := postJSON(t, ts1.URL+path, body)
-		if v := waitJob(t, ts1.URL, sub.ID); v.State != JobDone {
+		v := waitJob(t, ts1.URL, sub.ID)
+		if v.State != JobDone {
 			t.Fatalf("%s job finished %s (%s)", path, v.State, v.Error)
 		}
 		keys = append(keys, sub.Key)
+		first[path] = v
 	}
+	firstReport := getCampaignReport(t, ts1.URL, first["/v1/campaigns"].ID, "")
 	firstExecs := s1.localExecs.Load()
 	if firstExecs == 0 {
 		t.Fatal("first daemon executed nothing?")
@@ -146,9 +152,15 @@ func TestRestartServesFromStore(t *testing.T) {
 			if sub.Result == nil || sub.Result.Cycles == 0 {
 				t.Fatalf("run served from store has no result: %+v", sub)
 			}
+			if !reflect.DeepEqual(sub.Result, first[path].Result) {
+				t.Errorf("run result after restart %+v, first daemon's %+v", sub.Result, first[path].Result)
+			}
 		case "/v1/campaigns":
 			if sub.Campaign == nil || sub.Campaign.CellsDone != 2 {
 				t.Fatalf("campaign served from store: %+v", sub.Campaign)
+			}
+			if !reflect.DeepEqual(sub.Campaign, first[path].Campaign) {
+				t.Errorf("campaign result after restart differs from the first daemon's")
 			}
 		}
 	}
@@ -168,17 +180,15 @@ func TestRestartServesFromStore(t *testing.T) {
 	}
 	// The campaign's report survives the restart (Plan is rebuilt from
 	// the request, the grid from the store).
-	var campID string
 	_, sub, _ := postJSON(t, ts2.URL+"/v1/campaigns", campReq)
-	campID = sub.ID
-	resp, err := http.Get(ts2.URL + "/v1/campaigns/" + campID + "/report")
-	if err != nil {
-		t.Fatal(err)
+	rep := getCampaignReport(t, ts2.URL, sub.ID, "")
+	// The table's title names the job id, which differs per daemon.
+	title := func(table, id string) string { return strings.Replace(table, id, "<id>", 1) }
+	if title(rep.Table, sub.ID) != title(firstReport.Table, first["/v1/campaigns"].ID) {
+		t.Errorf("report table after restart:\n%s\nfirst daemon's:\n%s", rep.Table, firstReport.Table)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("report after restart: HTTP %d: %s", resp.StatusCode, body)
+	if !reflect.DeepEqual(rep.Cells, firstReport.Cells) {
+		t.Errorf("report cells after restart %+v, first daemon's %+v", rep.Cells, firstReport.Cells)
 	}
 }
 
@@ -280,6 +290,112 @@ func TestRestartMidCampaign(t *testing.T) {
 			t.Errorf("key %s computed %d times after restart (stored before: %v), want once and only if missing",
 				key, n, done1[key])
 		}
+	}
+}
+
+// TestCampaignRecordReadsCells pins where a stored campaign's results
+// live: a campaign record lists its cells' keys and carries no results
+// of its own, every cell's result is read from the cell's run record,
+// and a cell whose run record is missing makes the campaign a store
+// miss — GET /v1/results answers 404 and a resubmit recomputes just
+// that cell. The campaign record here is in the layout older logs hold,
+// with each cell's result and a "grid" inline; both are ignored.
+func TestCampaignRecordReadsCells(t *testing.T) {
+	body := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base","BCPref"],"cpus":[4,8],"scale":%d,"seed":9}`, testScale)
+	// Real runs, minus the producer's stall count, which depends on
+	// timing: a recomputed cell must equal the first daemon's exactly.
+	var calls atomic.Int32
+	execute := func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
+		calls.Add(1)
+		o, err := core.Run(ctx, cfg)
+		if o != nil {
+			o.GenStalls, o.GenStallTime = 0, 0
+		}
+		return o, err
+	}
+	s1, ts1 := newTestServer(t, Options{Workers: 1, QueueDepth: 4, execute: execute})
+	_, sub, _ := postJSON(t, ts1.URL+"/v1/campaigns", body)
+	want := waitJob(t, ts1.URL, sub.ID)
+	if want.State != JobDone || want.Campaign == nil || want.Campaign.CellsDone != 4 {
+		t.Fatalf("first campaign: state %s campaign %+v", want.State, want.Campaign)
+	}
+	wantReport := getCampaignReport(t, ts1.URL, sub.ID, "")
+
+	// The record the daemon wrote lists cells without results or grid.
+	var written struct {
+		Result struct {
+			Cells []map[string]json.RawMessage `json:"cells"`
+		} `json:"result"`
+		Grid json.RawMessage `json:"grid"`
+	}
+	if err := json.Unmarshal(s1.store.Get(sub.Key).View, &written); err != nil {
+		t.Fatal(err)
+	}
+	if written.Grid != nil || len(written.Result.Cells) != 4 {
+		t.Fatalf("campaign record: grid %s, %d cells; want no grid and 4 cells", written.Grid, len(written.Result.Cells))
+	}
+	for i, cell := range written.Result.Cells {
+		if _, ok := cell["result"]; ok || cell["key"] == nil {
+			t.Errorf("campaign record cell %d: %v, want a key and no result", i, cell)
+		}
+	}
+
+	// A second store: the campaign record in the older layout, with a
+	// wrong inline result, and every cell's run record but one.
+	old := *want.Campaign
+	old.Cells = append([]CampaignCell(nil), old.Cells...)
+	bogus := *old.Cells[0].Result
+	bogus.Refs++
+	old.Cells[0].Result = &bogus
+	view, err := json.Marshal(map[string]any{"result": &old, "grid": wantReport.Cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, _ := store.Open("", nil)
+	if err := st2.Put(&store.Record{Key: sub.Key, Kind: "campaign", SimVersion: core.SimVersion,
+		StoredAt: time.Now().UTC(), View: view}); err != nil {
+		t.Fatal(err)
+	}
+	lost := old.Cells[3].Key
+	for _, cell := range old.Cells {
+		if cell.Key != lost {
+			if err := st2.Put(s1.store.Get(cell.Key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	calls.Store(0)
+	_, ts2 := newTestServer(t, Options{Workers: 1, QueueDepth: 4, Store: st2, execute: execute})
+	resp, err := http.Get(ts2.URL + "/v1/results/" + sub.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/results of a campaign missing a cell: HTTP %d, want 404", resp.StatusCode)
+	}
+	status, sub2, _ := postJSON(t, ts2.URL+"/v1/campaigns", body)
+	if status != http.StatusAccepted || sub2.Deduped {
+		t.Fatalf("resubmit with a cell missing: HTTP %d deduped %v, want 202 (a store miss)", status, sub2.Deduped)
+	}
+	got := waitJob(t, ts2.URL, sub2.ID)
+	if got.State != JobDone || calls.Load() != 1 {
+		t.Fatalf("resubmitted campaign: state %s after %d simulations, want done after 1", got.State, calls.Load())
+	}
+	if !reflect.DeepEqual(got.Campaign, want.Campaign) {
+		t.Errorf("recomputed campaign %+v, want %+v", got.Campaign, want.Campaign)
+	}
+	// The old-layout record now decodes, from the run records alone.
+	resp, err = http.Get(ts2.URL + "/v1/results/" + sub.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rv ResultView
+	err = json.NewDecoder(resp.Body).Decode(&rv)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || !reflect.DeepEqual(rv.Campaign, want.Campaign) {
+		t.Errorf("GET /v1/results after the recompute: HTTP %d (decode err %v), campaign %+v, want %+v",
+			resp.StatusCode, err, rv.Campaign, want.Campaign)
 	}
 }
 

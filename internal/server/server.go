@@ -203,10 +203,10 @@ func (s *Server) routes() []route {
 		{"POST /v1/campaigns", "/v1/campaigns", s.handleCampaign},
 		{"GET /v1/runs", "/v1/runs", s.handleList("run")},
 		{"GET /v1/campaigns", "/v1/campaigns", s.handleList("campaign")},
-		{"GET /v1/runs/{id}", "/v1/runs/{id}", s.handleJob},
-		{"GET /v1/campaigns/{id}", "/v1/campaigns/{id}", s.handleKindJob("campaign")},
-		{"GET /v1/runs/{id}/stream", "/v1/runs/{id}/stream", s.handleStream},
-		{"GET /v1/campaigns/{id}/stream", "/v1/campaigns/{id}/stream", s.handleKindStream("campaign")},
+		{"GET /v1/runs/{id}", "/v1/runs/{id}", s.handleJob("")},
+		{"GET /v1/campaigns/{id}", "/v1/campaigns/{id}", s.handleJob("campaign")},
+		{"GET /v1/runs/{id}/stream", "/v1/runs/{id}/stream", s.handleStream("")},
+		{"GET /v1/campaigns/{id}/stream", "/v1/campaigns/{id}/stream", s.handleStream("campaign")},
 		{"GET /v1/campaigns/{id}/report", "/v1/campaigns/{id}/report", s.handleCampaignReport},
 		{"DELETE /v1/runs/{id}", "/v1/runs/{id}", s.handleCancel("run")},
 		{"DELETE /v1/campaigns/{id}", "/v1/campaigns/{id}", s.handleCancel("campaign")},
@@ -332,7 +332,9 @@ func (s *Server) worker() {
 		if s.isDraining() {
 			// Queued at shutdown: cancel instead of starting a
 			// potentially long simulation.
-			s.finalizeCanceled(job, "server draining")
+			if job.cancelQueued("server draining") {
+				s.settle(job, 0)
+			}
 			continue
 		}
 		s.execute(job)
@@ -371,6 +373,9 @@ func (s *Server) execute(job *Job) {
 			errors.Is(context.Cause(ctx), errClientCanceled)
 	}
 
+	var err error
+	var stages core.StageTimings
+	var kept []int
 	switch job.Kind {
 	case "run":
 		cfg := job.Cfg
@@ -379,41 +384,41 @@ func (s *Server) execute(job *Job) {
 		// cached and deduplicated results never re-observe old timings
 		// into the stage histograms.
 		cfg.OnStages = s.metrics.observeRunStages
-		o, err := s.runner.OutcomeConfig(ctx, cfg)
-		if err != nil && canceledErr(err) {
-			err = errClientCanceled
+		var o *core.Outcome
+		if o, err = s.runner.OutcomeConfig(ctx, cfg); err == nil {
+			stages = o.Stages
 		}
-		var res *RunResult
-		var sv *StageView
-		if err == nil {
-			t0 := time.Now()
-			res = summarize(o)
-			render := time.Since(t0)
-			s.metrics.observeRender(render)
-			st := o.Stages
-			st.Render = render
-			sv = stageView(st)
-		}
-		s.finalize(job, func() { job.finishRun(res, sv, err) }, err)
 	case "campaign":
-		cells, err := campaign.Run(ctx, s.runner, job.Plan, job.Camp)
-		t0 := time.Now()
-		res, grid := campaignResult(job.Plan, cells)
-		render := time.Since(t0)
-		s.metrics.observeRender(render)
-		switch {
-		case err == nil:
-			snap := job.Camp.Snapshot()
-			st := snap.Stages
-			st.Render = render
-			s.putViewRecord(job.Key, "campaign", storedCampaignView{Result: res, Grid: grid})
-			s.finalize(job, func() { job.finishCampaign(res, grid, stageView(st), nil) }, nil)
-			s.metrics.campaignFinished(len(job.Plan.Cells), len(job.Plan.Unique), snap.Elapsed)
-		case canceledErr(err):
-			s.finalize(job, func() { job.finishCampaign(res, grid, nil, errClientCanceled) }, err)
-		default:
-			s.finalize(job, func() { job.finishCampaign(nil, nil, nil, err) }, err)
+		var cells []campaign.CellOutcome
+		cells, err = campaign.Run(ctx, s.runner, job.Plan, job.Camp)
+		if err != nil && canceledErr(err) {
+			kept = keptCells(job.Plan, cells)
 		}
+	}
+	switch {
+	case err == nil:
+		// The result is rendered the way every view renders it: decoded
+		// from the store, which the runner filled.
+		t0 := time.Now()
+		r, ok := s.result(job, JobDone, nil)
+		render := time.Since(t0)
+		if !ok {
+			s.finalize(job, errors.New("internal: result missing from the store"), 0, nil, nil)
+			break
+		}
+		s.metrics.observeRender(render)
+		if job.Kind == "campaign" {
+			snap := job.Camp.Snapshot()
+			stages = snap.Stages
+			s.putCampaignRecord(job)
+			s.metrics.campaignFinished(len(job.Plan.Cells), len(job.Plan.Unique), snap.Elapsed)
+		}
+		stages.Render = render
+		s.finalize(job, nil, r.simSeconds, stageView(stages), nil)
+	case canceledErr(err):
+		s.finalize(job, errClientCanceled, 0, nil, kept)
+	default:
+		s.finalize(job, err, 0, nil, nil)
 	}
 	if l := s.opts.Logger; l != nil {
 		l.Info("job finished", "job_id", job.ID, "kind", job.Kind,
@@ -421,48 +426,25 @@ func (s *Server) execute(job *Job) {
 	}
 }
 
-// putViewRecord persists a campaign's rendered result so a restarted
-// daemon answers the same grid from disk.
-func (s *Server) putViewRecord(key, kind string, view any) {
-	raw, err := json.Marshal(view)
-	if err != nil {
-		return
-	}
-	_ = s.store.Put(&store.Record{
-		Key:        key,
-		Kind:       kind,
-		SimVersion: core.SimVersion,
-		StoredAt:   time.Now().UTC(),
-		View:       raw,
-	})
+// finalize finishes a job (Job.finish) and settles it; simSeconds is
+// the simulated time a done job's result covers.
+func (s *Server) finalize(job *Job, err error, simSeconds float64, stages *StageView, kept []int) {
+	job.finish(err, stages, kept)
+	s.settle(job, simSeconds)
 }
 
-// finalize applies a job's terminal transition and maintains the dedup
-// index: a failed job is removed from byKey so a retry of the same
-// configuration runs again instead of being deduplicated onto the
-// failure.
-func (s *Server) finalize(job *Job, transition func(), err error) {
-	transition()
+// settle maintains the dedup index and the metrics once a job is
+// terminal: a job that did not end done is removed from byKey, so a
+// retry of the same configuration runs again instead of being
+// deduplicated onto the failure or cancellation.
+func (s *Server) settle(job *Job, simSeconds float64) {
+	done := job.State() == JobDone
 	s.mu.Lock()
-	if err != nil && s.byKey[job.Key] == job {
+	if !done && s.byKey[job.Key] == job {
 		delete(s.byKey, job.Key)
 	}
 	s.mu.Unlock()
-	s.metrics.jobFinished(job)
-}
-
-// finalizeCanceled cancels a job drained from the queue.
-func (s *Server) finalizeCanceled(job *Job, reason string) {
-	if !job.cancelQueued(reason) {
-		// Already canceled by the client; accounting is done.
-		return
-	}
-	s.mu.Lock()
-	if s.byKey[job.Key] == job {
-		delete(s.byKey, job.Key)
-	}
-	s.mu.Unlock()
-	s.metrics.jobFinished(job)
+	s.metrics.jobFinished(job, simSeconds)
 }
 
 // submit registers and enqueues a job, deduplicating by canonical key.
@@ -548,17 +530,7 @@ func (s *Server) respondSubmit(w http.ResponseWriter, job *Job) {
 	if deduped {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, got.view(deduped))
-}
-
-// handleJob reports one job's status.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown job")
-		return
-	}
-	writeJSON(w, http.StatusOK, job.view(false))
+	writeJSON(w, status, s.view(got, deduped))
 }
 
 // WorkloadInfo describes one selectable workload: a calibrated

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"oscachesim/internal/cache"
 	"oscachesim/internal/coherence"
 	"oscachesim/internal/stats"
 	"oscachesim/internal/trace"
@@ -166,18 +165,6 @@ func (s *Simulator) L2State(cpu int, addr uint64) coherence.State {
 func (s *Simulator) L1DHas(cpu int, addr uint64) bool {
 	_, ok := s.cpus[cpu].l1d.Peek(addr)
 	return ok
-}
-
-// ForEachL2Line calls fn for every valid line of cpu's secondary
-// cache.
-func (s *Simulator) ForEachL2Line(cpu int, fn func(cache.Line)) {
-	s.cpus[cpu].l2.ForEachValid(fn)
-}
-
-// WriteBufferLens returns the current occupancy of cpu's two write
-// buffers.
-func (s *Simulator) WriteBufferLens(cpu int) (l1wb, l2wb int) {
-	return s.cpus[cpu].l1wb.Len(), s.cpus[cpu].l2wb.Len()
 }
 
 // Params returns the machine parameters the simulator was built with.

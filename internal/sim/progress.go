@@ -98,24 +98,6 @@ func (s ProgressSnapshot) Fraction() float64 {
 	return f
 }
 
-// Publish adds externally accumulated counter deltas to the feed. It
-// is the aggregation hook for callers that merge many simulations into
-// one progress report — the parallel sweep scheduler publishes each
-// completed run's totals here, so a watcher of the shared Progress sees
-// the sweep advance as a whole. Unlike the simulator's own sampling
-// (which stores absolute values for a single run), Publish accumulates.
-func (p *Progress) Publish(refs, osMisses, cycles uint64) {
-	p.refs.Add(refs)
-	// A completed run has generated exactly what it simulated, so the
-	// aggregate generation counter advances in step.
-	p.genRefs.Add(refs)
-	p.osMisses.Add(osMisses)
-	p.cycles.Add(cycles)
-}
-
-// MarkDone flags the feed complete; the accumulated fields are final.
-func (p *Progress) MarkDone() { p.done.Store(true) }
-
 // sample publishes one observation from the simulation loop.
 func (p *Progress) sample(refs, osMisses, cycles uint64) {
 	p.refs.Store(refs)

@@ -1,6 +1,6 @@
 // Package store is the content-addressed result cache: the one
 // in-process copy of every completed simulation outcome (and every
-// rendered campaign view), keyed by its canonical key. It is the
+// campaign's list of cells), keyed by its canonical key. It is the
 // experiment.Runner's memo, which checks it before its singleflight
 // table and a compute call. Given a directory, each record is also
 // appended to an integrity-checked on-disk log, so results survive a
@@ -59,9 +59,9 @@ const maxRecordPayload = 1 << 26
 
 // Record is one stored result. A "run" record carries the counters
 // needed to reconstruct a servable core.Outcome; a "campaign" record
-// carries its rendered API view (the server's stored campaign body) as
-// raw JSON, since that shape belongs to the API layer, not this
-// package. Kind is opaque here: logs written before the sweep job kind
+// carries the server's campaign view as raw JSON, since that shape
+// belongs to the API layer, not this package: its cells' keys, whose
+// run records hold the results. Kind is opaque here: logs written before the sweep job kind
 // was retired may still hold "sweep" records, which the server does not
 // serve.
 type Record struct {
@@ -89,8 +89,8 @@ type Record struct {
 	// written before it was added.
 	Deferred *kernel.DeferredCopyStats `json:"deferred,omitempty"`
 
-	// View payload (Kind == "campaign"): the rendered API
-	// result, opaque to this package.
+	// View payload (Kind == "campaign"): the server's campaign view,
+	// opaque to this package.
 	View json.RawMessage `json:"view,omitempty"`
 }
 
@@ -118,8 +118,12 @@ func RecordOf(key string, o *core.Outcome) *Record {
 // paper experiment reads. Execution-local detail that
 // never leaves the producing process (stage wall clock, per-CPU
 // clocks, conflict censuses) is absent — by design, those describe an
-// execution, not a result. Returns an error for non-run records.
+// execution, not a result. Returns an error for a nil or non-run
+// record.
 func (r *Record) Outcome() (*core.Outcome, error) {
+	if r == nil {
+		return nil, errors.New("store: no record")
+	}
 	if r.Kind != "run" || r.Counters == nil {
 		return nil, fmt.Errorf("store: record %s is %q, not a run result", r.Key, r.Kind)
 	}

@@ -215,9 +215,6 @@ type Ref struct {
 // of two) containing the reference's address.
 func (r Ref) Line(lineSize uint64) uint64 { return r.Addr &^ (lineSize - 1) }
 
-// InBlockOp reports whether the reference is part of a block operation.
-func (r Ref) InBlockOp() bool { return r.Block != 0 }
-
 // String renders a compact human-readable form, used by tracedump and
 // in test failure messages.
 func (r Ref) String() string {

@@ -240,7 +240,7 @@ func (s *Sim) Compare(ctx context.Context, systems ...System) ([]*Outcome, error
 		cfgs[i] = s.cfg
 		cfgs[i].System = sys
 	}
-	return r.RunConfigs(ctx, cfgs, nil)
+	return r.RunConfigs(ctx, cfgs)
 }
 
 // Experiment names one regenerable table or figure of the paper.
