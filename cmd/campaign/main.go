@@ -124,14 +124,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if !contains(plan.Axes, *row) {
-		fatal(fmt.Errorf("-row %s is not a declared axis (axes: %v)", *row, plan.Axes))
-	}
-	var diff *diffSpec
+	var diff *campaign.Diff
 	if *diffArg != "" {
-		if diff, err = parseDiff(plan, *diffArg); err != nil {
-			fatal(err)
+		parts := strings.SplitN(*diffArg, ":", 3)
+		if len(parts) != 3 {
+			fatal(fmt.Errorf("-diff wants axis:from:to, got %q", *diffArg))
 		}
+		diff = &campaign.Diff{Axis: parts[0], From: parts[1], To: parts[2]}
+	}
+	if err := plan.CheckSelection(*row, diff, "-row", "-diff "); err != nil {
+		fatal(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -157,8 +159,8 @@ func main() {
 	title := fmt.Sprintf("campaign: OS time by %s (normalized per group)", *row)
 	fmt.Print(campaign.Chart(title, *row, grid))
 	if diff != nil {
-		campaign.WriteDiffText(os.Stdout, diff.axis, diff.from, diff.to,
-			report.DiffCells(grid, diff.axis, diff.from, diff.to, campaign.DiffMetrics))
+		campaign.WriteDiffText(os.Stdout, diff.Axis, diff.From, diff.To,
+			report.DiffCells(grid, diff.Axis, diff.From, diff.To, campaign.DiffMetrics))
 	}
 	if *verbose {
 		fmt.Println()
@@ -253,27 +255,6 @@ func narrate(prog *campaign.Progress, done <-chan struct{}) {
 	}
 }
 
-// diffSpec is the parsed -diff selection.
-type diffSpec struct{ axis, from, to string }
-
-func parseDiff(p *campaign.Plan, arg string) (*diffSpec, error) {
-	parts := strings.SplitN(arg, ":", 3)
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("-diff wants axis:from:to, got %q", arg)
-	}
-	d := &diffSpec{axis: parts[0], from: parts[1], to: parts[2]}
-	if !contains(p.Axes, d.axis) {
-		return nil, fmt.Errorf("-diff axis %s is not a declared axis (axes: %v)", d.axis, p.Axes)
-	}
-	vals := p.AxisValues(d.axis)
-	for _, v := range []string{d.from, d.to} {
-		if !contains(vals, v) {
-			return nil, fmt.Errorf("-diff value %s is not on axis %s (values: %v)", v, d.axis, vals)
-		}
-	}
-	return d, nil
-}
-
 func splitList(s string) []string {
 	if s == "" {
 		return nil
@@ -309,15 +290,6 @@ func parseUints(s string) ([]uint64, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func contains(xs []string, v string) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 func fatal(err error) {

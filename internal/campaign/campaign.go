@@ -16,6 +16,9 @@ package campaign
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strconv"
 
 	"oscachesim/internal/core"
 	"oscachesim/internal/scenario"
@@ -123,46 +126,89 @@ type Cell struct {
 	Key string
 }
 
+// point is a grid point under construction: the machine and the
+// scenario the axes applied so far have set.
+type point struct {
+	machine sim.Params
+	spec    *scenario.Spec
+}
+
+// dim is one declared axis between the workload axis (outermost) and
+// the system axis (innermost): n values, and apply, which sets the
+// i-th on a point, checks it and returns its coordinate label.
+// Machine axes change the machine and precede the others, so the
+// machine is validated before an axis that reads it.
+type dim struct {
+	name    string
+	n       int
+	machine bool
+	apply   func(i int, pt *point) (string, error)
+}
+
+// dims returns the grid's declared axes between workload and system,
+// in expansion order.
+func (g *Grid) dims() []dim {
+	table := []dim{
+		{AxisCPUs, len(g.CPUs), true, func(i int, pt *point) (string, error) {
+			n := g.CPUs[i]
+			if n <= 0 {
+				return "", fieldErr(fmt.Sprintf("cpus[%d]", i), n, "must be positive")
+			}
+			pt.machine.NumCPUs = n
+			return strconv.Itoa(n), nil
+		}},
+		{AxisCoherence, len(g.Coherence), true, func(i int, pt *point) (string, error) {
+			pt.machine.Coherence = g.Coherence[i]
+			return g.Coherence[i].String(), nil
+		}},
+		{AxisL1KB, len(g.L1SizesKB), true, func(i int, pt *point) (string, error) {
+			kb := g.L1SizesKB[i]
+			if kb == 0 {
+				return "", fieldErr(fmt.Sprintf("sizes_kb[%d]", i), kb, "must be positive")
+			}
+			pt.machine.L1D.Size = kb * 1024
+			return strconv.FormatUint(kb, 10), nil
+		}},
+		{AxisLineB, len(g.LineSizes), true, func(i int, pt *point) (string, error) {
+			line := g.LineSizes[i]
+			if line == 0 {
+				return "", fieldErr(fmt.Sprintf("line_sizes[%d]", i), line, "must be positive")
+			}
+			p := &pt.machine
+			p.L1D.LineSize, p.L1I.LineSize = line, line
+			if g.L2Line > 0 {
+				p.L2.LineSize = g.L2Line
+			}
+			p.L2.LineSize = max(p.L2.LineSize, line)
+			return strconv.FormatUint(line, 10), nil
+		}},
+		{AxisSharers, len(g.Sharers), false, func(i int, pt *point) (string, error) {
+			d := g.Sharers[i]
+			if d < 1 || d > pt.machine.NumCPUs {
+				return "", fieldErr(fmt.Sprintf("sharers[%d]", i), d,
+					"outside [1, %d] (widen the machine with cpus or machine.num_cpus)", pt.machine.NumCPUs)
+			}
+			pt.spec = pt.spec.WithSharingDegree(d)
+			return strconv.Itoa(d), nil
+		}},
+	}
+	return slices.DeleteFunc(table, func(d dim) bool { return d.n == 0 })
+}
+
 // axes returns the grid's declared axis names in expansion order.
 func (g *Grid) axes() []string {
 	out := []string{AxisWorkload}
-	if len(g.CPUs) > 0 {
-		out = append(out, AxisCPUs)
-	}
-	if len(g.Coherence) > 0 {
-		out = append(out, AxisCoherence)
-	}
-	if len(g.L1SizesKB) > 0 {
-		out = append(out, AxisL1KB)
-	}
-	if len(g.LineSizes) > 0 {
-		out = append(out, AxisLineB)
-	}
-	if len(g.Sharers) > 0 {
-		out = append(out, AxisSharers)
+	for _, d := range g.dims() {
+		out = append(out, d.name)
 	}
 	return append(out, AxisSystem)
 }
 
-// size returns the cell count the grid expands to.
-func (g *Grid) size() int {
-	n := len(g.Workloads)
-	if g.Scenario != nil {
-		n = 1
-	}
-	for _, l := range []int{len(g.CPUs), len(g.Coherence), len(g.L1SizesKB), len(g.LineSizes), len(g.Sharers)} {
-		if l > 0 {
-			n *= l
-		}
-	}
-	return n * len(g.Systems)
-}
-
-// Expand validates the grid and produces its cells in deterministic
-// order: workload outermost, then CPUs, coherence, L1 size, line size,
-// sharing degree, and system innermost. All failures are *FieldError
-// values naming the offending field.
-func (g *Grid) Expand() ([]Cell, error) {
+// expand validates the grid and produces its cells in deterministic
+// order: workload outermost, then the declared axes of dims in table
+// order, and system innermost. All failures are *FieldError values
+// naming the offending field.
+func (g *Grid) expand() ([]Cell, error) {
 	if g.Scenario != nil && len(g.Workloads) > 0 {
 		return nil, fieldErr("workloads", nil, "pass either workloads or a scenario, not both")
 	}
@@ -175,29 +221,32 @@ func (g *Grid) Expand() ([]Cell, error) {
 	if len(g.Sharers) > 0 && g.Scenario == nil {
 		return nil, fieldErr("sharers", nil, "sharers sweeps a scenario's sharing degree; pass a scenario too")
 	}
+	dims := g.dims()
+	// nm counts the machine axes, which lead the table.
+	nm := 0
+	for nm < len(dims) && dims[nm].machine {
+		nm++
+	}
+	n := max(len(g.Workloads), 1) * len(g.Systems)
+	for _, d := range dims {
+		n *= d.n
+	}
 	maxCells := g.MaxCells
 	if maxCells <= 0 {
 		maxCells = DefaultMaxCells
 	}
-	if n := g.size(); n > maxCells {
+	if n > maxCells {
 		return nil, fieldErr("grid", n, "expands to %d cells, exceeding the maximum %d", n, maxCells)
 	}
 
 	// The workload axis: profile names, or the one scenario.
-	type wl struct {
-		label string
-		name  workload.Name
-		spec  *scenario.Spec
-	}
-	var wls []wl
+	names := g.Workloads
 	if g.Scenario != nil {
-		wls = []wl{{label: string(workload.SpecWorkloadName(g.Scenario)), spec: g.Scenario}}
-	} else {
-		for i, name := range g.Workloads {
-			if _, err := workload.ParseName(string(name)); err != nil {
-				return nil, fieldErr(fmt.Sprintf("workloads[%d]", i), name, "%v", err)
-			}
-			wls = append(wls, wl{label: string(name), name: name})
+		names = []workload.Name{workload.SpecWorkloadName(g.Scenario)}
+	}
+	for i, name := range g.Workloads {
+		if _, err := workload.ParseName(string(name)); err != nil {
+			return nil, fieldErr(fmt.Sprintf("workloads[%d]", i), name, "%v", err)
 		}
 	}
 
@@ -205,130 +254,71 @@ func (g *Grid) Expand() ([]Cell, error) {
 	if g.Base != nil {
 		base = *g.Base
 	}
-	// An axis value index of -1 marks an undeclared axis: one pass that
-	// keeps the base machine's value and records no coordinate.
-	idxs := func(n int) []int {
-		if n == 0 {
-			return []int{-1}
-		}
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
+	// Without a machine axis or base override, cells keep a nil Machine
+	// so their canonical keys match plain runs of the same
+	// configuration (nil and the explicit default machine hash
+	// differently).
+	explicit := g.Base != nil || nm > 0
 
-	// machineAxes: without any geometry axis or base override, cells
-	// keep a nil Machine so their canonical keys match plain runs of
-	// the same configuration (nil and the explicit default machine
-	// hash differently).
-	machineAxes := g.Base != nil ||
-		len(g.CPUs) > 0 || len(g.Coherence) > 0 || len(g.L1SizesKB) > 0 || len(g.LineSizes) > 0
-
-	var cells []Cell
-	for _, w := range wls {
-		for _, ci := range idxs(len(g.CPUs)) {
-			for _, hi := range idxs(len(g.Coherence)) {
-				for _, ki := range idxs(len(g.L1SizesKB)) {
-					for _, li := range idxs(len(g.LineSizes)) {
-						p := base
-						coords := map[string]string{AxisWorkload: w.label}
-						if ci >= 0 {
-							n := g.CPUs[ci]
-							if n <= 0 {
-								return nil, fieldErr(fmt.Sprintf("cpus[%d]", ci), n, "must be positive")
-							}
-							p.NumCPUs = n
-							coords[AxisCPUs] = fmt.Sprintf("%d", n)
-						}
-						if hi >= 0 {
-							p.Coherence = g.Coherence[hi]
-							coords[AxisCoherence] = g.Coherence[hi].String()
-						}
-						if ki >= 0 {
-							kb := g.L1SizesKB[ki]
-							if kb == 0 {
-								return nil, fieldErr(fmt.Sprintf("sizes_kb[%d]", ki), kb, "must be positive")
-							}
-							p.L1D.Size = kb * 1024
-							coords[AxisL1KB] = fmt.Sprintf("%d", kb)
-						}
-						if li >= 0 {
-							line := g.LineSizes[li]
-							if line == 0 {
-								return nil, fieldErr(fmt.Sprintf("line_sizes[%d]", li), line, "must be positive")
-							}
-							p.L1D.LineSize = line
-							p.L1I.LineSize = line
-							if g.L2Line > 0 {
-								p.L2.LineSize = g.L2Line
-							}
-							if p.L2.LineSize < line {
-								p.L2.LineSize = line
-							}
-							coords[AxisLineB] = fmt.Sprintf("%d", line)
-						}
-						if machineAxes {
-							if err := p.Validate(); err != nil {
-								return nil, fieldErr("machine", coordLabel(coords), "%v", err)
-							}
-						}
-						for _, si := range idxs(len(g.Sharers)) {
-							spec := w.spec
-							if si >= 0 {
-								d := g.Sharers[si]
-								if d < 1 || d > p.NumCPUs {
-									return nil, fieldErr(fmt.Sprintf("sharers[%d]", si), d,
-										"outside [1, %d] (widen the machine with cpus or machine.num_cpus)", p.NumCPUs)
-								}
-								spec = spec.WithSharingDegree(d)
-							}
-							for _, sys := range g.Systems {
-								cfg := core.RunConfig{
-									System: sys, Scale: g.Scale, Seed: g.Seed, Stream: g.Stream,
-								}
-								if machineAxes {
-									machine := p
-									cfg.Machine = &machine
-								}
-								if spec != nil {
-									cfg.Scenario = spec
-									cfg.Workload = workload.SpecWorkloadName(spec)
-								} else {
-									cfg.Workload = w.name
-								}
-								cc := make(map[string]string, len(coords)+2)
-								for k, v := range coords {
-									cc[k] = v
-								}
-								if si >= 0 {
-									cc[AxisSharers] = fmt.Sprintf("%d", g.Sharers[si])
-								}
-								cc[AxisSystem] = sys.String()
-								cells = append(cells, Cell{
-									Index:  len(cells),
-									Coords: cc,
-									Cfg:    cfg,
-									Key:    cfg.CanonicalKey(),
-								})
-							}
-						}
+	cells := make([]Cell, 0, n)
+	idx := make([]int, len(dims))
+	for _, name := range names {
+		// An odometer over the declared axes, the last turning fastest.
+		for {
+			pt := point{machine: base, spec: g.Scenario}
+			coords := map[string]string{AxisWorkload: string(name)}
+			applyDims := func(from, to int) error {
+				for k := from; k < to; k++ {
+					label, err := dims[k].apply(idx[k], &pt)
+					if err != nil {
+						return err
 					}
+					coords[dims[k].name] = label
 				}
+				return nil
+			}
+			if err := applyDims(0, nm); err != nil {
+				return nil, err
+			}
+			if explicit {
+				if err := pt.machine.Validate(); err != nil {
+					at := string(name)
+					if nm > 0 {
+						at = dims[0].name + "=" + coords[dims[0].name]
+					}
+					return nil, fieldErr("machine", at, "%v", err)
+				}
+			}
+			if err := applyDims(nm, len(dims)); err != nil {
+				return nil, err
+			}
+			for _, sys := range g.Systems {
+				cfg := core.RunConfig{System: sys, Scale: g.Scale, Seed: g.Seed, Stream: g.Stream, Workload: name}
+				if explicit {
+					machine := pt.machine
+					cfg.Machine = &machine
+				}
+				if pt.spec != nil {
+					cfg.Scenario = pt.spec
+					cfg.Workload = workload.SpecWorkloadName(pt.spec)
+				}
+				cc := maps.Clone(coords)
+				cc[AxisSystem] = sys.String()
+				cells = append(cells, Cell{Index: len(cells), Coords: cc, Cfg: cfg, Key: cfg.CanonicalKey()})
+			}
+			k := len(idx) - 1
+			for ; k >= 0; k-- {
+				if idx[k]++; idx[k] < dims[k].n {
+					break
+				}
+				idx[k] = 0
+			}
+			if k < 0 {
+				break
 			}
 		}
 	}
 	return cells, nil
-}
-
-// coordLabel renders a partial coordinate for error messages.
-func coordLabel(coords map[string]string) string {
-	for _, axis := range []string{AxisCPUs, AxisCoherence, AxisL1KB, AxisLineB} {
-		if v, ok := coords[axis]; ok {
-			return axis + "=" + v
-		}
-	}
-	return coords[AxisWorkload]
 }
 
 // Plan is an expanded grid with its duplicate cells grouped: Unique
@@ -357,7 +347,7 @@ type Plan struct {
 // NewPlan expands the grid and groups duplicate cells by canonical
 // key. All failures are *FieldError values.
 func NewPlan(g Grid) (*Plan, error) {
-	cells, err := g.Expand()
+	cells, err := g.expand()
 	if err != nil {
 		return nil, err
 	}
@@ -381,6 +371,38 @@ func NewPlan(g Grid) (*Plan, error) {
 		p.ByKey[c.Key] = append(p.ByKey[c.Key], i)
 	}
 	return p, nil
+}
+
+// Diff selects a machine-readable comparison: each pair of cells
+// agreeing on every axis except Axis is compared between Axis=From and
+// Axis=To (e.g. coherence, snoop, directory).
+type Diff struct {
+	Axis string `json:"axis"`
+	From string `json:"from"`
+	To   string `json:"to"`
+}
+
+// CheckSelection checks a report selection against the plan: row must
+// be a declared axis, and diff, when non-nil, a declared axis and two
+// values the cells take on it. A failure is a *FieldError named
+// rowField, or diffField followed by "axis", "from" or "to".
+func (p *Plan) CheckSelection(row string, diff *Diff, rowField, diffField string) error {
+	if !slices.Contains(p.Axes, row) {
+		return fieldErr(rowField, row, "not a declared axis (axes: %v)", p.Axes)
+	}
+	if diff == nil {
+		return nil
+	}
+	if !slices.Contains(p.Axes, diff.Axis) {
+		return fieldErr(diffField+"axis", diff.Axis, "not a declared axis (axes: %v)", p.Axes)
+	}
+	vals := p.AxisValues(diff.Axis)
+	for _, end := range [][2]string{{"from", diff.From}, {"to", diff.To}} {
+		if !slices.Contains(vals, end[1]) {
+			return fieldErr(diffField+end[0], end[1], "not a value of axis %s (values: %v)", diff.Axis, vals)
+		}
+	}
+	return nil
 }
 
 // AxisValues returns the distinct values the cells take on one axis,

@@ -2,7 +2,10 @@ package campaign
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -38,7 +41,7 @@ func figure3Grid() Grid {
 
 func TestExpandDeterministicCoords(t *testing.T) {
 	g := figure3Grid()
-	cells, err := g.Expand()
+	cells, err := g.expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestExpandDeterministicCoords(t *testing.T) {
 		}
 	}
 	// Deterministic: a second expansion yields identical keys.
-	again, err := g.Expand()
+	again, err := g.expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestNoMachineAxesKeepsNilMachine(t *testing.T) {
 		Scale:     2,
 		Seed:      7,
 	}
-	cells, err := g.Expand()
+	cells, err := g.expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +141,7 @@ func TestGridBoundsRejected(t *testing.T) {
 	for n := 1; n <= DefaultMaxCells+1; n++ {
 		g.CPUs = append(g.CPUs, n)
 	}
-	_, err := g.Expand()
+	_, err := g.expand()
 	var fe *FieldError
 	if !errors.As(err, &fe) {
 		t.Fatalf("oversized grid: %v, want *FieldError", err)
@@ -178,7 +181,7 @@ func TestFieldErrors(t *testing.T) {
 		}, "sharers[0]"},
 	}
 	for _, tc := range cases {
-		_, err := tc.grid.Expand()
+		_, err := tc.grid.expand()
 		var fe *FieldError
 		if !errors.As(err, &fe) {
 			t.Errorf("%s: %v, want *FieldError", tc.name, err)
@@ -186,6 +189,158 @@ func TestFieldErrors(t *testing.T) {
 		}
 		if fe.Field != tc.field {
 			t.Errorf("%s: field %q, want %q", tc.name, fe.Field, tc.field)
+		}
+	}
+}
+
+// TestExpansionPinned pins the whole expansion: for grids over every
+// axis it hashes each cell's index, coordinates, canonical key and
+// whether the cell carries an explicit machine, and for invalid grids
+// it pins the error text. Stored campaign records are keyed by a hash
+// of their cells' keys, so a cell key or order that moves orphans
+// every stored campaign; a change here must be deliberate.
+func TestExpansionPinned(t *testing.T) {
+	wide := sim.DefaultParams()
+	wide.NumCPUs = 8
+	wide.Coherence = sim.CoherenceDirectory
+	bad := sim.DefaultParams()
+	bad.L1D.LineSize = 3
+	all := core.Systems()
+	cases := []struct {
+		name string
+		grid Grid
+		want string // cells digest, or the error text
+	}{
+		{"cpus x coherence", figure3Grid(), "2b570a6e5f02421d"},
+		{"sizes over two workloads", Grid{
+			Workloads: []workload.Name{"TRFD_4", "Shell"},
+			Systems:   []core.System{core.Base, core.BlkDma},
+			L1SizesKB: []uint64{16, 32, 64},
+			Scale:     2, Seed: 5,
+		}, "9a34a618ae39629f"},
+		{"line sizes with l2 line", Grid{
+			Workloads: []workload.Name{"ARC2D+Fsck"},
+			Systems:   []core.System{core.Base, core.BCPref},
+			LineSizes: []uint64{16, 32, 128},
+			L2Line:    64,
+			Stream:    true,
+		}, "3aae4b97f1d776d2"},
+		{"sharers on a scenario", Grid{
+			Scenario: sharingPreset(t),
+			Systems:  []core.System{core.Base, core.BCPref},
+			CPUs:     []int{8, 16},
+			Sharers:  []int{1, 2, 8},
+			Seed:     3,
+		}, "890b2071ef94a909"},
+		{"base override, no axes", Grid{
+			Workloads: []workload.Name{"TRFD_4", "TRFD+Make"},
+			Systems:   all,
+			Base:      &wide,
+			Scale:     1, Seed: 1,
+		}, "0fa739f89faf881d"},
+		{"every machine axis over a base", Grid{
+			Workloads: []workload.Name{"Shell"},
+			Systems:   []core.System{core.BlkPref},
+			Base:      &wide,
+			CPUs:      []int{2, 8},
+			Coherence: []sim.CoherenceKind{sim.CoherenceDirectory, sim.CoherenceSnoop},
+			L1SizesKB: []uint64{8, 64},
+			LineSizes: []uint64{32, 16},
+		}, "2ea82b0d25ac1ee9"},
+		{"no machine axis", Grid{
+			Workloads: []workload.Name{"TRFD_4", "TRFD+Make", "ARC2D+Fsck", "Shell"},
+			Systems:   all,
+			Scale:     3, Seed: 2,
+		}, "ac172f7f09faf390"},
+
+		{"no workload", Grid{Systems: []core.System{core.Base}}, "campaign: workloads: pass at least one workload or a scenario"},
+		{"both workload sources", Grid{
+			Workloads: []workload.Name{"TRFD_4"}, Scenario: sharingPreset(t), Systems: []core.System{core.Base},
+		}, "campaign: workloads: pass either workloads or a scenario, not both"},
+		{"no systems", Grid{Workloads: []workload.Name{"TRFD_4"}}, "campaign: systems: pass at least one system"},
+		{"sharers without scenario", Grid{
+			Workloads: []workload.Name{"TRFD_4"}, Systems: []core.System{core.Base}, Sharers: []int{2},
+		}, "campaign: sharers: sharers sweeps a scenario's sharing degree; pass a scenario too"},
+		{"too many cells", Grid{
+			Workloads: []workload.Name{"TRFD_4", "Shell"}, Systems: all, CPUs: []int{1, 2, 4, 8},
+			L1SizesKB: []uint64{8, 16, 32, 64, 128},
+		}, "campaign: grid = 320: expands to 320 cells, exceeding the maximum 256"},
+		{"unknown workload", Grid{
+			Workloads: []workload.Name{"TRFD_4", "nope"}, Systems: []core.System{core.Base},
+		}, "campaign: workloads[1] = nope: workload: unknown name \"nope\" (want one of [TRFD_4 TRFD+Make ARC2D+Fsck Shell])"},
+		{"bad cpu", Grid{
+			Workloads: []workload.Name{"TRFD_4"}, Systems: []core.System{core.Base},
+			CPUs: []int{4, 0}, Coherence: []sim.CoherenceKind{sim.CoherenceSnoop},
+		}, "campaign: cpus[1] = 0: must be positive"},
+		{"bad size", Grid{
+			Workloads: []workload.Name{"TRFD_4"}, Systems: []core.System{core.Base},
+			L1SizesKB: []uint64{32, 0},
+		}, "campaign: sizes_kb[1] = 0: must be positive"},
+		{"bad line", Grid{
+			Workloads: []workload.Name{"TRFD_4"}, Systems: []core.System{core.Base},
+			LineSizes: []uint64{0},
+		}, "campaign: line_sizes[0] = 0: must be positive"},
+		{"invalid machine point", Grid{
+			Workloads: []workload.Name{"TRFD_4"}, Systems: []core.System{core.Base},
+			Coherence: []sim.CoherenceKind{sim.CoherenceDirectory, sim.CoherenceSnoop}, CPUs: []int{128},
+		}, "campaign: machine = cpus=128: sim: NumCPUs = 128: processor count must be in [1, 64] for snoop coherence"},
+		{"invalid base", Grid{
+			Workloads: []workload.Name{"Shell"}, Systems: []core.System{core.Base}, Base: &bad,
+		}, "campaign: machine = Shell: sim: L1D.LineSize = 3: line size must be a power of two"},
+		{"sharers beyond machine", Grid{
+			Scenario: sharingPreset(t), Systems: []core.System{core.Base},
+			CPUs: []int{8, 4}, Sharers: []int{2, 8},
+		}, "campaign: sharers[1] = 8: outside [1, 4] (widen the machine with cpus or machine.num_cpus)"},
+		{"sharers zero", Grid{
+			Scenario: sharingPreset(t), Systems: []core.System{core.Base}, Sharers: []int{0},
+		}, "campaign: sharers[0] = 0: outside [1, 4] (widen the machine with cpus or machine.num_cpus)"},
+	}
+	for _, tc := range cases {
+		cells, err := tc.grid.expand()
+		got := ""
+		if err != nil {
+			got = err.Error()
+		} else {
+			h := sha256.New()
+			for _, c := range cells {
+				fmt.Fprintf(h, "%d %v %s %t\n", c.Index, c.Coords, c.Key, c.Cfg.Machine == nil)
+			}
+			got = hex.EncodeToString(h.Sum(nil))[:16]
+		}
+		if got != tc.want {
+			t.Errorf("%s: expansion %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCheckSelection covers the one report-selection check the daemon
+// and the CLI share: the row axis, then the diff axis and its values,
+// each failure named by the caller's field path.
+func TestCheckSelection(t *testing.T) {
+	p, err := NewPlan(figure3Grid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		row   string
+		diff  *Diff
+		field string // "" = accepted
+	}{
+		{AxisSystem, nil, ""},
+		{AxisCPUs, &Diff{Axis: AxisCoherence, From: "snoop", To: "directory"}, ""},
+		{AxisL1KB, nil, "row"},
+		{AxisSystem, &Diff{Axis: AxisSharers, From: "1", To: "2"}, "diff.axis"},
+		{AxisSystem, &Diff{Axis: AxisCPUs, From: "8", To: "16"}, "diff.from"},
+		{AxisSystem, &Diff{Axis: AxisSystem, From: "Base", To: "Blk_Dma"}, "diff.to"},
+	}
+	for _, tc := range cases {
+		err := p.CheckSelection(tc.row, tc.diff, "row", "diff.")
+		var fe *FieldError
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("row %s diff %+v: %v, want accepted", tc.row, tc.diff, err)
+		case tc.field != "" && (!errors.As(err, &fe) || fe.Field != tc.field):
+			t.Errorf("row %s diff %+v: %v, want a *FieldError on %s", tc.row, tc.diff, err, tc.field)
 		}
 	}
 }

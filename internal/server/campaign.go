@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 
 	"oscachesim/internal/campaign"
 	"oscachesim/internal/core"
@@ -33,14 +32,8 @@ const maxCampaignCells = campaign.DefaultMaxCells
 // cells kept) from a timeout or simulation failure (state "failed").
 var errClientCanceled = errors.New("canceled by client")
 
-// DiffSpec selects the campaign's machine-readable comparison: each
-// pair of cells agreeing on every axis except Axis is diffed between
-// Axis=From and Axis=To (e.g. coherence, snoop, directory).
-type DiffSpec struct {
-	Axis string `json:"axis"`
-	From string `json:"from"`
-	To   string `json:"to"`
-}
+// DiffSpec selects the campaign's machine-readable comparison.
+type DiffSpec = campaign.Diff
 
 // CampaignRequest is the body of POST /v1/campaigns: the shared
 // workload selection and job options plus the grid axes. Every listed
@@ -160,32 +153,10 @@ func (cr *CampaignRequest) plan() (*campaign.Plan, string, error) {
 	if row == "" {
 		row = campaign.AxisSystem
 	}
-	if !slices.Contains(plan.Axes, row) {
-		return nil, "", fieldErrf("row_axis", row, "not a declared axis (axes: %v)", plan.Axes)
-	}
-	if cr.Diff != nil {
-		if err := validateDiff(plan, cr.Diff, "diff."); err != nil {
-			return nil, "", err
-		}
+	if err := plan.CheckSelection(row, cr.Diff, "row_axis", "diff."); err != nil {
+		return nil, "", err
 	}
 	return plan, row, nil
-}
-
-// validateDiff checks a diff selection against the plan's axes and the
-// values the grid actually takes; prefix names the request fields in
-// errors ("diff.axis" from the body, "diff_axis" from query params).
-func validateDiff(p *campaign.Plan, d *DiffSpec, prefix string) error {
-	if !slices.Contains(p.Axes, d.Axis) {
-		return fieldErrf(prefix+"axis", d.Axis, "not a declared axis (axes: %v)", p.Axes)
-	}
-	vals := p.AxisValues(d.Axis)
-	if !slices.Contains(vals, d.From) {
-		return fieldErrf(prefix+"from", d.From, "not a value of axis %s (values: %v)", d.Axis, vals)
-	}
-	if !slices.Contains(vals, d.To) {
-		return fieldErrf(prefix+"to", d.To, "not a value of axis %s (values: %v)", d.Axis, vals)
-	}
-	return nil
 }
 
 // campaignKey is the campaign's content address: the ordered hash of
@@ -382,20 +353,16 @@ func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
 	if row == "" {
 		row = job.RowAxis
 	}
-	if !slices.Contains(job.Plan.Axes, row) {
-		s.clientError(w, fieldErrf("row_axis", row, "not a declared axis (axes: %v)", job.Plan.Axes))
-		return
-	}
 	diff := job.Diff
 	if a := q.Get("diff_axis"); a != "" {
 		diff = &DiffSpec{Axis: a, From: q.Get("diff_from"), To: q.Get("diff_to")}
 	}
+	if err := job.Plan.CheckSelection(row, diff, "row_axis", "diff_"); err != nil {
+		s.clientError(w, err)
+		return
+	}
 	var dv *DiffView
 	if diff != nil {
-		if err := validateDiff(job.Plan, diff, "diff_"); err != nil {
-			s.clientError(w, err)
-			return
-		}
 		dv = &DiffView{
 			Axis: diff.Axis, From: diff.From, To: diff.To, Metrics: campaign.DiffMetrics,
 			Rows: report.DiffCells(grid, diff.Axis, diff.From, diff.To, campaign.DiffMetrics),

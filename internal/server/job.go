@@ -58,8 +58,8 @@ type Job struct {
 	RowAxis string
 	Diff    *DiffSpec
 
-	// Progress feeds are written by the simulation and read locklessly
-	// by the stream handler.
+	// Progress is a run job's feed, written by the simulation and read
+	// locklessly by the stream handler (Kind == "run").
 	Progress *sim.Progress
 
 	// done closes when the job reaches a terminal state.
@@ -85,14 +85,13 @@ type Job struct {
 // newJob builds a queued job.
 func newJob(id, kind, key string, timeout time.Duration) *Job {
 	return &Job{
-		ID:       id,
-		Kind:     kind,
-		Key:      key,
-		Timeout:  timeout,
-		Progress: &sim.Progress{},
-		done:     make(chan struct{}),
-		state:    JobQueued,
-		created:  time.Now(),
+		ID:      id,
+		Kind:    kind,
+		Key:     key,
+		Timeout: timeout,
+		done:    make(chan struct{}),
+		state:   JobQueued,
+		created: time.Now(),
 	}
 }
 
@@ -208,12 +207,6 @@ type RunResult struct {
 	BusTransactions uint64  `json:"bus_transactions"`
 	BusBytes        uint64  `json:"bus_bytes"`
 	SimSeconds      float64 `json:"sim_seconds"`
-	// GenStalls and GenStallSeconds are the run's backpressure record:
-	// how often (and for how long) the trace producer blocked on a full
-	// pipeline queue. Absent when it never blocked (always so for a
-	// single-round run).
-	GenStalls       uint64  `json:"gen_stalls,omitempty"`
-	GenStallSeconds float64 `json:"gen_stall_seconds,omitempty"`
 }
 
 // summarize renders an outcome as the API's result payload.
@@ -233,8 +226,6 @@ func summarize(o *core.Outcome) *RunResult {
 		BusTransactions: c.Bus.TotalTransactions(),
 		BusBytes:        c.Bus.TotalBytes(),
 		SimSeconds:      float64(c.Cycles) / cpuHz,
-		GenStalls:       o.GenStalls,
-		GenStallSeconds: o.GenStallTime.Seconds(),
 	}
 }
 
@@ -249,6 +240,13 @@ type StageView struct {
 	SimulateSeconds float64 `json:"simulate_seconds,omitempty"`
 	RenderSeconds   float64 `json:"render_seconds,omitempty"`
 	TotalSeconds    float64 `json:"total_seconds"`
+	// GenStalls and GenStallSeconds are a run job's backpressure: how
+	// often (and for how long) its trace producer blocked on a full
+	// pipeline queue. They describe the execution, not the result, so
+	// they live here and not in the stored record; absent when the
+	// producer never blocked (always so for a single-round run).
+	GenStalls       uint64  `json:"gen_stalls,omitempty"`
+	GenStallSeconds float64 `json:"gen_stall_seconds,omitempty"`
 }
 
 // stageView renders stage timings for the API.

@@ -302,16 +302,11 @@ func TestRestartMidCampaign(t *testing.T) {
 // with each cell's result and a "grid" inline; both are ignored.
 func TestCampaignRecordReadsCells(t *testing.T) {
 	body := fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base","BCPref"],"cpus":[4,8],"scale":%d,"seed":9}`, testScale)
-	// Real runs, minus the producer's stall count, which depends on
-	// timing: a recomputed cell must equal the first daemon's exactly.
+	// Real runs: a recomputed cell must equal the first daemon's exactly.
 	var calls atomic.Int32
 	execute := func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
 		calls.Add(1)
-		o, err := core.Run(ctx, cfg)
-		if o != nil {
-			o.GenStalls, o.GenStallTime = 0, 0
-		}
-		return o, err
+		return core.Run(ctx, cfg)
 	}
 	s1, ts1 := newTestServer(t, Options{Workers: 1, QueueDepth: 4, execute: execute})
 	_, sub, _ := postJSON(t, ts1.URL+"/v1/campaigns", body)

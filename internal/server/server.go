@@ -65,6 +65,7 @@ import (
 	"oscachesim/internal/core"
 	"oscachesim/internal/experiment"
 	"oscachesim/internal/scenario"
+	"oscachesim/internal/sim"
 	"oscachesim/internal/store"
 	"oscachesim/internal/workload"
 )
@@ -375,6 +376,7 @@ func (s *Server) execute(job *Job) {
 
 	var err error
 	var stages core.StageTimings
+	var run *core.Outcome
 	var kept []int
 	switch job.Kind {
 	case "run":
@@ -384,9 +386,8 @@ func (s *Server) execute(job *Job) {
 		// cached and deduplicated results never re-observe old timings
 		// into the stage histograms.
 		cfg.OnStages = s.metrics.observeRunStages
-		var o *core.Outcome
-		if o, err = s.runner.OutcomeConfig(ctx, cfg); err == nil {
-			stages = o.Stages
+		if run, err = s.runner.OutcomeConfig(ctx, cfg); err == nil {
+			stages = run.Stages
 		}
 	case "campaign":
 		var cells []campaign.CellOutcome
@@ -414,7 +415,11 @@ func (s *Server) execute(job *Job) {
 			s.metrics.campaignFinished(len(job.Plan.Cells), len(job.Plan.Unique), snap.Elapsed)
 		}
 		stages.Render = render
-		s.finalize(job, nil, r.simSeconds, stageView(stages), nil)
+		sv := stageView(stages)
+		if run != nil {
+			sv.GenStalls, sv.GenStallSeconds = run.GenStalls, run.GenStallTime.Seconds()
+		}
+		s.finalize(job, nil, r.simSeconds, sv, nil)
 	case canceledErr(err):
 		s.finalize(job, errClientCanceled, 0, nil, kept)
 	default:
@@ -510,6 +515,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	job := newJob("", "run", cfg.CanonicalKey(), rr.timeout(s.opts.JobTimeout))
 	job.Cfg = cfg
+	job.Progress = &sim.Progress{}
 	job.Request = rr
 	s.respondSubmit(w, job)
 }

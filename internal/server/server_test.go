@@ -291,12 +291,7 @@ func checkCells(t *testing.T, v *JobView, want []core.RunConfig) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A streamed run's generation stalls are wall-clock
-		// backpressure of that execution, not part of its result.
-		got, want := *cell.Result, *summarize(o)
-		got.GenStalls, got.GenStallSeconds = 0, 0
-		want.GenStalls, want.GenStallSeconds = 0, 0
-		if got != want {
+		if got, want := *cell.Result, *summarize(o); got != want {
 			t.Errorf("cell %d %v: result %+v, core.Run %+v", i, cell.Coords, got, want)
 		}
 	}
@@ -655,6 +650,38 @@ func TestJobViewStageTimings(t *testing.T) {
 	}
 	if v3.Stages.StreamSeconds <= 0 || v3.Stages.BuildSeconds <= 0 {
 		t.Errorf("multi-round stage view %+v, want stream>0 and build>0", v3.Stages)
+	}
+}
+
+// TestRunGenStallsInStages pins where a run's generation stalls are
+// reported: in the job's stages, which describe the execution, and not
+// in its result, which is a pure function of the run's key.
+func TestRunGenStallsInStages(t *testing.T) {
+	execute := func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
+		o, err := core.Run(ctx, cfg)
+		if o != nil {
+			o.GenStalls, o.GenStallTime = 5, 250*time.Millisecond
+		}
+		return o, err
+	}
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, execute: execute})
+	_, sub, _ := postJSON(t, ts.URL+"/v1/runs", runBody(83))
+	if v := waitJob(t, ts.URL, sub.ID); v.State != JobDone || v.Stages == nil ||
+		v.Stages.GenStalls != 5 || v.Stages.GenStallSeconds != 0.25 {
+		t.Fatalf("job %s stages %+v, want 5 stalls over 0.25s", v.State, v.Stages)
+	}
+	resp, err := http.Get(ts.URL + "/v1/runs/" + sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&raw)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw["result"], []byte("gen_stall")) || !bytes.Contains(raw["stages"], []byte(`"gen_stalls"`)) {
+		t.Errorf("result %s stages %s, want the stalls in stages only", raw["result"], raw["stages"])
 	}
 }
 

@@ -58,7 +58,10 @@ const logName = "results.log"
 const maxRecordPayload = 1 << 26
 
 // Record is one stored result. A "run" record carries the counters
-// needed to reconstruct a servable core.Outcome; a "campaign" record
+// needed to reconstruct a servable core.Outcome, and only what its key
+// determines: a recomputed key yields an equal record, StoredAt aside.
+// Fields older logs hold beyond these (the producer's gen_stalls and
+// gen_stall_ns) are ignored on replay. A "campaign" record
 // carries the server's campaign view as raw JSON, since that shape
 // belongs to the API layer, not this package: its cells' keys, whose
 // run records hold the results. Kind is opaque here: logs written before the sweep job kind
@@ -79,12 +82,10 @@ type Record struct {
 	StoredAt time.Time `json:"stored_at"`
 
 	// Run payload (Kind == "run").
-	Workload   string          `json:"workload,omitempty"`
-	System     string          `json:"system,omitempty"`
-	Refs       uint64          `json:"refs,omitempty"`
-	Counters   *stats.Counters `json:"counters,omitempty"`
-	GenStalls  uint64          `json:"gen_stalls,omitempty"`
-	GenStallNS int64           `json:"gen_stall_ns,omitempty"`
+	Workload string          `json:"workload,omitempty"`
+	System   string          `json:"system,omitempty"`
+	Refs     uint64          `json:"refs,omitempty"`
+	Counters *stats.Counters `json:"counters,omitempty"`
 	// Deferred carries the kernel's Table 4 counters; nil in records
 	// written before it was added.
 	Deferred *kernel.DeferredCopyStats `json:"deferred,omitempty"`
@@ -106,8 +107,6 @@ func RecordOf(key string, o *core.Outcome) *Record {
 		System:     o.Config.System.String(),
 		Refs:       o.Refs,
 		Counters:   &c,
-		GenStalls:  o.GenStalls,
-		GenStallNS: int64(o.GenStallTime),
 		Deferred:   &d,
 	}
 }
@@ -116,8 +115,8 @@ func RecordOf(key string, o *core.Outcome) *Record {
 // counters, reference count, Table 4 deferred-copy counters and
 // identifying config fields every API summary, report projection and
 // paper experiment reads. Execution-local detail that
-// never leaves the producing process (stage wall clock, per-CPU
-// clocks, conflict censuses) is absent — by design, those describe an
+// never leaves the producing process (stage wall clock, generation
+// stalls, per-CPU clocks, conflict censuses) is absent — by design, those describe an
 // execution, not a result. Returns an error for a nil or non-run
 // record.
 func (r *Record) Outcome() (*core.Outcome, error) {
@@ -136,10 +135,8 @@ func (r *Record) Outcome() (*core.Outcome, error) {
 			Workload: workload.Name(r.Workload),
 			System:   sys,
 		},
-		Counters:     *r.Counters,
-		Refs:         r.Refs,
-		GenStalls:    r.GenStalls,
-		GenStallTime: time.Duration(r.GenStallNS),
+		Counters: *r.Counters,
+		Refs:     r.Refs,
 	}
 	if r.Deferred != nil {
 		o.Deferred = *r.Deferred

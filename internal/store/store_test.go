@@ -4,14 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"oscachesim/internal/core"
 )
@@ -101,6 +104,73 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 	if v := s2.Get("view-key"); v == nil || v.Kind != "sweep" || string(v.View) != `{"points":[]}` {
 		t.Fatalf("view record drifted: %+v", v)
+	}
+}
+
+// TestRecordIsPureFunctionOfKey pins that a run record holds only what
+// its configuration determines: the same key recomputed into a fresh
+// store yields an equal record apart from StoredAt, even when the two
+// executions' producers stalled differently.
+func TestRecordIsPureFunctionOfKey(t *testing.T) {
+	o, key := testOutcome(t)
+	again, _ := testOutcome(t)
+	o.GenStalls, o.GenStallTime = 3, 5*time.Millisecond
+	again.GenStalls, again.GenStallTime = 11, 40*time.Millisecond
+	var recs []*Record
+	for _, out := range []*core.Outcome{o, again} {
+		s, err := Open(t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(RecordOf(key, out)); err != nil {
+			t.Fatal(err)
+		}
+		rec := *s.Get(key)
+		rec.StoredAt = time.Time{}
+		recs = append(recs, &rec)
+		s.Close()
+	}
+	a, _ := json.Marshal(recs[0])
+	b, _ := json.Marshal(recs[1])
+	if !bytes.Equal(a, b) {
+		t.Errorf("recomputed record differs:\n%s\n%s", a, b)
+	}
+}
+
+// TestReplayOldRunRecord pins that a log written while run records
+// still carried the producer's gen_stalls and gen_stall_ns replays, and
+// its record serves the same outcome.
+func TestReplayOldRunRecord(t *testing.T) {
+	o, key := testOutcome(t)
+	var fields map[string]any
+	raw, _ := json.Marshal(RecordOf(key, o))
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["gen_stalls"], fields["gen_stall_ns"] = 7, 123456
+	payload, _ := json.Marshal(fields)
+	frame := append([]byte(nil), logMagic[:]...)
+	frame = binary.AppendUvarint(frame, uint64(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	frame = append(frame, payload...)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, logName), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Replayed != 1 || st.SkippedCorrupt != 0 {
+		t.Fatalf("replay stats %+v, want the one old record", st)
+	}
+	got, err := s.Get(key).Outcome()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Refs != o.Refs || got.Counters != o.Counters || got.GenStalls != 0 {
+		t.Errorf("old record served refs %d stalls %d, want refs %d and no stalls", got.Refs, got.GenStalls, o.Refs)
 	}
 }
 

@@ -20,8 +20,10 @@
 //
 // The cmd directory provides ready-made tools: ossim (single runs),
 // paper (regenerates the paper's evaluation and the ablation studies),
-// sweep (cache-geometry grids), campaign (batch experiment grids with
-// comparison reports), and tracedump (trace inspection).
+// campaign (batch experiment grids, cache-geometry grids among them,
+// with comparison reports), ossimd (the same runs and grids as an
+// HTTP service), loadbench and benchdiff (service load and benchmark
+// comparison), and tracedump (trace inspection).
 package oscachesim
 
 import (
