@@ -292,7 +292,13 @@ func parseUints(s string) ([]uint64, error) {
 	return out, nil
 }
 
+// fatal prints err under the command's "campaign:" prefix, which the
+// planner's own errors already carry, and exits.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "campaign:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "campaign: ") {
+		msg = "campaign: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -71,5 +73,40 @@ func TestWriteRowsScenarioGrid(t *testing.T) {
 		"  d=4     Base=1.000 (misses=1012)  Blk_Dma=1.250 (misses=1013)\n"
 	if b.String() != want {
 		t.Errorf("rows:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+// TestMain runs the command itself in place of the tests when
+// CAMPAIGN_MAIN is set, so a test can drive it as a subprocess.
+func TestMain(m *testing.M) {
+	if os.Getenv("CAMPAIGN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestErrorPrefixedOnce pins that the command prints each error on one
+// line under a single "campaign: " prefix: planner and selection
+// errors carry the prefix already, other errors gain it.
+func TestErrorPrefixedOnce(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cpus", "0"}, "campaign: cpus[0] = 0: must be positive"},
+		{[]string{"-row", "cpus"}, "campaign: -row = cpus: not a declared axis"},
+		{[]string{"-workloads", "Nope"}, "campaign: workload: "},
+	} {
+		cmd := exec.Command(os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), "CAMPAIGN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Fatalf("campaign %v: %v, want exit status 1\n%s", c.args, err, out)
+		}
+		line := string(out)
+		if !strings.HasPrefix(line, c.want) || strings.Count(line, "campaign: ") != 1 || strings.Count(line, "\n") != 1 {
+			t.Errorf("campaign %v printed %q, want one line starting %q with one prefix", c.args, line, c.want)
+		}
 	}
 }

@@ -83,31 +83,48 @@ func (k *Kernel) blockLoop(e *Emitter, rng *rand.Rand, op BlockOp) uint32 {
 		}
 	}
 
+	copying := op.IsCopy()
 	for i := uint64(0); i < lines; i++ {
-		pc = loopTop // the loop body re-executes the same code
-		if k.Opt.BlockPrefetch && op.IsCopy() && i+dist < lines {
-			e.prefetch(op.Src+(i+dist)*blockLine, id, 0)
+		// One line of the loop, written as one block: the pipelined
+		// prefetch, two loop instructions, then per word the source
+		// read (copies only) and the destination write, with one more
+		// instruction after every second word.
+		prefetch := k.Opt.BlockPrefetch && copying && i+dist < lines
+		words := min(wordsPerLine, int((op.Size-i*blockLine+memory.WordSize-1)/memory.WordSize))
+		line := e.Grow(b2i(prefetch) + 2 + words*(1+b2i(copying)) + words/2)
+		j := 0
+		if prefetch {
+			line[j] = trace.Ref{Addr: op.Src + (i+dist)*blockLine, CPU: e.CPU, Op: trace.OpPrefetch, Kind: trace.KindOS, Block: id}
+			j++
 		}
-		pc = e.code(pc, 2, trace.KindOS, id, 0)
-		for w := 0; w < wordsPerLine; w++ {
+		// The loop body re-executes the same code.
+		instr := trace.Ref{Addr: loopTop, CPU: e.CPU, Op: trace.OpInstr, Kind: trace.KindOS, Block: id}
+		for range 2 {
+			line[j] = instr
+			instr.Addr += 4
+			j++
+		}
+		for w := 0; w < words; w++ {
 			off := i*blockLine + uint64(w*memory.WordSize)
-			if off >= op.Size {
-				break
-			}
-			if op.IsCopy() {
-				e.Emit(trace.Ref{
-					Addr: op.Src + off, Op: trace.OpRead, Kind: trace.KindOS,
+			if copying {
+				line[j] = trace.Ref{
+					Addr: op.Src + off, CPU: e.CPU, Op: trace.OpRead, Kind: trace.KindOS,
 					Class: op.SrcClass, Block: id, Role: trace.BlockSrc, Len: uint32(op.Size),
-				})
+				}
+				j++
 			}
-			e.Emit(trace.Ref{
-				Addr: op.Dst + off, Op: trace.OpWrite, Kind: trace.KindOS,
+			line[j] = trace.Ref{
+				Addr: op.Dst + off, CPU: e.CPU, Op: trace.OpWrite, Kind: trace.KindOS,
 				Class: op.DstClass, Block: id, Role: trace.BlockDst, Len: uint32(op.Size),
-			})
+			}
+			j++
 			if w%2 == 1 {
-				pc = e.code(pc, 1, trace.KindOS, id, 0)
+				line[j] = instr
+				instr.Addr += 4
+				j++
 			}
 		}
+		pc = instr.Addr
 	}
 	// Epilogue.
 	e.code(pc, 4, trace.KindOS, id, 0)
@@ -180,11 +197,14 @@ func (k *Kernel) Warm(e *Emitter, rng *rand.Rand, base, size uint64, frac float6
 	if warm > size {
 		warm = size
 	}
-	for off := uint64(0); off < warm; off += blockLine {
-		op := trace.OpRead
-		if write {
-			op = trace.OpWrite
-		}
-		e.Emit(trace.Ref{Addr: base + off, Op: op, Kind: kind, Class: class})
+	op := trace.OpRead
+	if write {
+		op = trace.OpWrite
+	}
+	r := trace.Ref{Addr: base, CPU: e.CPU, Op: op, Kind: kind, Class: class}
+	refs := e.Grow(int((warm + blockLine - 1) / blockLine))
+	for i := range refs {
+		refs[i] = r
+		r.Addr += blockLine
 	}
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"slices"
 
 	"oscachesim/internal/memory"
 	"oscachesim/internal/trace"
@@ -42,8 +43,9 @@ type Emitter struct {
 	CPU uint8
 	// Refs is the stream built (or buffered, when streaming) so far.
 	Refs []trace.Ref
-	// FlushAt, when positive and Flush is set, bounds Refs: an emit
-	// that leaves len(Refs) >= FlushAt hands the buffer to Flush.
+	// FlushAt, when positive and Flush is set, bounds Refs: the next
+	// emit after len(Refs) reaches FlushAt first hands the buffer to
+	// Flush.
 	FlushAt int
 	// Flush receives the filled buffer and returns the buffer to
 	// continue emitting into (typically a fresh pooled batch; an
@@ -56,30 +58,35 @@ type Emitter struct {
 // Emit appends one reference, stamping the CPU.
 func (e *Emitter) Emit(r trace.Ref) {
 	r.CPU = e.CPU
-	e.Refs = append(e.Refs, r)
-	e.maybeFlush()
+	e.Grow(1)[0] = r
 }
 
-// EmitBatch appends a chunk of references in one grow-and-copy,
-// stamping the CPU on each. The workload generator emits in small
-// fixed-size chunks (a loop body's worth at a time) instead of one
-// reference per call.
-func (e *Emitter) EmitBatch(rs []trace.Ref) {
-	base := len(e.Refs)
-	e.Refs = append(e.Refs, rs...)
-	for i := base; i < len(e.Refs); i++ {
-		e.Refs[i].CPU = e.CPU
+// Grow extends Refs by n references and returns them for the caller
+// to write in place, so a block of references costs one capacity and
+// flush check rather than one per reference. The returned references
+// hold stale data: the caller assigns each one whole, CPU included
+// (set it to e.CPU).
+func (e *Emitter) Grow(n int) []trace.Ref {
+	refs := e.Refs
+	l := len(refs)
+	if l+n > cap(refs) || e.Flush != nil && e.FlushAt > 0 && l >= e.FlushAt {
+		return e.growSlow(n)
 	}
-	e.maybeFlush()
+	e.Refs = refs[:l+n]
+	return refs[l : l+n]
 }
 
-// maybeFlush hands the buffer to the Flush hook once it reaches the
-// flush threshold. Nil-checked first so an unflushed emitter pays a
-// single predictable branch.
-func (e *Emitter) maybeFlush() {
-	if e.Flush != nil && e.FlushAt > 0 && len(e.Refs) >= e.FlushAt {
+// growSlow is Grow when the block does not fit: a streaming emitter
+// hands its buffer to Flush first — including before a block that
+// would overflow a pooled chunk, so the chunk is never regrown — and
+// the buffer grows only if it is still too small for the block.
+func (e *Emitter) growSlow(n int) []trace.Ref {
+	if e.Flush != nil && len(e.Refs) > 0 {
 		e.Refs = e.Flush(e.Refs)
 	}
+	l := len(e.Refs)
+	e.Refs = slices.Grow(e.Refs, n)[:l+n]
+	return e.Refs[l:]
 }
 
 // FlushPending hands any buffered references to the Flush hook
@@ -210,11 +217,13 @@ func (k *Kernel) nextBlockID() uint32 {
 // instruction stream (block-loop instructions are part of the
 // block-operation overhead the paper measures).
 func (e *Emitter) code(pc uint64, n int, kind trace.Kind, block uint32, spot uint16) uint64 {
-	for i := 0; i < n; i++ {
-		e.Emit(trace.Ref{Addr: pc, Op: trace.OpInstr, Kind: kind, Block: block, Spot: spot})
-		pc += 4
+	r := trace.Ref{Addr: pc, CPU: e.CPU, Op: trace.OpInstr, Kind: kind, Block: block, Spot: spot}
+	blk := e.Grow(n)
+	for i := range blk {
+		blk[i] = r
+		r.Addr += 4
 	}
-	return pc
+	return r.Addr
 }
 
 // osCode emits n OS instructions at pc.
@@ -298,11 +307,12 @@ func (k *Kernel) spotPrefetchData(e *Emitter, spot uint16, addrs ...uint64) {
 // instructions plus one data reference, mostly to the processor's hot
 // kernel stack with an occasional hot read-only global — the
 // well-hitting bulk of kernel execution between the interesting
-// (miss-prone) accesses the routines emit explicitly. It returns the
+// (miss-prone) accesses the routines emit explicitly. A quarter of the
+// stack reads are followed by a write back. Each unit's draws come
+// first and its references are written as one block. It returns the
 // advanced pc.
 func (k *Kernel) body(e *Emitter, rng *rand.Rand, pc uint64, n int) uint64 {
 	for i := 0; i < n; i++ {
-		pc = e.code(pc, 2, trace.KindOS, 0, 0)
 		var addr uint64
 		var class trace.DataClass
 		switch rng.Intn(12) {
@@ -319,12 +329,25 @@ func (k *Kernel) body(e *Emitter, rng *rand.Rand, pc uint64, n int) uint64 {
 			addr = KStackAddr(int(e.CPU), uint64(rng.Intn(64))*16)
 			class = trace.ClassStack
 		}
-		e.read(addr, class)
-		if class == trace.ClassStack && rng.Intn(4) == 0 {
-			e.write(addr, class)
+		write := class == trace.ClassStack && rng.Intn(4) == 0
+		unit := e.Grow(3 + b2i(write))
+		unit[0] = trace.Ref{Addr: pc, CPU: e.CPU, Op: trace.OpInstr, Kind: trace.KindOS}
+		unit[1] = trace.Ref{Addr: pc + 4, CPU: e.CPU, Op: trace.OpInstr, Kind: trace.KindOS}
+		unit[2] = trace.Ref{Addr: addr, CPU: e.CPU, Op: trace.OpRead, Kind: trace.KindOS, Class: class}
+		if write {
+			unit[3] = trace.Ref{Addr: addr, CPU: e.CPU, Op: trace.OpWrite, Kind: trace.KindOS, Class: class}
 		}
+		pc += 8
 	}
 	return pc
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // conflictTarget picks a read in one of the big kernel arrays; such
@@ -347,11 +370,15 @@ func (k *Kernel) conflictTarget(rng *rand.Rand) (uint64, trace.DataClass) {
 // the register spills, local variables and call frames that make up
 // the bulk of a kernel's (well-hitting) data references.
 func (k *Kernel) stackWork(e *Emitter, rng *rand.Rand, n int) {
+	refs := e.Grow(n + (n+2)/3)
+	j := 0
 	for i := 0; i < n; i++ {
 		addr := KStackAddr(int(e.CPU), uint64(rng.Intn(64))*16)
-		e.read(addr, trace.ClassStack)
+		refs[j] = trace.Ref{Addr: addr, CPU: e.CPU, Op: trace.OpRead, Kind: trace.KindOS, Class: trace.ClassStack}
+		j++
 		if i%3 == 0 {
-			e.write(addr, trace.ClassStack)
+			refs[j] = trace.Ref{Addr: addr, CPU: e.CPU, Op: trace.OpWrite, Kind: trace.KindOS, Class: trace.ClassStack}
+			j++
 		}
 	}
 }

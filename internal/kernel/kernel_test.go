@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"oscachesim/internal/memory"
@@ -28,6 +29,127 @@ func TestEmitterStampsCPU(t *testing.T) {
 	}
 	if e.Len() != 1 {
 		t.Errorf("Len = %d", e.Len())
+	}
+
+	// Routines that write blocks through Grow stamp the CPU themselves.
+	// The buffer starts full of stale references stamped 0xff, as a
+	// recycled pooled batch would be, so a slot left unwritten shows.
+	for _, opt := range []OptConfig{
+		{},
+		{BlockPrefetch: true, HotSpotPrefetch: true, Privatize: true},
+		{BlockDMA: true, Relocate: true},
+		{DeferredCopy: true},
+	} {
+		k := New(opt)
+		stale := make([]trace.Ref, 1<<16)
+		for i := range stale {
+			stale[i] = trace.Ref{Addr: 0xdead, CPU: 0xff, Op: trace.OpBlockDMA}
+		}
+		e := &Emitter{CPU: 3, Refs: stale[:0]}
+		rng := rand.New(rand.NewSource(1))
+		k.Fork(e, rng, 1, 2, 2, true, 0.5, 0.5)
+		k.Exec(e, rng, 2, 6000, true, 0.5)
+		k.ReadSyscall(e, rng, 2, 1000, false, 0.5)
+		k.WriteSyscall(e, rng, 2, 3000)
+		k.PageFault(e, rng, 2, 0.3)
+		k.Schedule(e, rng, 1, 2)
+		k.TimerTick(e, rng)
+		k.Pager(e, rng, 4)
+		k.SocketOp(e, rng, 2)
+		k.IdleLoop(e, 21)
+		if len(e.Refs) > len(stale) {
+			t.Fatalf("%+v: routines emitted %d refs, more than the %d-ref test buffer", opt, len(e.Refs), len(stale))
+		}
+		for i, r := range e.Refs {
+			if r.CPU != 3 || r.Addr == 0xdead {
+				t.Fatalf("%+v: ref %d = %+v, want a fresh ref stamped CPU 3", opt, i, r)
+			}
+		}
+	}
+}
+
+// TestGrowFlushesBeforeOverflow pins the streaming flush policy of the
+// block primitive: a block that would overflow the buffer's capacity
+// flushes the buffer first instead of regrowing it, and a buffer that
+// reached FlushAt is flushed before the next block.
+func TestGrowFlushesBeforeOverflow(t *testing.T) {
+	var flushed []int
+	e := &Emitter{CPU: 1, Refs: make([]trace.Ref, 0, 10), FlushAt: 8}
+	e.Flush = func(refs []trace.Ref) []trace.Ref {
+		flushed = append(flushed, len(refs))
+		return make([]trace.Ref, 0, 10)
+	}
+	step := func(n int, wantFlushed []int, wantLen int) {
+		t.Helper()
+		if blk := e.Grow(n); len(blk) != n {
+			t.Fatalf("Grow(%d) returned %d refs", n, len(blk))
+		}
+		if !slices.Equal(flushed, wantFlushed) || len(e.Refs) != wantLen || cap(e.Refs) != 10 {
+			t.Fatalf("after Grow(%d): flushes %v, len %d cap %d; want flushes %v, len %d cap 10",
+				n, flushed, len(e.Refs), cap(e.Refs), wantFlushed, wantLen)
+		}
+	}
+	step(4, nil, 4)
+	step(4, nil, 8)
+	// The buffer reached FlushAt: flushed before the next block, which
+	// would still fit.
+	step(2, []int{8}, 2)
+	step(5, []int{8}, 7)
+	// Below FlushAt, but the block would overflow: flushed, not
+	// regrown.
+	step(4, []int{8, 7}, 4)
+	// Blocks that fit below FlushAt flush nothing, up to a full buffer.
+	step(3, []int{8, 7}, 7)
+	step(3, []int{8, 7}, 10)
+	step(1, []int{8, 7, 10}, 1)
+}
+
+// idleLoopPerRef is the idle loop written one reference at a time: n
+// iterations of 5 instructions, each 8th (from the first) followed by
+// a run-queue poll. It is the reference the template copy must match.
+func idleLoopPerRef(e *Emitter, n int) {
+	for i := 0; i < n; i++ {
+		for w := uint64(0); w < 5; w++ {
+			e.Emit(trace.Ref{Addr: codeIdle + 4*w, Op: trace.OpInstr, Kind: trace.KindIdle})
+		}
+		if i%8 == 0 {
+			e.Emit(trace.Ref{Addr: RunQueueSlot(0), Op: trace.OpRead, Kind: trace.KindIdle, Class: trace.ClassRunQueue})
+		}
+	}
+}
+
+// TestIdleLoopMatchesPerRef pins that the template idle loop emits
+// exactly what per-reference emission does, for every length through
+// four template periods, both into a growing buffer and through a
+// streaming flush whose threshold is not a multiple of the 41-ref
+// template.
+func TestIdleLoopMatchesPerRef(t *testing.T) {
+	k := New(OptConfig{})
+	for _, flushAt := range []int{0, 30, 100} {
+		for n := 0; n <= 33; n++ {
+			run := func(emit func(e *Emitter)) []trace.Ref {
+				var out []trace.Ref
+				e := &Emitter{CPU: 5}
+				if flushAt > 0 {
+					e.Refs = make([]trace.Ref, 0, flushAt)
+					e.FlushAt = flushAt
+					e.Flush = func(refs []trace.Ref) []trace.Ref {
+						out = append(out, refs...)
+						return make([]trace.Ref, 0, flushAt)
+					}
+				}
+				// A prefix off the template's alignment.
+				e.Emit(trace.Ref{Addr: 4, Op: trace.OpRead, Kind: trace.KindOS})
+				emit(e)
+				e.FlushPending()
+				return append(out, e.Refs...)
+			}
+			got := run(func(e *Emitter) { k.IdleLoop(e, n) })
+			want := run(func(e *Emitter) { idleLoopPerRef(e, n) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("FlushAt %d, n %d: template emitted %d refs, per-ref %d, or they differ", flushAt, n, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -447,14 +447,40 @@ func (k *Kernel) GangBarrier(e *Emitter, barrier int, generation uint32, partici
 	e.osCode(codeBarrier+0x40, 6)
 }
 
+// The idle loop repeats one fixed pattern: every iteration runs the
+// same 5 instructions, and every 8th iteration, starting with the
+// first, follows them with one run-queue poll. So each 8 iterations
+// emit the same 41 references, and a shorter run of r iterations
+// emits the template's first 5r+1.
+const (
+	idleInstrs = 5
+	idleEvery  = 8
+	idleRefs   = idleEvery*idleInstrs + 1
+)
+
 // IdleLoop emits n iterations of the idle loop: spinning with a
-// backed-off poll of the run queue.
+// backed-off poll of the run queue. The references are copied from
+// the loop's 41-reference template, one pattern period per block.
 func (k *Kernel) IdleLoop(e *Emitter, n int) {
-	for i := 0; i < n; i++ {
-		e.code(codeIdle, 5, trace.KindIdle, 0, 0)
-		if i%8 == 0 {
-			e.Emit(trace.Ref{Addr: RunQueueSlot(0), Op: trace.OpRead, Kind: trace.KindIdle, Class: trace.ClassRunQueue})
+	var tmpl [idleRefs]trace.Ref
+	instr := trace.Ref{CPU: e.CPU, Op: trace.OpInstr, Kind: trace.KindIdle}
+	j := 0
+	for it := 0; it < idleEvery; it++ {
+		for w := uint64(0); w < idleInstrs; w++ {
+			instr.Addr = codeIdle + 4*w
+			tmpl[j] = instr
+			j++
 		}
+		if it == 0 {
+			tmpl[j] = trace.Ref{Addr: RunQueueSlot(0), CPU: e.CPU, Op: trace.OpRead, Kind: trace.KindIdle, Class: trace.ClassRunQueue}
+			j++
+		}
+	}
+	for ; n >= idleEvery; n -= idleEvery {
+		copy(e.Grow(idleRefs), tmpl[:])
+	}
+	if n > 0 {
+		copy(e.Grow(n*idleInstrs+1), tmpl[:])
 	}
 }
 

@@ -182,15 +182,17 @@ func (g *Generator) UserBurst(e *kernel.Emitter, cpu, pi int, rng *rand.Rand, re
 		shBytes = regionBytes(p.SharedKB)
 	}
 
-	n := refs / 5 // each iteration emits ~5 refs
+	n := refs / 5 // each iteration emits 5 refs
 	pc := textBase
-	var body [5]trace.Ref
+	instr := trace.Ref{CPU: e.CPU, Op: trace.OpInstr, Kind: trace.KindUser}
 	for i := 0; i < n; i++ {
 		if i%16 == 0 {
 			pc = textBase + uint64(rng.Intn(4))*64
 		}
+		body := e.Grow(5)
 		for j := 0; j < 4; j++ {
-			body[j] = trace.Ref{Addr: pc, Op: trace.OpInstr, Kind: trace.KindUser}
+			instr.Addr = pc
+			body[j] = instr
 			pc += 4
 		}
 		var addr uint64
@@ -214,8 +216,7 @@ func (g *Generator) UserBurst(e *kernel.Emitter, cpu, pi int, rng *rand.Rand, re
 				op = trace.OpWrite
 			}
 		}
-		body[4] = trace.Ref{Addr: addr, Op: op, Kind: trace.KindUser, Class: trace.ClassUserData}
-		e.EmitBatch(body[:])
+		body[4] = trace.Ref{Addr: addr, CPU: e.CPU, Op: op, Kind: trace.KindUser, Class: trace.ClassUserData}
 	}
 }
 
@@ -241,7 +242,6 @@ func (g *Generator) FalseSharingRound(e *kernel.Emitter, cpu, pi int) {
 	}
 	textBase := scnText(cpu) + codeFSOps
 	pc := textBase
-	var body [4]trace.Ref
 	for i := 0; i < fs.OpsPerRound; i++ {
 		if i%8 == 0 {
 			pc = textBase // the loop re-executes the same code
@@ -256,12 +256,12 @@ func (g *Generator) FalseSharingRound(e *kernel.Emitter, cpu, pi int) {
 		case FSChunked:
 			addr = fsAccumAddr(v, cpu)
 		}
-		body[0] = trace.Ref{Addr: pc, Op: trace.OpInstr, Kind: trace.KindUser}
-		body[1] = trace.Ref{Addr: pc + 4, Op: trace.OpInstr, Kind: trace.KindUser}
-		body[2] = trace.Ref{Addr: addr, Op: trace.OpRead, Kind: trace.KindUser, Class: trace.ClassUserData}
-		body[3] = trace.Ref{Addr: addr, Op: trace.OpWrite, Kind: trace.KindUser, Class: trace.ClassUserData}
+		body := e.Grow(4)
+		body[0] = trace.Ref{Addr: pc, CPU: e.CPU, Op: trace.OpInstr, Kind: trace.KindUser}
+		body[1] = trace.Ref{Addr: pc + 4, CPU: e.CPU, Op: trace.OpInstr, Kind: trace.KindUser}
+		body[2] = trace.Ref{Addr: addr, CPU: e.CPU, Op: trace.OpRead, Kind: trace.KindUser, Class: trace.ClassUserData}
+		body[3] = trace.Ref{Addr: addr, CPU: e.CPU, Op: trace.OpWrite, Kind: trace.KindUser, Class: trace.ClassUserData}
 		pc += 8
-		e.EmitBatch(body[:])
 		if fs.Mode == FSChunked && i%chunk == chunk-1 {
 			g.fsCombine(e, v, cpu)
 		}
@@ -280,12 +280,11 @@ func (g *Generator) FalseSharingRound(e *kernel.Emitter, cpu, pi int) {
 func (g *Generator) fsCombine(e *kernel.Emitter, v, cpu int) {
 	pc := scnText(cpu) + codeFSFlush
 	shared := fsNaiveAddr(v, cpu, g.n)
-	e.EmitBatch([]trace.Ref{
-		{Addr: pc, Op: trace.OpInstr, Kind: trace.KindUser},
-		{Addr: fsAccumAddr(v, cpu), Op: trace.OpRead, Kind: trace.KindUser, Class: trace.ClassUserData},
-		{Addr: shared, Op: trace.OpRead, Kind: trace.KindUser, Class: trace.ClassUserData},
-		{Addr: shared, Op: trace.OpWrite, Kind: trace.KindUser, Class: trace.ClassUserData},
-	})
+	body := e.Grow(4)
+	body[0] = trace.Ref{Addr: pc, CPU: e.CPU, Op: trace.OpInstr, Kind: trace.KindUser}
+	body[1] = trace.Ref{Addr: fsAccumAddr(v, cpu), CPU: e.CPU, Op: trace.OpRead, Kind: trace.KindUser, Class: trace.ClassUserData}
+	body[2] = trace.Ref{Addr: shared, CPU: e.CPU, Op: trace.OpRead, Kind: trace.KindUser, Class: trace.ClassUserData}
+	body[3] = trace.Ref{Addr: shared, CPU: e.CPU, Op: trace.OpWrite, Kind: trace.KindUser, Class: trace.ClassUserData}
 }
 
 // BlockOps emits phase pi's block operations for this round on cpu:

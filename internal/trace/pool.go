@@ -34,21 +34,27 @@ const (
 )
 
 // GetBatch returns an empty Ref slice with capacity at least capacity,
-// reusing a previously released batch when one is large enough.
+// reusing the smallest previously released batch that is large enough,
+// so a small request does not take a batch a larger one could use.
 func GetBatch(capacity int) []Ref {
 	refPool.Lock()
-	for i := len(refPool.batches) - 1; i >= 0; i-- {
-		if b := refPool.batches[i]; cap(b) >= capacity {
-			last := len(refPool.batches) - 1
-			refPool.batches[i] = refPool.batches[last]
-			refPool.batches[last] = nil
-			refPool.batches = refPool.batches[:last]
-			refPool.Unlock()
-			return b[:0]
+	best := -1
+	for i, b := range refPool.batches {
+		if cap(b) >= capacity && (best < 0 || cap(b) < cap(refPool.batches[best])) {
+			best = i
 		}
 	}
+	if best < 0 {
+		refPool.Unlock()
+		return make([]Ref, 0, capacity)
+	}
+	b := refPool.batches[best]
+	last := len(refPool.batches) - 1
+	refPool.batches[best] = refPool.batches[last]
+	refPool.batches[last] = nil
+	refPool.batches = refPool.batches[:last]
 	refPool.Unlock()
-	return make([]Ref, 0, capacity)
+	return b[:0]
 }
 
 // PutBatch releases a batch back to the pool. The caller must not use

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"math/rand"
-
 	"oscachesim/internal/kernel"
 	"oscachesim/internal/scenario"
 )
@@ -136,12 +134,13 @@ func (g *generator) specRound(round int) {
 		svc = g.drawServices()
 	}
 	barrier := p.BarrierEvery > 0 && round%p.BarrierEvery == 0
+	g.startServices(round)
 	for c := 0; c < g.n; c++ {
 		c := c
 		e, rng := g.ems[c], g.rngs[c]
 		// The same per-round service stream as the classic round, so
 		// service details stay balanced across the gang.
-		svcRNG := rand.New(rand.NewSource(g.seed*131071 + int64(round)*31 + 7))
+		svcRNG := g.serviceRNG(c)
 		if barrier {
 			g.k.GangBarrier(e, pi%kernel.NumBarriers, uint32(round), g.n)
 		}

@@ -192,10 +192,15 @@ func newGenerator(p Profile, k *kernel.Kernel, seed int64, ncpus int) *generator
 		rngs:   make([]*rand.Rand, ncpus),
 		cursor: make([]uint64, ncpus),
 		proc:   make([]int, ncpus),
+
+		svcReaders: make([]svcReader, ncpus),
+		svcRNGs:    make([]*rand.Rand, ncpus),
 	}
 	for c := 0; c < ncpus; c++ {
 		g.rngs[c] = rand.New(rand.NewSource(seed*1000003 + int64(c)))
 		g.proc[c] = g.procBase(c)
+		g.svcReaders[c].s = &g.svcStream
+		g.svcRNGs[c] = rand.New(&g.svcReaders[c])
 	}
 	g.global = rand.New(rand.NewSource(seed * 7919))
 	return g
@@ -217,6 +222,11 @@ type generator struct {
 	proc []int
 	// nextProc hands out fresh process ids for forks.
 	nextProc int
+	// svcStream is the current round's service stream; svcRNGs[c]
+	// replays it for cpu c through svcReaders[c].
+	svcStream  svcStream
+	svcReaders []svcReader
+	svcRNGs    []*rand.Rand
 
 	// Scenario-driven builds (BuildSpec/StreamSpec) set the scenario
 	// engine and, when the spec names a base profile, the per-phase
@@ -241,6 +251,19 @@ func (g *generator) procBase(c int) int {
 	return (c*procsPerCPU)%(kernel.NProcs-procsPerCPU) + 1
 }
 
+// startServices starts round's service stream, seeded as the same
+// stream on every processor.
+func (g *generator) startServices(round int) {
+	g.svcStream.reset(g.seed*131071 + int64(round)*31 + 7)
+}
+
+// serviceRNG returns cpu c's service RNG for the round, rewound to the
+// start of the round's stream.
+func (g *generator) serviceRNG(c int) *rand.Rand {
+	g.svcReaders[c].rewind()
+	return g.svcRNGs[c]
+}
+
 // round generates one scheduling quantum on every processor. Rounds
 // are generated CPU-by-CPU but synchronization annotations keep the
 // simulator's interleaving honest.
@@ -250,13 +273,14 @@ func (g *generator) round(round int) {
 		barriers = max(1, g.p.BarriersPerRound)
 	}
 	svc := g.drawServices()
+	g.startServices(round)
 	for c := 0; c < g.n; c++ {
 		e, rng := g.ems[c], g.rngs[c]
 		// Kernel-service details (sizes, victims, jitter) are drawn
 		// from a per-round stream identical on every CPU, so
 		// gang-scheduled quanta stay balanced; user-side draws keep
 		// the per-CPU streams distinct.
-		svcRNG := rand.New(rand.NewSource(g.seed*131071 + int64(round)*31 + 7))
+		svcRNG := g.serviceRNG(c)
 		// Gang-scheduling: the scheduler runs everywhere, then the
 		// processors synchronize before the parallel program resumes
 		// (Section 5's explanation of the barrier misses).
@@ -409,17 +433,19 @@ func (g *generator) userBurst(c, refs int) {
 	workSet := kernel.UserData(proc)              // 8 KB hot working set
 	streamBase := kernel.UserData(proc) + 0x20000 // long streaming region
 
-	n := refs / 5 // each iteration emits ~5 refs
+	n := refs / 5 // each iteration emits 5 refs
 	pc := textBase
-	var body [5]trace.Ref // one loop iteration, emitted as a chunk
+	instr := trace.Ref{CPU: e.CPU, Op: trace.OpInstr, Kind: trace.KindUser}
 	for i := 0; i < n; i++ {
 		// Small loop body: 4 instructions then one data access (a
-		// compute-heavy numeric inner loop).
+		// compute-heavy numeric inner loop), written in place.
 		if i%16 == 0 {
 			pc = textBase + uint64(rng.Intn(4))*64
 		}
+		body := e.Grow(5)
 		for j := 0; j < 4; j++ {
-			body[j] = trace.Ref{Addr: pc, Op: trace.OpInstr, Kind: trace.KindUser}
+			instr.Addr = pc
+			body[j] = instr
 			pc += 4
 		}
 		var addr uint64
@@ -439,7 +465,6 @@ func (g *generator) userBurst(c, refs int) {
 		if rng.Intn(4) == 0 {
 			op = trace.OpWrite
 		}
-		body[4] = trace.Ref{Addr: addr, Op: op, Kind: trace.KindUser, Class: trace.ClassUserData}
-		e.EmitBatch(body[:])
+		body[4] = trace.Ref{Addr: addr, CPU: e.CPU, Op: op, Kind: trace.KindUser, Class: trace.ClassUserData}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"oscachesim/internal/kernel"
+	"oscachesim/internal/scenario"
 	"oscachesim/internal/trace"
 )
 
@@ -226,5 +227,44 @@ func TestSourcesReplayable(t *testing.T) {
 	n1, n2 := s1[0].Read(r1[:]), s2[0].Read(r2[:])
 	if n1 != 1 || n2 != 1 || r1 != r2 {
 		t.Error("Sources() not independently replayable")
+	}
+}
+
+// TestEveryRefStampedWithItsCPU pins that every reference of every
+// processor's stream carries that processor's id, through every
+// in-place block writer: classic workloads under each block scheme,
+// and every scenario preset.
+func TestEveryRefStampedWithItsCPU(t *testing.T) {
+	check := func(what string, b *Built) {
+		t.Helper()
+		for c, refs := range b.PerCPU {
+			for i, r := range refs {
+				if int(r.CPU) != c {
+					t.Fatalf("%s: cpu %d ref %d stamped %d", what, c, i, r.CPU)
+				}
+			}
+		}
+		b.Release()
+	}
+	opts := []kernel.OptConfig{
+		{HotSpotPrefetch: true},
+		{BlockPrefetch: true, DeferredCopy: true},
+		{BlockDMA: true},
+	}
+	for _, name := range Names() {
+		for _, opt := range opts {
+			check(string(name), BuildN(name, opt, 2, 3, 6))
+		}
+	}
+	for _, p := range scenario.PresetNames() {
+		spec, err := scenario.Preset(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := BuildSpec(spec, kernel.OptConfig{}, 1, 3, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(p, b)
 	}
 }
