@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
 
-	"oscachesim/internal/cluster"
 	"oscachesim/internal/core"
 	"oscachesim/internal/scenario"
 	"oscachesim/internal/sim"
@@ -55,20 +53,13 @@ func TestInternalComputeBounds(t *testing.T) {
 	})
 	post := func(cfg core.RunConfig) (int, ErrorBody) {
 		t.Helper()
-		creq, err := cluster.EncodeConfig(cfg)
+		status, body, _, err := postCompute(ts.URL, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, _ := json.Marshal(creq)
-		resp, err := http.Post(ts.URL+cluster.ComputePath, "application/json", strings.NewReader(string(raw)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
 		var eb ErrorBody
 		json.Unmarshal(body, &eb)
-		return resp.StatusCode, eb
+		return status, eb
 	}
 	machine := func(edit func(*sim.Params)) *sim.Params {
 		p := sim.DefaultParams()
@@ -90,6 +81,8 @@ func TestInternalComputeBounds(t *testing.T) {
 		{"l1 write buffer", "machine.L1WriteBufDepth", core.RunConfig{Machine: machine(func(p *sim.Params) { p.L1WriteBufDepth = maxBufDepth + 1 })}},
 		{"l2 write buffer", "machine.L2WriteBufDepth", core.RunConfig{Machine: machine(func(p *sim.Params) { p.L2WriteBufDepth = 1 << 50 })}},
 		{"prefetch buffer", "machine.PrefBufLines", core.RunConfig{Machine: machine(func(p *sim.Params) { p.PrefBufLines = maxBufDepth + 1 })}},
+		{"memory latency", "machine.MemCycles", core.RunConfig{Machine: machine(func(p *sim.Params) { p.MemCycles = 1 << 40 })}},
+		{"dma cost", "machine.DMACyclesPer8B", core.RunConfig{Machine: machine(func(p *sim.Params) { p.DMACyclesPer8B = 1 << 40 })}},
 		{"invalid machine", "machine.MSHREntries", core.RunConfig{Machine: machine(func(p *sim.Params) { p.MSHREntries = 0 })}},
 	}
 	for _, c := range cases {
@@ -105,7 +98,10 @@ func TestInternalComputeBounds(t *testing.T) {
 
 	// At the bounds the same route still computes.
 	ok := core.RunConfig{Workload: "Shell", System: core.Base, Seed: 1, Scale: maxScale,
-		Machine: machine(func(p *sim.Params) { p.MSHREntries, p.L2WriteBufDepth = maxBufDepth, maxBufDepth })}
+		Machine: machine(func(p *sim.Params) {
+			p.MSHREntries, p.L2WriteBufDepth = maxBufDepth, maxBufDepth
+			p.MemCycles, p.DMACyclesPer8B = maxCycles, maxCycles
+		})}
 	if status, eb := post(ok); status != http.StatusOK {
 		t.Fatalf("in-bound compute: HTTP %d %+v, want 200", status, eb.Error)
 	}

@@ -284,24 +284,31 @@ func (s *Server) handleCancel(kind string) http.HandlerFunc {
 			writeError(w, http.StatusNotFound, "not_found", "unknown job")
 			return
 		}
-		for {
-			switch st := job.State(); {
-			case st.terminal():
-				writeJSON(w, http.StatusOK, s.view(job, false))
-				return
-			case st == JobQueued:
-				if !job.cancelQueued("canceled by client") {
-					// Lost the race with a worker: re-read the state.
-					continue
-				}
+		status := http.StatusOK
+		if s.cancel(job) {
+			status = http.StatusAccepted
+		}
+		writeJSON(w, status, s.view(job, false))
+	}
+}
+
+// cancel stops a job on its client's behalf: a queued job is canceled
+// in place, a running one is signaled and winds down, a terminal one
+// is left alone. It reports whether the job was signaled.
+func (s *Server) cancel(job *Job) bool {
+	for {
+		switch st := job.State(); {
+		case st.terminal():
+			return false
+		case st == JobQueued:
+			if job.cancelQueued("canceled by client") {
 				s.settle(job, 0)
-				writeJSON(w, http.StatusOK, s.view(job, false))
-				return
-			default:
-				job.signalCancel()
-				writeJSON(w, http.StatusAccepted, s.view(job, false))
-				return
+				return false
 			}
+			// Lost the race with a worker: re-read the state.
+		default:
+			job.signalCancel()
+			return true
 		}
 	}
 }

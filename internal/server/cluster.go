@@ -37,36 +37,33 @@ type ClusterOptions struct {
 	HTTP *http.Client
 }
 
-// clusterState is the server's cluster runtime: membership (coordinator
-// only), the forwarding client, and the worker-side compute gate.
+// clusterState is the server's cluster runtime, present on every
+// node: its identity, membership (coordinator only) and the
+// forwarding client.
 type clusterState struct {
 	opts    ClusterOptions
 	members *cluster.Membership // nil unless coordinator
 	client  cluster.Client
-	// computeGate bounds concurrently executing forwarded computes on
-	// this node; an acquired token is a promise of prompt service, an
-	// exhausted gate answers 429 + Retry-After like the job queue.
-	computeGate chan struct{}
 	// stopSweep ends the coordinator's membership sweeper.
 	stopSweep chan struct{}
 }
 
-// newClusterState builds the runtime for the configured role.
-func newClusterState(opts ClusterOptions, workers, queueDepth int) *clusterState {
-	if opts.NodeID == "" {
-		opts.NodeID = "ossimd"
+// newClusterState builds the runtime for the configured role; nil
+// options make a single node.
+func newClusterState(opts *ClusterOptions) *clusterState {
+	cs := &clusterState{stopSweep: make(chan struct{})}
+	if opts != nil {
+		cs.opts = *opts
 	}
-	if opts.HeartbeatTimeout <= 0 {
-		opts.HeartbeatTimeout = 3 * time.Second
+	if cs.opts.NodeID == "" {
+		cs.opts.NodeID = "ossimd"
 	}
-	cs := &clusterState{
-		opts:        opts,
-		client:      cluster.Client{HTTP: opts.HTTP},
-		computeGate: make(chan struct{}, workers+queueDepth),
-		stopSweep:   make(chan struct{}),
+	if cs.opts.HeartbeatTimeout <= 0 {
+		cs.opts.HeartbeatTimeout = 3 * time.Second
 	}
-	if opts.Coordinator {
-		cs.members = cluster.NewMembership(opts.HeartbeatTimeout)
+	cs.client = cluster.Client{HTTP: cs.opts.HTTP}
+	if cs.opts.Coordinator {
+		cs.members = cluster.NewMembership(cs.opts.HeartbeatTimeout)
 	}
 	return cs
 }
@@ -84,7 +81,7 @@ const forwardRetries = 3
 // (coordinator mode), then a local simulation; the runner stores the
 // result so the next request, process or node finds it.
 func (s *Server) computeOutcome(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
-	if cl := s.cluster; cl != nil && cl.members != nil {
+	if s.cluster.members != nil {
 		if o, ok := s.forwardCompute(ctx, cfg.CanonicalKey(), cfg); ok {
 			return o, nil
 		}
@@ -248,37 +245,37 @@ type ClusterView struct {
 // a worker or single-node daemon reports itself with an empty table —
 // so operators can point the same tooling anywhere.
 func (s *Server) handleClusterView(w http.ResponseWriter, r *http.Request) {
-	self := ClusterNode{
-		ID:         "ossimd",
-		Role:       "single",
-		State:      string(cluster.NodeAlive),
-		QueueDepth: len(s.queue),
-		Executions: s.localExecs.Load(),
-		Store:      s.store.Stats(),
+	cl := s.cluster
+	view := ClusterView{
+		Self: ClusterNode{
+			ID:         cl.opts.NodeID,
+			Role:       "single",
+			State:      string(cluster.NodeAlive),
+			QueueDepth: len(s.queue),
+			Executions: s.localExecs.Load(),
+			Store:      s.store.Stats(),
+		},
+		Nodes: []ClusterNode{},
 	}
-	view := ClusterView{Nodes: []ClusterNode{}}
-	if cl := s.cluster; cl != nil {
-		self.ID = cl.opts.NodeID
-		if cl.members != nil {
-			self.Role = "coordinator"
-			for _, n := range cl.members.Snapshot() {
-				ls := n.LastSeen
-				view.Nodes = append(view.Nodes, ClusterNode{
-					ID:         n.ID,
-					Addr:       n.Addr,
-					Role:       "worker",
-					State:      string(n.State),
-					LastSeen:   &ls,
-					QueueDepth: n.Stats.QueueDepth,
-					Executions: n.Stats.Executions,
-					Store:      store.Stats{Records: n.Stats.StoreRecords},
-				})
-			}
-		} else {
-			self.Role = "worker"
+	switch {
+	case cl.members != nil:
+		view.Self.Role = "coordinator"
+		for _, n := range cl.members.Snapshot() {
+			ls := n.LastSeen
+			view.Nodes = append(view.Nodes, ClusterNode{
+				ID:         n.ID,
+				Addr:       n.Addr,
+				Role:       "worker",
+				State:      string(n.State),
+				LastSeen:   &ls,
+				QueueDepth: n.Stats.QueueDepth,
+				Executions: n.Stats.Executions,
+				Store:      store.Stats{Records: n.Stats.StoreRecords},
+			})
 		}
+	case s.opts.Cluster != nil:
+		view.Self.Role = "worker"
 	}
-	view.Self = self
 	writeJSON(w, http.StatusOK, view)
 }
 
@@ -286,7 +283,7 @@ func (s *Server) handleClusterView(w http.ResponseWriter, r *http.Request) {
 // (or rejoining) the cluster. Only a coordinator keeps a table.
 func (s *Server) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
 	cl := s.cluster
-	if cl == nil || cl.members == nil {
+	if cl.members == nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "this node is not a coordinator")
 		return
 	}
@@ -315,7 +312,7 @@ func (s *Server) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
 // and the worker must re-register.
 func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) {
 	cl := s.cluster
-	if cl == nil || cl.members == nil {
+	if cl.members == nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "this node is not a coordinator")
 		return
 	}
@@ -332,17 +329,15 @@ func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleInternalCompute is POST /v1/internal/compute: the worker side
-// of a coordinator forward. The configuration executes through this
-// node's own runner (store, singleflight, simulate), so a re-forwarded
-// key costs nothing; the response is the stored result record. The gate
-// bounds concurrent forwarded work the same way the queue bounds jobs,
-// and an exhausted gate answers 429 with Retry-After — backpressure
-// the coordinator honors by backing off or re-routing.
+// of a coordinator forward, served as a run job. After the key and
+// bounds checks the configuration takes POST /v1/runs' path — job
+// table, store, queue, this node's workers — so -workers bounds every
+// simulation the node runs, a full queue answers 429 with Retry-After
+// (the coordinator backs off or re-routes), and the forward shows up
+// in the job listing and the metrics. The response is the stored
+// result record. A forward whose request ends first cancels the job it
+// created, as a DELETE would.
 func (s *Server) handleInternalCompute(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
-		writeError(w, http.StatusServiceUnavailable, "draining", "server draining")
-		return
-	}
 	var creq cluster.ComputeRequest
 	if err := decodeJSON(r.Body, &creq); err != nil {
 		s.clientError(w, err)
@@ -357,38 +352,22 @@ func (s *Server) handleInternalCompute(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, err)
 		return
 	}
-	gate := s.computeGate()
+	job, deduped, ok := s.admit(w, newRunJob(cfg, s.opts.JobTimeout, nil))
+	if !ok {
+		return
+	}
 	select {
-	case gate <- struct{}{}:
-		defer func() { <-gate }()
-	default:
-		s.metrics.rejectedHit()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "queue_full", "compute capacity exhausted, retry later")
+	case <-job.Done():
+	case <-r.Context().Done():
+		if !deduped {
+			s.cancel(job)
+		}
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.JobTimeout)
-	defer cancel()
-	if _, err := s.runner.OutcomeConfig(ctx, cfg); err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+	if job.State() != JobDone {
+		writeError(w, http.StatusInternalServerError, "internal", job.summary().Error)
 		return
 	}
-	// The runner stores every result before returning it.
 	s.metrics.clusterServed.Inc()
-	writeJSON(w, http.StatusOK, s.store.Get(creq.Key))
-}
-
-// computeGate returns the forwarded-compute token pool, building a
-// default one for servers constructed without cluster options (the
-// endpoint is always routable).
-func (s *Server) computeGate() chan struct{} {
-	if s.cluster != nil {
-		return s.cluster.computeGate
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fallbackGate == nil {
-		s.fallbackGate = make(chan struct{}, s.opts.Workers+s.opts.QueueDepth)
-	}
-	return s.fallbackGate
+	writeJSON(w, http.StatusOK, s.store.Get(job.Key))
 }

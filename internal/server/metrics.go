@@ -1,47 +1,30 @@
 package server
 
 import (
-	"expvar"
+	"math"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"oscachesim/internal/core"
 	"oscachesim/internal/obs"
 )
 
-// metrics is the daemon's observability surface. The counters live in
-// an obs.Registry — per-server, not process-global, because the test
-// suite runs many servers in one process — and are mirrored into an
-// expvar.Map so GET /v1/metrics can keep serving the flat JSON
-// document earlier clients parse. The same registry renders the
-// Prometheus text exposition when the client asks for it (see handler).
-//
-// JSON vars (legacy names, stable):
-//
-//	queue_depth        current FIFO occupancy
-//	queue_capacity     configured queue bound
-//	workers            worker-pool size
-//	jobs_queued        jobs accepted into the queue (cumulative)
-//	jobs_running       jobs currently simulating
-//	jobs_done          jobs finished successfully (cumulative)
-//	jobs_failed        jobs finished with an error (cumulative)
-//	jobs_canceled      jobs canceled by drain (cumulative)
-//	jobs_deduped       POSTs answered by an existing job (cumulative)
-//	jobs_rejected      POSTs answered 429 (cumulative)
-//	cache_hits         result-cache hits: deduped POSTs + runner hits/joins
-//	cache_misses       runner compute calls (peer or local simulation)
-//	cache_hit_ratio    hits / (hits + misses), 0 when idle
-//	sim_seconds_served total simulated seconds of completed jobs
-//
-// Prometheus series carry the ossimd_ prefix; the histograms
+// metrics is the daemon's observability surface: an obs.Registry —
+// per-server, not process-global, because the test suite runs many
+// servers in one process — filled from one declaration list, defs.
+// GET /v1/metrics renders that list both ways: the flat JSON document
+// earlier clients parse (every declaration with a JSON key) and, when
+// the client asks for it, the registry's Prometheus text exposition
+// (see handler). Series carry the ossimd_ prefix; the histograms
 // (ossimd_run_stage_seconds{stage}, ossimd_queue_wait_seconds,
-// ossimd_http_request_seconds{endpoint}) exist only there — expvar has
-// no histogram shape worth faking.
+// ossimd_campaign_seconds, ossimd_http_request_seconds{endpoint}) and
+// the coordinator's per-worker gauges exist only in the exposition.
 type metrics struct {
-	srv *Server
-	m   *expvar.Map
-	reg *obs.Registry
+	srv  *Server
+	reg  *obs.Registry
+	defs []metricDef
 
 	queued, done, failed, canceled *obs.Counter
 	deduped, rejected              *obs.Counter
@@ -52,70 +35,94 @@ type metrics struct {
 	clusterForwarded               *obs.Counter
 	clusterRequeued                *obs.Counter
 	clusterServed                  *obs.Counter
-	running                        expvar.Int
+	running                        atomic.Int64
+	simSeconds                     atomic.Uint64 // float64 bits
 
 	campaignDur *obs.Histogram
-
-	simSeconds expvar.Float
 
 	queueWait *obs.Histogram
 	stage     map[string]*obs.Histogram // by stage label
 }
 
+// metricDef declares one daemon metric once: its Prometheus family
+// ("" for JSON only), help text, JSON key ("" for Prometheus only),
+// and either the counter field it creates or the gauge it samples.
+type metricDef struct {
+	family, help, key string
+	counter           **obs.Counter
+	value             func() float64
+}
+
 func newMetrics(s *Server) *metrics {
-	mt := &metrics{srv: s, m: new(expvar.Map).Init(), reg: obs.NewRegistry()}
-
-	mt.queued = mt.reg.Counter("ossimd_jobs_queued_total", "jobs accepted into the queue")
-	mt.done = mt.reg.Counter("ossimd_jobs_done_total", "jobs finished successfully")
-	mt.failed = mt.reg.Counter("ossimd_jobs_failed_total", "jobs finished with an error")
-	mt.canceled = mt.reg.Counter("ossimd_jobs_canceled_total", "jobs canceled by drain")
-	mt.deduped = mt.reg.Counter("ossimd_jobs_deduped_total", "POSTs answered by an existing job")
-	mt.rejected = mt.reg.Counter("ossimd_jobs_rejected_total", "POSTs answered 429")
-	mt.campaignCells = mt.reg.Counter("ossimd_campaign_cells_total",
-		"grid cells served by completed campaigns")
-	mt.campaignCellsDeduped = mt.reg.Counter("ossimd_campaign_cells_deduped_total",
-		"campaign cells credited from another cell's simulation")
-	mt.storeServed = mt.reg.Counter("ossimd_store_served_jobs_total",
-		"submitted jobs materialized terminal straight from the store")
-	mt.clusterRouted = mt.reg.Counter("ossimd_cluster_routed_total",
-		"unique configurations routed to the ring")
-	mt.clusterForwarded = mt.reg.Counter("ossimd_cluster_forwarded_total",
-		"configurations computed by a peer on our behalf")
-	mt.clusterRequeued = mt.reg.Counter("ossimd_cluster_requeued_total",
-		"forwards re-queued to the next ring owner after a node failure")
-	mt.clusterServed = mt.reg.Counter("ossimd_cluster_compute_served_total",
-		"forwarded compute requests this node answered")
-
-	mt.reg.GaugeFunc("ossimd_queue_depth", "current FIFO occupancy",
-		func() float64 { return float64(len(s.queue)) })
-	mt.reg.GaugeFunc("ossimd_queue_capacity", "configured queue bound",
-		func() float64 { return float64(cap(s.queue)) })
-	mt.reg.GaugeFunc("ossimd_workers", "worker-pool size",
-		func() float64 { return float64(s.opts.Workers) })
-	mt.reg.GaugeFunc("ossimd_jobs_running", "jobs currently simulating",
-		func() float64 { return float64(mt.running.Value()) })
-	mt.reg.GaugeFunc("ossimd_cache_hits", "result-cache hits: deduped POSTs + runner hits and joins",
-		func() float64 { return float64(mt.cacheHits()) })
-	mt.reg.GaugeFunc("ossimd_store_hits_total", "runner requests answered by the result store",
-		func() float64 { return float64(s.runner.Stats().Hits) })
-	mt.reg.GaugeFunc("ossimd_cache_misses", "runner compute calls, forwarded to a peer or simulated locally",
-		func() float64 { return float64(s.runner.Stats().Executions) })
-	mt.reg.GaugeFunc("ossimd_cache_hit_ratio", "hits / (hits + misses), 0 when idle",
-		func() float64 { return mt.hitRatio() })
-	mt.reg.GaugeFunc("ossimd_sim_seconds_served", "total simulated seconds of completed jobs",
-		func() float64 { return mt.simSeconds.Value() })
-	mt.reg.GaugeFunc("ossimd_store_records", "distinct keys in the durable result store",
-		func() float64 { return float64(s.store.Len()) })
-	mt.reg.GaugeFunc("ossimd_store_replay_skipped", "corrupt or truncated records skipped at boot replay",
-		func() float64 {
-			st := s.store.Stats()
-			return float64(st.SkippedCorrupt + st.SkippedTruncated)
-		})
-	mt.reg.GaugeFunc("ossimd_local_executions", "simulations this process actually ran",
-		func() float64 { return float64(s.localExecs.Load()) })
-	if s.cluster != nil && s.cluster.members != nil {
-		mt.reg.GaugeFunc("ossimd_cluster_nodes", "workers currently in the ring",
-			func() float64 { return float64(s.cluster.members.AliveCount()) })
+	mt := &metrics{srv: s, reg: obs.NewRegistry()}
+	nodes := "" // a family only a coordinator exposes
+	if s.cluster.members != nil {
+		nodes = "ossimd_cluster_nodes"
+	}
+	mt.defs = []metricDef{
+		{"ossimd_queue_depth", "current FIFO occupancy", "queue_depth", nil,
+			func() float64 { return float64(len(s.queue)) }},
+		{"ossimd_queue_capacity", "configured queue bound", "queue_capacity", nil,
+			func() float64 { return float64(cap(s.queue)) }},
+		{"ossimd_workers", "worker-pool size", "workers", nil,
+			func() float64 { return float64(s.opts.Workers) }},
+		{"ossimd_jobs_queued_total", "jobs accepted into the queue", "jobs_queued", &mt.queued, nil},
+		{"ossimd_jobs_running", "jobs currently simulating", "jobs_running", nil,
+			func() float64 { return float64(mt.running.Load()) }},
+		{"ossimd_jobs_done_total", "jobs finished successfully", "jobs_done", &mt.done, nil},
+		{"ossimd_jobs_failed_total", "jobs finished with an error", "jobs_failed", &mt.failed, nil},
+		{"ossimd_jobs_canceled_total", "jobs canceled by drain", "jobs_canceled", &mt.canceled, nil},
+		{"ossimd_jobs_deduped_total", "POSTs answered by an existing job", "jobs_deduped", &mt.deduped, nil},
+		{"ossimd_jobs_rejected_total", "POSTs answered 429", "jobs_rejected", &mt.rejected, nil},
+		{"ossimd_campaign_cells_total", "grid cells served by completed campaigns",
+			"campaign_cells_total", &mt.campaignCells, nil},
+		{"ossimd_campaign_cells_deduped_total", "campaign cells credited from another cell's simulation",
+			"campaign_cells_deduped_total", &mt.campaignCellsDeduped, nil},
+		{"ossimd_cache_hits", "result-cache hits: deduped POSTs + runner hits and joins", "cache_hits", nil,
+			func() float64 { return float64(mt.cacheHits()) }},
+		{"ossimd_cache_misses", "runner compute calls, forwarded to a peer or simulated locally", "cache_misses", nil,
+			func() float64 { return float64(s.runner.Stats().Executions) }},
+		{"ossimd_cache_hit_ratio", "hits / (hits + misses), 0 when idle", "cache_hit_ratio", nil, mt.hitRatio},
+		{"ossimd_sim_seconds_served", "total simulated seconds of completed jobs", "sim_seconds_served", nil,
+			func() float64 { return math.Float64frombits(mt.simSeconds.Load()) }},
+		{"ossimd_store_records", "distinct keys in the durable result store", "store_records", nil,
+			func() float64 { return float64(s.store.Len()) }},
+		{"ossimd_store_hits_total", "runner requests answered by the result store", "store_hits", nil,
+			func() float64 { return float64(s.runner.Stats().Hits) }},
+		{"ossimd_store_served_jobs_total", "submitted jobs materialized terminal straight from the store",
+			"store_served_jobs", &mt.storeServed, nil},
+		{"ossimd_store_replay_skipped", "corrupt or truncated records skipped at boot replay", "", nil,
+			func() float64 {
+				st := s.store.Stats()
+				return float64(st.SkippedCorrupt + st.SkippedTruncated)
+			}},
+		{"ossimd_local_executions", "simulations this process actually ran", "local_executions", nil,
+			func() float64 { return float64(s.localExecs.Load()) }},
+		{"ossimd_cluster_routed_total", "unique configurations routed to the ring",
+			"cluster_routed", &mt.clusterRouted, nil},
+		{"ossimd_cluster_forwarded_total", "configurations computed by a peer on our behalf",
+			"cluster_forwarded", &mt.clusterForwarded, nil},
+		{"ossimd_cluster_requeued_total", "forwards re-queued to the next ring owner after a node failure",
+			"cluster_requeued", &mt.clusterRequeued, nil},
+		{"ossimd_cluster_compute_served_total", "forwarded compute requests this node answered",
+			"cluster_compute_served", &mt.clusterServed, nil},
+		{nodes, "workers currently in the ring", "cluster_nodes", nil, func() float64 {
+			if m := s.cluster.members; m != nil {
+				return float64(m.AliveCount())
+			}
+			return 0
+		}},
+	}
+	for i := range mt.defs {
+		d := &mt.defs[i]
+		switch {
+		case d.counter != nil:
+			c := mt.reg.Counter(d.family, d.help)
+			*d.counter = c
+			d.value = func() float64 { return float64(c.Value()) }
+		case d.family != "":
+			mt.reg.GaugeFunc(d.family, d.help, d.value)
+		}
 	}
 
 	mt.queueWait = mt.reg.Histogram("ossimd_queue_wait_seconds",
@@ -128,38 +135,17 @@ func newMetrics(s *Server) *metrics {
 		mt.stage[stage] = mt.reg.Histogram("ossimd_run_stage_seconds",
 			"per-run stage wall clock, by stage", obs.DurationBuckets(), obs.L("stage", stage))
 	}
-
-	mt.m.Set("queue_depth", expvar.Func(func() any { return len(s.queue) }))
-	mt.m.Set("queue_capacity", expvar.Func(func() any { return cap(s.queue) }))
-	mt.m.Set("workers", expvar.Func(func() any { return s.opts.Workers }))
-	mt.m.Set("jobs_queued", expvar.Func(func() any { return mt.queued.Value() }))
-	mt.m.Set("jobs_running", &mt.running)
-	mt.m.Set("jobs_done", expvar.Func(func() any { return mt.done.Value() }))
-	mt.m.Set("jobs_failed", expvar.Func(func() any { return mt.failed.Value() }))
-	mt.m.Set("jobs_canceled", expvar.Func(func() any { return mt.canceled.Value() }))
-	mt.m.Set("jobs_deduped", expvar.Func(func() any { return mt.deduped.Value() }))
-	mt.m.Set("jobs_rejected", expvar.Func(func() any { return mt.rejected.Value() }))
-	mt.m.Set("campaign_cells_total", expvar.Func(func() any { return mt.campaignCells.Value() }))
-	mt.m.Set("campaign_cells_deduped_total", expvar.Func(func() any { return mt.campaignCellsDeduped.Value() }))
-	mt.m.Set("cache_hits", expvar.Func(func() any { return mt.cacheHits() }))
-	mt.m.Set("cache_misses", expvar.Func(func() any { return s.runner.Stats().Executions }))
-	mt.m.Set("cache_hit_ratio", expvar.Func(func() any { return mt.hitRatio() }))
-	mt.m.Set("sim_seconds_served", &mt.simSeconds)
-	mt.m.Set("store_records", expvar.Func(func() any { return s.store.Len() }))
-	mt.m.Set("store_hits", expvar.Func(func() any { return s.runner.Stats().Hits }))
-	mt.m.Set("store_served_jobs", expvar.Func(func() any { return mt.storeServed.Value() }))
-	mt.m.Set("local_executions", expvar.Func(func() any { return s.localExecs.Load() }))
-	mt.m.Set("cluster_routed", expvar.Func(func() any { return mt.clusterRouted.Value() }))
-	mt.m.Set("cluster_forwarded", expvar.Func(func() any { return mt.clusterForwarded.Value() }))
-	mt.m.Set("cluster_requeued", expvar.Func(func() any { return mt.clusterRequeued.Value() }))
-	mt.m.Set("cluster_compute_served", expvar.Func(func() any { return mt.clusterServed.Value() }))
-	mt.m.Set("cluster_nodes", expvar.Func(func() any {
-		if s.cluster == nil || s.cluster.members == nil {
-			return 0
-		}
-		return s.cluster.members.AliveCount()
-	}))
 	return mt
+}
+
+// addSimSeconds adds to the simulated seconds served.
+func (mt *metrics) addSimSeconds(v float64) {
+	for {
+		old := mt.simSeconds.Load()
+		if mt.simSeconds.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
 }
 
 // cacheHits counts every request for simulation work that was answered
@@ -179,10 +165,6 @@ func (mt *metrics) hitRatio() float64 {
 	return hits / (hits + misses)
 }
 
-func (mt *metrics) jobQueued()   { mt.queued.Inc() }
-func (mt *metrics) dedupHit()    { mt.deduped.Inc() }
-func (mt *metrics) rejectedHit() { mt.rejected.Inc() }
-
 // jobServedFromStore records a submitted job the durable store
 // answered: it finished without ever running, so it counts as a dedup
 // hit and a completion but never touches the running gauge.
@@ -190,7 +172,7 @@ func (mt *metrics) jobServedFromStore(simSeconds float64) {
 	mt.deduped.Inc()
 	mt.storeServed.Inc()
 	mt.done.Inc()
-	mt.simSeconds.Add(simSeconds)
+	mt.addSimSeconds(simSeconds)
 }
 
 // ensureNodeGauges registers the per-node cluster gauges on first
@@ -270,7 +252,7 @@ func (mt *metrics) jobFinished(j *Job, simSeconds float64) {
 	case JobDone:
 		mt.running.Add(-1)
 		mt.done.Inc()
-		mt.simSeconds.Add(simSeconds)
+		mt.addSimSeconds(simSeconds)
 	case JobFailed:
 		mt.running.Add(-1)
 		mt.failed.Inc()
@@ -300,23 +282,19 @@ func wantsPrometheus(r *http.Request) bool {
 		strings.Contains(accept, "application/openmetrics-text")
 }
 
-// handler serves GET /v1/metrics: expvar-style JSON by default, the
-// Prometheus text exposition under content negotiation.
+// handler serves GET /v1/metrics: the flat JSON document by default,
+// the Prometheus text exposition under content negotiation.
 func (mt *metrics) handler(w http.ResponseWriter, r *http.Request) {
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = mt.reg.WritePrometheus(w)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Write([]byte("{"))
-	first := true
-	mt.m.Do(func(kv expvar.KeyValue) {
-		if !first {
-			w.Write([]byte(",\n"))
+	doc := make(map[string]float64, len(mt.defs))
+	for _, d := range mt.defs {
+		if d.key != "" {
+			doc[d.key] = d.value()
 		}
-		first = false
-		w.Write([]byte("\"" + kv.Key + "\": " + kv.Value.String()))
-	})
-	w.Write([]byte("}\n"))
+	}
+	writeJSON(w, http.StatusOK, doc)
 }

@@ -3,28 +3,30 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"io"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"oscachesim/internal/cluster"
 	"oscachesim/internal/core"
 )
 
 // TestSimulationPanicFailsOnlyItsJob pins the daemon's panic boundary: a
 // simulation that panics fails its own job with an internal error
-// naming the panic, resolves its runner flight so a joiner waiting on
-// the same key gets that error instead of hanging, stores nothing, and
-// leaves the daemon serving other keys. The stack goes to the logger.
+// naming the panic, answers a forwarded compute deduplicated onto that
+// job with the same error, resolves its runner flight so a campaign
+// cell joining it on the same key gets that error instead of hanging,
+// stores nothing, and leaves the daemon serving other keys. The stack
+// goes to the logger.
 func TestSimulationPanicFailsOnlyItsJob(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var logs syncBuffer
 	s, ts := newTestServer(t, Options{
-		Workers:    1,
+		Workers:    2,
 		QueueDepth: 4,
 		Logger:     slog.New(slog.NewJSONHandler(&logs, nil)),
 		execute: func(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
@@ -36,6 +38,10 @@ func TestSimulationPanicFailsOnlyItsJob(t *testing.T) {
 			return &core.Outcome{Config: cfg}, nil
 		},
 	})
+	// Unblock the simulation even if the test fails early, so the
+	// server's drain at cleanup does not wait on it.
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce)
 
 	status, job, _ := postJSON(t, ts.URL+"/v1/runs", runBody(1))
 	if status != http.StatusAccepted {
@@ -43,52 +49,45 @@ func TestSimulationPanicFailsOnlyItsJob(t *testing.T) {
 	}
 	<-started
 
-	// A forwarded compute of the same key joins the job's flight.
-	cfg, _, err := decodeRunRequest(strings.NewReader(runBody(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	creq, err := cluster.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := json.Marshal(creq)
+	// A forwarded compute of the same key is deduplicated onto the job.
+	cfg := runConfig(t, 1)
 	type reply struct {
 		status int
 		body   ErrorBody
 	}
 	joined := make(chan reply, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+cluster.ComputePath, "application/json", strings.NewReader(string(raw)))
-		if err != nil {
-			joined <- reply{}
-			return
-		}
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
+		status, data, _, _ := postCompute(ts.URL, cfg)
 		var eb ErrorBody
 		json.Unmarshal(data, &eb)
-		joined <- reply{resp.StatusCode, eb}
+		joined <- reply{status, eb}
 	}()
-	for deadline := time.Now().Add(10 * time.Second); s.runner.Stats().Joins == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the forwarded compute never joined the flight")
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitFor(t, "the forwarded compute to join the job", func() bool { return s.metrics.deduped.Value() == 1 })
+
+	// A campaign cell of the same key, on the second worker, joins the
+	// job's runner flight.
+	status, camp, _ := postJSON(t, ts.URL+"/v1/campaigns",
+		fmt.Sprintf(`{"workload":"TRFD_4","systems":["Base"],"scale":%d,"seed":1}`, testScale))
+	if status != http.StatusAccepted {
+		t.Fatalf("POST campaign: HTTP %d", status)
 	}
-	close(release)
+	waitFor(t, "the campaign cell to join the flight", func() bool { return s.runner.Stats().Joins == 1 })
+	releaseOnce()
 
 	v := waitJob(t, ts.URL, job.ID)
 	if v.State != JobFailed || !strings.Contains(v.Error, "internal") || !strings.Contains(v.Error, "seeded fault") {
 		t.Errorf("job %s error %q, want failed with an internal error naming the panic", v.State, v.Error)
 	}
+	if v := waitJob(t, ts.URL, camp.ID); v.State != JobFailed || !strings.Contains(v.Error, "seeded fault") {
+		t.Errorf("campaign %s error %q, want failed naming the panic", v.State, v.Error)
+	}
 	select {
 	case r := <-joined:
 		if r.status != http.StatusInternalServerError || r.body.Error.Code != "internal" || !strings.Contains(r.body.Error.Message, "seeded fault") {
-			t.Errorf("joiner got HTTP %d %+v, want 500 internal naming the panic", r.status, r.body.Error)
+			t.Errorf("forward got HTTP %d %+v, want 500 internal naming the panic", r.status, r.body.Error)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("the joiner hangs on the panicked flight")
+		t.Fatal("the forward hangs on the panicked job")
 	}
 	if rec := s.Store().Get(cfg.CanonicalKey()); rec != nil {
 		t.Errorf("the panicked run reached the store: %+v", rec)
@@ -103,5 +102,16 @@ func TestSimulationPanicFailsOnlyItsJob(t *testing.T) {
 	}
 	if v := waitJob(t, ts.URL, other.ID); v.State != JobDone {
 		t.Errorf("job after the panic finished %s: %s", v.State, v.Error)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -156,6 +156,8 @@ func checkBounds(cfg core.RunConfig) error {
 		{"L1WriteBufDepth", uint64(p.L1WriteBufDepth), maxBufDepth},
 		{"L2WriteBufDepth", uint64(p.L2WriteBufDepth), maxBufDepth},
 		{"PrefBufLines", uint64(p.PrefBufLines), maxBufDepth},
+		{"MemCycles", p.MemCycles, maxCycles},
+		{"DMACyclesPer8B", p.DMACyclesPer8B, maxCycles},
 	} {
 		if b.v > b.bound {
 			return fieldErrf("machine."+b.name, b.v, "out of range [1, %d]", b.bound)

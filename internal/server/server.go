@@ -96,6 +96,7 @@ type Options struct {
 	// Cluster, when non-nil, puts the node in cluster mode — as the
 	// coordinator (routing unique configurations to workers over a
 	// consistent-hash ring) or a worker (serving forwarded computes).
+	// Nil makes a single node; every node serves forwarded computes.
 	Cluster *ClusterOptions
 
 	// execute, when non-nil, replaces core.Run as the local
@@ -130,8 +131,8 @@ type Server struct {
 	opts    Options
 	runner  *experiment.Runner
 	metrics *metrics
-	store   *store.Store  // always non-nil (memory-only fallback)
-	cluster *clusterState // nil outside cluster mode
+	store   *store.Store // always non-nil (memory-only fallback)
+	cluster *clusterState
 
 	queue chan *Job
 	wg    sync.WaitGroup // workers
@@ -141,30 +142,27 @@ type Server struct {
 	// cluster it audits the exactly-once invariant.
 	localExecs atomic.Uint64
 
-	mu           sync.Mutex
-	draining     bool
-	seq          int
-	jobs         map[string]*Job // id -> job
-	byKey        map[string]*Job // canonical key -> job (dedup layer)
-	order        []*Job          // submission order (collection listings)
-	fallbackGate chan struct{}   // compute gate outside cluster mode
+	mu       sync.Mutex
+	draining bool
+	seq      int
+	jobs     map[string]*Job // id -> job
+	byKey    map[string]*Job // canonical key -> job (dedup layer)
+	order    []*Job          // submission order (collection listings)
 }
 
 // New builds a Server and starts its worker pool.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:  opts,
-		store: opts.Store,
-		queue: make(chan *Job, opts.QueueDepth),
-		jobs:  make(map[string]*Job),
-		byKey: make(map[string]*Job),
+		opts:    opts,
+		store:   opts.Store,
+		cluster: newClusterState(opts.Cluster),
+		queue:   make(chan *Job, opts.QueueDepth),
+		jobs:    make(map[string]*Job),
+		byKey:   make(map[string]*Job),
 	}
 	if s.store == nil {
 		s.store, _ = store.Open("", nil) // memory-only never fails
-	}
-	if opts.Cluster != nil {
-		s.cluster = newClusterState(*opts.Cluster, opts.Workers, opts.QueueDepth)
 	}
 	// Store misses not already in flight go to the owning peer
 	// (coordinator mode), then a local simulation.
@@ -174,7 +172,7 @@ func New(opts Options) *Server {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if s.cluster != nil && s.cluster.members != nil {
+	if s.cluster.members != nil {
 		go s.sweeper()
 	}
 	return s
@@ -309,9 +307,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	// and re-checks draining first.
 	close(s.queue)
 	s.mu.Unlock()
-	if s.cluster != nil {
-		close(s.cluster.stopSweep)
-	}
+	close(s.cluster.stopSweep)
 
 	done := make(chan struct{})
 	go func() {
@@ -470,7 +466,7 @@ func (s *Server) submit(job *Job) (*Job, bool, error) {
 	if existing, ok := s.byKey[job.Key]; ok {
 		// Identical configuration already queued, running or done:
 		// this request costs nothing.
-		s.metrics.dedupHit()
+		s.metrics.deduped.Inc()
 		return existing, true, nil
 	}
 	if s.jobFromStoreLocked(job) {
@@ -486,13 +482,13 @@ func (s *Server) submit(job *Job) (*Job, bool, error) {
 	select {
 	case s.queue <- job:
 	default:
-		s.metrics.rejectedHit()
+		s.metrics.rejected.Inc()
 		return nil, false, errQueueFull
 	}
 	s.jobs[job.ID] = job
 	s.byKey[job.Key] = job
 	s.order = append(s.order, job)
-	s.metrics.jobQueued()
+	s.metrics.queued.Inc()
 	return job, false, nil
 }
 
@@ -513,23 +509,38 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, err)
 		return
 	}
-	job := newJob("", "run", cfg.CanonicalKey(), rr.timeout(s.opts.JobTimeout))
-	job.Cfg = cfg
-	job.Progress = &sim.Progress{}
-	job.Request = rr
-	s.respondSubmit(w, job)
+	s.respondSubmit(w, newRunJob(cfg, rr.timeout(s.opts.JobTimeout), rr))
 }
 
-// respondSubmit runs the shared submit path and writes the response.
-func (s *Server) respondSubmit(w http.ResponseWriter, job *Job) {
+// newRunJob builds a queued run job for cfg with its progress feed;
+// req is the decoded body its status echoes (nil for a forward).
+func newRunJob(cfg core.RunConfig, timeout time.Duration, req any) *Job {
+	job := newJob("", "run", cfg.CanonicalKey(), timeout)
+	job.Cfg = cfg
+	job.Progress = &sim.Progress{}
+	job.Request = req
+	return job
+}
+
+// admit runs the shared submit path. When the job is not admitted it
+// answers 429 + Retry-After (queue full) or 503 (draining) itself and
+// reports false.
+func (s *Server) admit(w http.ResponseWriter, job *Job) (*Job, bool, bool) {
 	got, deduped, err := s.submit(job)
 	switch {
 	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "queue_full", "queue full, retry later")
-		return
 	case errors.Is(err, errDraining):
 		writeError(w, http.StatusServiceUnavailable, "draining", "server draining")
+	}
+	return got, deduped, err == nil
+}
+
+// respondSubmit admits a job and answers with its view.
+func (s *Server) respondSubmit(w http.ResponseWriter, job *Job) {
+	got, deduped, ok := s.admit(w, job)
+	if !ok {
 		return
 	}
 	status := http.StatusAccepted

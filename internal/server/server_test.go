@@ -498,21 +498,29 @@ func metricsSnapshot(t *testing.T, base string) map[string]any {
 	return m
 }
 
-func TestHealthzAndMetrics(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 8})
-	resp, err := http.Get(ts.URL + "/healthz")
+// healthz fetches /healthz, failing unless it answers 200.
+func healthz(t *testing.T, base string) (health struct {
+	OK       bool `json:"ok"`
+	Draining bool `json:"draining"`
+}) {
+	t.Helper()
+	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var health struct {
-		OK       bool `json:"ok"`
-		Draining bool `json:"draining"`
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: HTTP %d, want 200", resp.StatusCode)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if !health.OK || health.Draining {
+	return health
+}
+
+func TestHealthzAndMetrics(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 8})
+	if health := healthz(t, ts.URL); !health.OK || health.Draining {
 		t.Errorf("healthz %+v", health)
 	}
 
@@ -539,6 +547,103 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	if m["sim_seconds_served"].(float64) <= 0 {
 		t.Errorf("sim_seconds_served %v", m["sim_seconds_served"])
+	}
+
+	// A draining node stays live: 200 with draining true.
+	drainServer(t, s)
+	if health := healthz(t, ts.URL); !health.OK || !health.Draining {
+		t.Errorf("healthz while draining %+v, want ok and draining", health)
+	}
+}
+
+// TestMetricsDocumentPinned pins the /v1/metrics surface a single node
+// exposes: the JSON document's exact key set, each value a JSON number
+// and the counts integers, and every Prometheus family by name and
+// type, histograms and per-endpoint latency included.
+func TestMetricsDocumentPinned(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(resp.Body)
+	dec.UseNumber()
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	fractional := map[string]bool{"cache_hit_ratio": true, "sim_seconds_served": true}
+	keys := []string{
+		"cache_hit_ratio", "cache_hits", "cache_misses",
+		"campaign_cells_deduped_total", "campaign_cells_total",
+		"cluster_compute_served", "cluster_forwarded", "cluster_nodes",
+		"cluster_requeued", "cluster_routed",
+		"jobs_canceled", "jobs_deduped", "jobs_done", "jobs_failed",
+		"jobs_queued", "jobs_rejected", "jobs_running",
+		"local_executions", "queue_capacity", "queue_depth",
+		"sim_seconds_served", "store_hits", "store_records",
+		"store_served_jobs", "workers",
+	}
+	for _, k := range keys {
+		n, ok := doc[k].(json.Number)
+		switch {
+		case !ok:
+			t.Errorf("JSON key %q: %#v, want a number", k, doc[k])
+		case !fractional[k]:
+			if _, err := n.Int64(); err != nil {
+				t.Errorf("JSON key %q: %s, want an integer", k, n)
+			}
+		}
+	}
+	if len(doc) != len(keys) {
+		t.Errorf("JSON document has %d keys, want %d: %v", len(doc), len(keys), doc)
+	}
+
+	text, err := http.Get(ts.URL + "/v1/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(text.Body)
+	text.Body.Close()
+	families := map[string]string{
+		"ossimd_cache_hit_ratio":              "gauge",
+		"ossimd_cache_hits":                   "gauge",
+		"ossimd_cache_misses":                 "gauge",
+		"ossimd_campaign_cells_deduped_total": "counter",
+		"ossimd_campaign_cells_total":         "counter",
+		"ossimd_campaign_seconds":             "histogram",
+		"ossimd_cluster_compute_served_total": "counter",
+		"ossimd_cluster_forwarded_total":      "counter",
+		"ossimd_cluster_requeued_total":       "counter",
+		"ossimd_cluster_routed_total":         "counter",
+		"ossimd_http_request_seconds":         "histogram",
+		"ossimd_jobs_canceled_total":          "counter",
+		"ossimd_jobs_deduped_total":           "counter",
+		"ossimd_jobs_done_total":              "counter",
+		"ossimd_jobs_failed_total":            "counter",
+		"ossimd_jobs_queued_total":            "counter",
+		"ossimd_jobs_rejected_total":          "counter",
+		"ossimd_jobs_running":                 "gauge",
+		"ossimd_local_executions":             "gauge",
+		"ossimd_queue_capacity":               "gauge",
+		"ossimd_queue_depth":                  "gauge",
+		"ossimd_queue_wait_seconds":           "histogram",
+		"ossimd_run_stage_seconds":            "histogram",
+		"ossimd_sim_seconds_served":           "gauge",
+		"ossimd_store_hits_total":             "gauge",
+		"ossimd_store_records":                "gauge",
+		"ossimd_store_replay_skipped":         "gauge",
+		"ossimd_store_served_jobs_total":      "counter",
+		"ossimd_workers":                      "gauge",
+	}
+	for name, kind := range families {
+		if !strings.Contains(string(body), "# TYPE "+name+" "+kind+"\n") {
+			t.Errorf("exposition lacks the %s family %s", kind, name)
+		}
+	}
+	if n := strings.Count(string(body), "# TYPE "); n != len(families) {
+		t.Errorf("exposition has %d families, want %d:\n%s", n, len(families), body)
 	}
 }
 
