@@ -24,22 +24,6 @@ func TestAblationsListed(t *testing.T) {
 	}
 }
 
-func TestAblationsRender(t *testing.T) {
-	r := testRunner()
-	for _, e := range Ablations() {
-		out, err := e.Render(r)
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		if !strings.Contains(out, "Ablation:") && !strings.Contains(out, "Analysis:") {
-			t.Errorf("%s: missing header:\n%s", e.ID, out)
-		}
-		if strings.Count(out, "\n") < 4 {
-			t.Errorf("%s: too few rows:\n%s", e.ID, out)
-		}
-	}
-}
-
 // TestAblationUpdateSetMonotone: enabling update on more of the shared
 // variable set must never increase coherence misses.
 func TestAblationUpdateSetMonotone(t *testing.T) {

@@ -4,12 +4,13 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // update regenerates the golden files instead of comparing against
 // them: go test ./internal/experiment/ -run TestGolden -update
-var update = flag.Bool("update", false, "rewrite testdata/golden files from current output")
+var update = flag.Bool("update", false, "rewrite testdata/golden and testdata/golden-ablations files from current output")
 
 // TestGoldenExperiments renders every experiment at the standard test
 // configuration and compares the output byte-for-byte against the
@@ -20,15 +21,41 @@ func TestGoldenExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden renders include the slow geometry sweeps")
 	}
+	checkGoldens(t, All(), "golden", nil)
+}
+
+// TestGoldenAblations pins the seven ablation and analysis studies the
+// same way. Their goldens live in a directory of their own, apart from
+// the paper goldens that core's SimVersion digest covers. Each study
+// must also open with its "Ablation:" or "Analysis:" header and print
+// at least a header, a column line and two rows.
+func TestGoldenAblations(t *testing.T) {
+	checkGoldens(t, Ablations(), "golden-ablations", func(t *testing.T, out string) {
+		if !strings.Contains(out, "Ablation:") && !strings.Contains(out, "Analysis:") {
+			t.Errorf("missing header:\n%s", out)
+		}
+		if strings.Count(out, "\n") < 4 {
+			t.Errorf("too few rows:\n%s", out)
+		}
+	})
+}
+
+// checkGoldens renders each experiment at the test configuration, runs
+// check (if any) on its output, and compares it with (or, under
+// -update, writes it to) testdata/<dir>/<id>.golden.
+func checkGoldens(t *testing.T, exps []Experiment, dir string, check func(*testing.T, string)) {
 	r := testRunner()
-	for _, e := range All() {
+	for _, e := range exps {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			got, err := e.Render(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "golden", e.ID+".golden")
+			if check != nil {
+				check(t, got)
+			}
+			path := filepath.Join("testdata", dir, e.ID+".golden")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
