@@ -102,7 +102,7 @@ func main() {
 	}
 	var k *check.Checker
 	if *docheck {
-		cfg.Monitor = func(s *sim.Simulator, _ sim.Params) { k = check.Attach(s) }
+		cfg.Monitor = func(s *sim.Simulator) { k = check.Attach(s) }
 	}
 	o, err := core.Run(ctx, cfg)
 	if err != nil {

@@ -59,7 +59,7 @@ func TestCheckerDetectsCorruptedTransition(t *testing.T) {
 	var tam *tamperer
 	_, err := core.Run(context.Background(), core.RunConfig{
 		Workload: workload.Shell, System: core.Base, Scale: testScale, Seed: 1,
-		Monitor: func(s *sim.Simulator, _ sim.Params) {
+		Monitor: func(s *sim.Simulator) {
 			k = Attach(s)
 			tam = &tamperer{inner: k}
 			s.SetObserver(tam)
@@ -165,7 +165,7 @@ func TestCheckerObservesEverySystem(t *testing.T) {
 		var k *Checker
 		_, err := core.Run(context.Background(), core.RunConfig{
 			Workload: workload.Shell, System: sys, Scale: testScale, Seed: 1,
-			Monitor: func(s *sim.Simulator, _ sim.Params) { k = Attach(s) },
+			Monitor: func(s *sim.Simulator) { k = Attach(s) },
 		})
 		if err != nil {
 			t.Fatal(err)

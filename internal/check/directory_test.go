@@ -86,7 +86,7 @@ func TestDirectoryOracleDetectsCorruptedEntry(t *testing.T) {
 	_, err := core.Run(context.Background(), core.RunConfig{
 		Workload: workload.Shell, System: core.Base, Scale: testScale, Seed: 1,
 		Machine: dirMachine(16),
-		Monitor: func(s *sim.Simulator, _ sim.Params) {
+		Monitor: func(s *sim.Simulator) {
 			k = Attach(s)
 			tam = &dirTamperer{inner: k}
 			s.SetObserver(tam)

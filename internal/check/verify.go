@@ -131,7 +131,7 @@ func VerifyOutcome(o *core.Outcome) error {
 // disagree with the oracle's tallies, or a conservation law broke.
 func Differential(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
 	var k *Checker
-	cfg.Monitor = func(s *sim.Simulator, _ sim.Params) { k = Attach(s) }
+	cfg.Monitor = func(s *sim.Simulator) { k = Attach(s) }
 	o, err := core.Run(ctx, cfg)
 	if err != nil {
 		return nil, err

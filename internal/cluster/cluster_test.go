@@ -184,11 +184,8 @@ func TestComputeRequestRoundTrip(t *testing.T) {
 }
 
 func TestComputeRequestRejectsUnforwardable(t *testing.T) {
-	if _, err := EncodeConfig(core.RunConfig{Workload: "TRFD_4", TrackConflicts: true}); err == nil {
-		t.Fatal("conflict-census config encoded")
-	}
 	if _, err := EncodeConfig(core.RunConfig{Workload: "TRFD_4",
-		Monitor: func(*sim.Simulator, sim.Params) {}}); err == nil {
+		Monitor: func(*sim.Simulator) {}}); err == nil {
 		t.Fatal("monitored config encoded")
 	}
 }

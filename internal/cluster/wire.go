@@ -30,15 +30,11 @@ type ComputeRequest struct {
 }
 
 // EncodeConfig renders a run configuration for forwarding. It refuses
-// configurations that cannot leave the process: an attached Monitor
-// must observe a local run, and a conflict census (TrackConflicts)
-// returns process-local data the wire format does not carry.
+// a configuration with an attached Monitor, which must observe a local
+// run.
 func EncodeConfig(cfg core.RunConfig) (*ComputeRequest, error) {
 	if cfg.Monitor != nil {
 		return nil, errors.New("cluster: a monitored run cannot be forwarded")
-	}
-	if cfg.TrackConflicts {
-		return nil, errors.New("cluster: a conflict-census run cannot be forwarded")
 	}
 	return &ComputeRequest{Key: cfg.CanonicalKey(), Run: cfg}, nil
 }

@@ -190,19 +190,16 @@ type RunConfig struct {
 	// PrefDist, when positive, overrides the software-pipelining
 	// distance of block-operation prefetching (the Blk_Pref ablation).
 	PrefDist int `json:"pref_dist,omitempty"`
-	// TrackConflicts enables the Section 6 conflict census: every
-	// primary-cache eviction is attributed to the (evictor, victim)
-	// data-structure pair.
-	TrackConflicts bool `json:"track_conflicts,omitempty"`
 	// Deprecated: Stream is ignored; Run streams every run (see Run).
 	// Excluded from CanonicalKey.
 	Stream bool `json:"-"`
 	// Monitor, when non-nil, is called with the freshly built simulator
 	// before Run starts, letting callers attach an observer (the
-	// internal/check differential oracle) or inspect the machine. The
-	// simulator consumes single-use streams, so a Monitor observes the
-	// run as it happens; it cannot replay it after Run returns.
-	Monitor func(*sim.Simulator, sim.Params) `json:"-"`
+	// internal/check differential oracle, the Section 6 conflict
+	// census) or inspect the machine (Simulator.Params). The simulator
+	// consumes single-use streams, so a Monitor observes the run as it
+	// happens; it cannot replay it after Run returns.
+	Monitor func(*sim.Simulator) `json:"-"`
 	// Progress, when non-nil, receives sampled live counters during the
 	// run (refs processed, OS read misses, global clock) plus the
 	// references generated and the projected trace total, for
@@ -254,9 +251,6 @@ type Outcome struct {
 	Refs uint64
 	// CPUTime is each processor's final local clock.
 	CPUTime []uint64
-	// Conflicts is the (evictor, victim) eviction census, present only
-	// when TrackConflicts was set.
-	Conflicts map[sim.ConflictPair]uint64
 	// Stages is the run's wall-clock decomposition (Render left for the
 	// caller that renders).
 	Stages StageTimings
@@ -285,7 +279,7 @@ func kernelOpt(cfg RunConfig) kernel.OptConfig {
 
 // machineParams resolves the hardware-side machine parameters of a
 // run: base machine, system overlay, update-set / pure-update
-// overrides, conflict census and progress plumbing.
+// overrides and progress plumbing.
 func machineParams(cfg RunConfig) sim.Params {
 	var p sim.Params
 	if cfg.Machine != nil {
@@ -305,10 +299,6 @@ func machineParams(cfg RunConfig) sim.Params {
 		attrs := memory.NewAttrTable()
 		attrs.SetDefault(memory.PageAttr{Update: true})
 		p.Attrs = attrs
-	}
-	if cfg.TrackConflicts {
-		regions := kernel.AddressMap()
-		p.RegionNamer = regions.Name
 	}
 	if cfg.Progress != nil {
 		p.Progress = cfg.Progress
@@ -371,7 +361,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		return nil, err
 	}
 	if cfg.Monitor != nil {
-		cfg.Monitor(s, p)
+		cfg.Monitor(s)
 	}
 	simStart := time.Now()
 	res, err := s.Run(ctx)
@@ -398,7 +388,6 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		Deferred:     st.Kernel.DeferredCopies(),
 		Refs:         res.Refs,
 		CPUTime:      res.CPUTime,
-		Conflicts:    res.Conflicts,
 		Stages:       stages,
 		GenStalls:    stalls,
 		GenStallTime: stallTime,

@@ -344,7 +344,7 @@ func TestRunPathSelection(t *testing.T) {
 	mix := preset(t, "os-mix")
 	one := &scenario.Spec{Name: "one-round", Phases: []scenario.Phase{{Rounds: 1}}}
 	monitor := func(cfg RunConfig) RunConfig {
-		cfg.Monitor = func(*sim.Simulator, sim.Params) {}
+		cfg.Monitor = func(*sim.Simulator) {}
 		return cfg
 	}
 	cases := []struct {

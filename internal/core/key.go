@@ -30,9 +30,9 @@ const SimVersion = "oscachesim/sim/v1"
 // Runtime plumbing (Monitor, Progress) is excluded — it cannot change
 // results. So is the deprecated, ignored Stream: Run streams every
 // run.
-// The Machine's Attrs and RegionNamer are also excluded: Run derives
-// both from hashed fields (System, UpdateSet, PureUpdate,
-// TrackConflicts), overwriting whatever the caller supplied.
+// The Machine's Attrs are also excluded: Run derives them from hashed
+// fields (System, UpdateSet, PureUpdate), overwriting whatever the
+// caller supplied.
 //
 // Scale and Seed are hashed after the same normalization Run applies
 // (Seed 0 means 1). Scale 0 means "workload default" and hashes as 0:
@@ -52,9 +52,11 @@ func (cfg RunConfig) CanonicalKey() string {
 		// the same run disagree.
 		wname = "!scenario"
 	}
-	fmt.Fprintf(h, "v=%s|w=%s|sys=%d|scale=%d|seed=%d|dc=%t|pu=%t|pd=%d|tc=%t",
+	// The literal tc=false stands where a retired conflict-census flag
+	// was hashed, so every key stored before its removal still matches.
+	fmt.Fprintf(h, "v=%s|w=%s|sys=%d|scale=%d|seed=%d|dc=%t|pu=%t|pd=%d|tc=false",
 		SimVersion, wname, cfg.System, cfg.Scale, seed,
-		cfg.DeferredCopy, cfg.PureUpdate, cfg.PrefDist, cfg.TrackConflicts)
+		cfg.DeferredCopy, cfg.PureUpdate, cfg.PrefDist)
 	if cfg.Scenario != nil {
 		fmt.Fprintf(h, "|scen=%s", cfg.Scenario.Hash())
 	}
@@ -76,8 +78,8 @@ func (cfg RunConfig) CanonicalKey() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// hashMachine writes every result-affecting machine parameter. Attrs,
-// RegionNamer and Progress are deliberately omitted (see CanonicalKey).
+// hashMachine writes every result-affecting machine parameter. Attrs
+// and Progress are deliberately omitted (see CanonicalKey).
 func hashMachine(w io.Writer, p sim.Params) {
 	fmt.Fprintf(w, "|m=cpus=%d", p.NumCPUs)
 	fmt.Fprintf(w, ";l1i=%d/%d/%d;l1d=%d/%d/%d;l2=%d/%d/%d",

@@ -7,6 +7,7 @@ import (
 
 	"oscachesim/internal/core"
 	"oscachesim/internal/kernel"
+	"oscachesim/internal/memory"
 	"oscachesim/internal/monitor"
 	"oscachesim/internal/sim"
 	"oscachesim/internal/trace"
@@ -210,19 +211,19 @@ func AblationAssociativity(r *Runner) (string, error) {
 // no relocation. This study prints the eviction census by
 // (evictor, victim) structure pair and checks the same dispersion.
 func ConflictAnalysis(r *Runner) (string, error) {
+	census := conflictCensus{regions: kernel.AddressMap(), pairs: map[conflictPair]uint64{}}
 	cfg := r.configFor(workload.Shell, core.Base)
-	cfg.TrackConflicts = true
-	o, err := r.OutcomeConfig(r.ctx, cfg)
-	if err != nil {
+	cfg.Monitor = func(s *sim.Simulator) { s.SetObserver(&census) }
+	if _, err := r.OutcomeConfig(r.ctx, cfg); err != nil {
 		return "", err
 	}
 	type row struct {
-		pair sim.ConflictPair
+		pair conflictPair
 		n    uint64
 	}
 	var rows []row
 	var total, cross uint64
-	for pr, n := range o.Conflicts {
+	for pr, n := range census.pairs {
 		total += n
 		if pr.Evictor != pr.Victim {
 			cross += n
@@ -257,14 +258,40 @@ func ConflictAnalysis(r *Runner) (string, error) {
 	return b.String(), nil
 }
 
+// conflictPair names the two data structures involved in a
+// primary-cache eviction.
+type conflictPair struct {
+	// Evictor is the structure whose fill displaced the victim.
+	Evictor string
+	// Victim is the structure of the displaced line.
+	Victim string
+}
+
+// conflictCensus is a sim.Observer that counts primary-cache evictions
+// by the (evictor, victim) pair of the regions the two lines lie in.
+type conflictCensus struct {
+	regions *memory.Layout
+	pairs   map[conflictPair]uint64
+}
+
+func (c *conflictCensus) Observe(ev sim.Event) {
+	if ev.Kind == sim.EvL1Evict {
+		c.pairs[conflictPair{Evictor: c.regions.Name(ev.Addr), Victim: c.regions.Name(ev.Victim)}]++
+	}
+}
+
 // InstrumentationPerturbation reproduces the Section 2.2 validation:
 // the authors instrumented every basic block with an escape load
 // (growing the code ~30%) and verified that the perturbation "does not
 // significantly affect the metrics that we measure". Here the same
-// workload is simulated twice — as built, and as the instrumented
-// kernel would execute (escape loads added, instructions kept) — and
-// the study's key metrics are compared.
+// workload is simulated twice — as built (the Runner's Base outcome),
+// and as the instrumented kernel would execute (escape loads added,
+// instructions kept) — and the study's key metrics are compared.
 func InstrumentationPerturbation(r *Runner) (string, error) {
+	plain, err := r.Outcome(workload.TRFD4, core.Base)
+	if err != nil {
+		return "", err
+	}
 	b := workload.Build(workload.TRFD4, kernel.OptConfig{}, r.cfg.Scale, r.cfg.Seed)
 	table := monitor.NewBlockTable()
 	instr := make([]trace.Source, len(b.PerCPU))
@@ -275,18 +302,11 @@ func InstrumentationPerturbation(r *Runner) (string, error) {
 		stats.Instrs += st.Instrs
 		stats.Escapes += st.Escapes
 	}
-	simulate := func(srcs []trace.Source) (*sim.Result, error) {
-		s, err := sim.New(sim.DefaultParams(), srcs)
-		if err != nil {
-			return nil, err
-		}
-		return s.Run(r.ctx)
-	}
-	plain, err := simulate(b.Sources())
+	s, err := sim.New(sim.DefaultParams(), instr)
 	if err != nil {
 		return "", err
 	}
-	inst, err := simulate(instr)
+	inst, err := s.Run(r.ctx)
 	if err != nil {
 		return "", err
 	}

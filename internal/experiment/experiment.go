@@ -172,11 +172,10 @@ func (r *Runner) OutcomeOn(w workload.Name, sys core.System, p sim.Params) (*cor
 // not inherit that cancellation: it retries, starting the simulation
 // itself if no one else has.
 //
-// Configurations carrying a Monitor or TrackConflicts bypass the store
-// and singleflight: an attached observer must see a real run, and a
-// record cannot carry a conflict census.
+// Configurations carrying a Monitor bypass the store and singleflight:
+// an attached observer must see a real run.
 func (r *Runner) OutcomeConfig(ctx context.Context, cfg core.RunConfig) (*core.Outcome, error) {
-	if cfg.Monitor != nil || cfg.TrackConflicts {
+	if cfg.Monitor != nil {
 		return r.compute(ctx, cfg)
 	}
 	key := cfg.CanonicalKey()

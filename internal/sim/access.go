@@ -394,10 +394,13 @@ func (s *Simulator) dmaAccess(c *cpuState, r *trace.Ref, mode int) {
 		countSnoops(r.Aux)
 	}
 
-	// On a directory machine the transfer is carried by the
-	// destination's home node (a simplification: a page-sized copy
-	// really spans several homes, but one port serializing the
-	// transfer models the controller bottleneck the paper measures).
+	// On a directory machine the whole transfer is reserved on the home
+	// port of r.Addr's first line: the destination of a block zero, but
+	// the source of a copy (whose destination is r.Aux). This is a
+	// simplification: homes are interleaved per line, so a page-sized
+	// transfer really spans every home. ROADMAP's block-transfer timing
+	// item measures what spreading it over the destination lines' homes
+	// would change.
 	dmaPort := s.portFor(s.p.L2.LineSize * (r.Addr / s.p.L2.LineSize))
 	grant := dmaPort.Reserve(c.time, occ+penalty, bus.KindDMA, size)
 	complete := grant + occ + penalty
@@ -445,8 +448,8 @@ func (s *Simulator) dmaAccess(c *cpuState, r *trace.Ref, mode int) {
 // --- Fill helpers -------------------------------------------------------
 
 // fillL1D installs a line into the primary data cache, maintaining the
-// displacement and reuse shadow maps and, when enabled, the conflict
-// census of Section 6.
+// displacement and reuse shadow maps, and reports a displaced line to
+// the observer.
 func (s *Simulator) fillL1D(c *cpuState, addr uint64, blockID uint32) {
 	l1line := c.l1d.LineAddr(addr)
 	v := c.l1d.Fill(l1line, coherence.Shared, blockID)
@@ -455,11 +458,8 @@ func (s *Simulator) fillL1D(c *cpuState, addr uint64, blockID uint32) {
 	if v.Valid && blockID != 0 {
 		c.evictedByBlock[v.Addr] = blockID
 	}
-	if v.Valid && s.conflicts != nil {
-		s.conflicts[ConflictPair{
-			Evictor: s.p.RegionNamer(l1line),
-			Victim:  s.p.RegionNamer(v.Addr),
-		}]++
+	if v.Valid && s.obs != nil {
+		s.emit(Event{Kind: EvL1Evict, CPU: c.id, Addr: l1line, Victim: v.Addr})
 	}
 }
 

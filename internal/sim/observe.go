@@ -70,6 +70,10 @@ const (
 	// changes of the transaction, so the DirectoryEntry hook and the
 	// cache arrays are consistent with the event.
 	EvDirUpdate
+	// EvL1Evict: a primary-data-cache fill of line Addr displaced the
+	// valid line Victim (Section 6's conflict census counts these by
+	// the data structures the two lines belong to).
+	EvL1Evict
 )
 
 // String names the event kind.
@@ -78,7 +82,7 @@ func (k EventKind) String() string {
 		"ref", "readhit", "forward", "noforward", "misscontext",
 		"readmiss", "fillread", "fillwrite", "evict", "invalidate",
 		"downgrade", "absorb", "upgrade", "update", "wbpush", "wbretire",
-		"dirupdate",
+		"dirupdate", "l1evict",
 	}
 	if int(k) < len(names) {
 		return names[k]
@@ -98,6 +102,8 @@ type Event struct {
 	Level int
 	// Addr is the affected address (line-aligned for coherence events).
 	Addr uint64
+	// Victim is the displaced primary-cache line (EvL1Evict).
+	Victim uint64
 	// State is the installed or prior coherence state, kind-specific.
 	State coherence.State
 	// Class is a data class (EvInvalidate: the invalidating write's;

@@ -172,12 +172,6 @@ type Params struct {
 	SyncGrantCycles uint64
 	// MaxRefs aborts runaway simulations (0 = no limit).
 	MaxRefs uint64
-	// RegionNamer, when set, enables the Section 6 conflict analysis:
-	// every primary-data-cache eviction is attributed to the (evictor
-	// region, victim region) pair it represents. The function maps an
-	// address to a data-structure name. Not serializable: excluded from
-	// the wire encoding like Attrs.
-	RegionNamer func(uint64) string `json:"-"`
 	// Progress, when set, receives sampled live counters during Run so
 	// a concurrent reader can report progress. Runtime plumbing only:
 	// it does not affect simulation results and is excluded from

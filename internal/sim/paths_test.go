@@ -69,19 +69,6 @@ func TestBypassWriteFlushesPerLine(t *testing.T) {
 	}
 }
 
-func TestSimulatorBusAccessor(t *testing.T) {
-	s, err := New(DefaultParams(), []trace.Source{
-		trace.NewSliceSource(nil), trace.NewSliceSource(nil),
-		trace.NewSliceSource(nil), trace.NewSliceSource(nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Bus() == nil {
-		t.Error("Bus() = nil")
-	}
-}
-
 func TestBarrierDefaultParticipants(t *testing.T) {
 	// Len 0 means "all CPUs".
 	bar := trace.Ref{Addr: 0xCC000, Op: trace.OpWrite, Kind: trace.KindOS, Sync: trace.SyncBarrier, SyncID: 1}
@@ -152,41 +139,50 @@ func TestModeOfClampsUnknownKinds(t *testing.T) {
 	}
 }
 
-func TestRegionNamerCensus(t *testing.T) {
-	p := DefaultParams()
-	p.RegionNamer = func(addr uint64) string {
-		if addr < 0x10000 {
-			return "low"
-		}
-		return "high"
+// evictLog records the (filled, displaced) line pair of every
+// EvL1Evict event.
+type evictLog [][2]uint64
+
+func (l *evictLog) Observe(ev Event) {
+	if ev.Kind == EvL1Evict {
+		*l = append(*l, [2]uint64{ev.Addr, ev.Victim})
 	}
-	// Two conflicting lines, one in each region, alternating: each
-	// refill evicts the other.
+}
+
+// TestL1EvictEvents: two lines that map to the same primary-cache set,
+// read alternately, evict each other on every refill, and each
+// eviction reaches the observer naming the filled and the displaced
+// line.
+func TestL1EvictEvents(t *testing.T) {
 	lo, hi := uint64(0x8000), uint64(0x8000+32*1024)
 	var refs []trace.Ref
 	for i := 0; i < 6; i++ {
 		refs = append(refs, osRead(lo), osRead(hi))
 	}
-	srcs := []trace.Source{
+	s, err := New(DefaultParams(), []trace.Source{
 		trace.NewSliceSource(refs),
 		trace.NewSliceSource(nil), trace.NewSliceSource(nil), trace.NewSliceSource(nil),
-	}
-	s, err := New(p, srcs)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(context.Background())
-	if err != nil {
+	var log evictLog
+	s.SetObserver(&log)
+	if _, err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if res.Conflicts == nil {
-		t.Fatal("no conflict census with RegionNamer set")
+	seen := map[[2]uint64]int{}
+	for _, e := range log {
+		seen[e]++
 	}
-	if res.Conflicts[ConflictPair{Evictor: "high", Victim: "low"}] == 0 {
-		t.Errorf("census missing high->low evictions: %v", res.Conflicts)
+	if seen[[2]uint64{hi, lo}] == 0 {
+		t.Errorf("no eviction of %#x by %#x: %x", lo, hi, log)
 	}
-	if res.Conflicts[ConflictPair{Evictor: "low", Victim: "high"}] == 0 {
-		t.Errorf("census missing low->high evictions: %v", res.Conflicts)
+	if seen[[2]uint64{lo, hi}] == 0 {
+		t.Errorf("no eviction of %#x by %#x: %x", hi, lo, log)
+	}
+	if len(seen) != 2 {
+		t.Errorf("evictions beyond the ping-pong pair: %x", log)
 	}
 }
 

@@ -37,10 +37,6 @@ type Simulator struct {
 	// obs, when non-nil, receives the event stream of observe.go.
 	obs Observer
 
-	// conflicts counts L1D evictions by (evictor, victim) region pair
-	// when Params.RegionNamer is set.
-	conflicts map[ConflictPair]uint64
-
 	// runq is a tournament tree over the processors, keyed on (local
 	// clock, id) packed into one word (see runKey): leaf runqLeaves+i
 	// holds processor i's key (never while it is done or blocked),
@@ -64,15 +60,6 @@ type Simulator struct {
 	drainAt []uint64
 
 	refs uint64
-}
-
-// ConflictPair names the two data structures involved in a
-// primary-cache eviction.
-type ConflictPair struct {
-	// Evictor is the region whose fill displaced the victim.
-	Evictor string
-	// Victim is the region of the displaced line.
-	Victim string
 }
 
 // lockState re-enforces the mutual exclusion annotated in the trace.
@@ -102,9 +89,6 @@ type Result struct {
 	CPUTime []uint64
 	// Refs is the number of trace references processed.
 	Refs uint64
-	// Conflicts is the (evictor, victim) eviction census, populated
-	// only when Params.RegionNamer was set.
-	Conflicts map[ConflictPair]uint64
 }
 
 // ErrDeadlock reports that every unfinished processor was blocked on a
@@ -132,9 +116,6 @@ func New(p Params, sources []trace.Source) (*Simulator, error) {
 			s.ports[i] = bus.New(p.Bus)
 		}
 		s.dir = make(map[uint64]coherence.DirEntry)
-	}
-	if p.RegionNamer != nil {
-		s.conflicts = make(map[ConflictPair]uint64)
 	}
 	for i, src := range sources {
 		s.cpus = append(s.cpus, newCPU(i, p, src))
@@ -195,10 +176,9 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 // result assembles the Result record after finish().
 func (s *Simulator) result() *Result {
 	res := &Result{
-		Counters:  s.c,
-		Refs:      s.refs,
-		Conflicts: s.conflicts,
-		CPUTime:   make([]uint64, 0, len(s.cpus)),
+		Counters: s.c,
+		Refs:     s.refs,
+		CPUTime:  make([]uint64, 0, len(s.cpus)),
 	}
 	for _, c := range s.cpus {
 		res.CPUTime = append(res.CPUTime, c.time)
@@ -461,6 +441,3 @@ func (s *Simulator) finish() {
 		s.c.Bus.Accumulate(port.Stats())
 	}
 }
-
-// Bus returns the shared bus (for inspection in tests).
-func (s *Simulator) Bus() *bus.Bus { return s.bus }
