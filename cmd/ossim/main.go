@@ -69,44 +69,46 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	var (
+		o *core.Outcome
+		k *check.Checker
+	)
 	if *tfile != "" {
-		runTraceFile(ctx, *tfile, sys, *docheck, *verbose)
-		return
-	}
-	cfg := core.RunConfig{
-		System: sys, Scale: *scale, Seed: *seed,
-		DeferredCopy: *dcopy, PureUpdate: *pureUp,
-		Machine: machineFromFlags(*ncpus, *cohname, *l1wb),
-	}
-	if *scnArg != "" {
-		explicitWorkload := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workload" {
-				explicitWorkload = true
-			}
-		})
-		if explicitWorkload {
-			fatal(fmt.Errorf("pass either -workload or -scenario, not both"))
-		}
-		spec, err := scenario.Resolve(*scnArg)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Scenario = spec
+		o, k = runTraceFile(ctx, *tfile, sys, *docheck)
 	} else {
-		w, err := workload.ParseName(*wname)
-		if err != nil {
+		cfg := core.RunConfig{
+			System: sys, Scale: *scale, Seed: *seed,
+			DeferredCopy: *dcopy, PureUpdate: *pureUp,
+			Machine: machineFromFlags(*ncpus, *cohname, *l1wb),
+		}
+		if *scnArg != "" {
+			explicitWorkload := false
+			flag.Visit(func(f *flag.Flag) {
+				if f.Name == "workload" {
+					explicitWorkload = true
+				}
+			})
+			if explicitWorkload {
+				fatal(fmt.Errorf("pass either -workload or -scenario, not both"))
+			}
+			spec, err := scenario.Resolve(*scnArg)
+			if err != nil {
+				fatal(err)
+			}
+			cfg.Scenario = spec
+		} else {
+			w, err := workload.ParseName(*wname)
+			if err != nil {
+				fatal(err)
+			}
+			cfg.Workload = w
+		}
+		if *docheck {
+			cfg.Monitor = func(s *sim.Simulator) { k = check.Attach(s) }
+		}
+		if o, err = core.Run(ctx, cfg); err != nil {
 			fatal(err)
 		}
-		cfg.Workload = w
-	}
-	var k *check.Checker
-	if *docheck {
-		cfg.Monitor = func(s *sim.Simulator) { k = check.Attach(s) }
-	}
-	o, err := core.Run(ctx, cfg)
-	if err != nil {
-		fatal(err)
 	}
 	renderStart := time.Now()
 	report(o)
@@ -143,8 +145,8 @@ func verifyRun(k *check.Checker, o *core.Outcome) error {
 // runTraceFile simulates a captured trace — the paper's own mode of
 // operation — under the chosen system's hardware configuration. The
 // software-side optimizations are whatever the trace was captured
-// with.
-func runTraceFile(ctx context.Context, path string, system core.System, docheck, verbose bool) {
+// with. With docheck the returned checker ran in lockstep.
+func runTraceFile(ctx context.Context, path string, system core.System, docheck bool) (*core.Outcome, *check.Checker) {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
@@ -177,24 +179,13 @@ func runTraceFile(ctx context.Context, path string, system core.System, docheck,
 	if err != nil {
 		fatal(err)
 	}
-	o := &core.Outcome{
+	return &core.Outcome{
 		Config:   core.RunConfig{System: system, Workload: workload.Name(path)},
 		Counters: res.Counters,
 		Refs:     res.Refs,
 		CPUTime:  res.CPUTime,
 		Stages:   core.StageTimings{Simulate: time.Since(simStart)},
-	}
-	renderStart := time.Now()
-	report(o)
-	if verbose {
-		reportStages(o, time.Since(renderStart))
-	}
-	if docheck {
-		if err := verifyRun(k, o); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\ncheck: ok (%d events verified, no divergence)\n", k.Events())
-	}
+	}, k
 }
 
 func fatal(err error) {

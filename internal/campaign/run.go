@@ -23,11 +23,6 @@ type ConfigRunner interface {
 // rate. All counters are written by runner workers and read locklessly
 // by the stream handler via Snapshot.
 type Progress struct {
-	// OnStages, when non-nil, additionally receives each actual
-	// execution's timings (the daemon chains its stage histograms
-	// here). Set it before Run.
-	OnStages func(core.StageTimings)
-
 	cellsDone   atomic.Int64
 	cellsTotal  atomic.Int64
 	uniqueDone  atomic.Int64
@@ -45,20 +40,6 @@ func (p *Progress) start(cells, unique int) {
 	p.cellsDone.Store(0)
 	p.uniqueDone.Store(0)
 	p.startNanos.Store(time.Now().UnixNano())
-}
-
-// observeStages is installed as every unique configuration's OnStages:
-// it fires only on actual executions (cached results re-observe
-// nothing), sums into the campaign aggregate, and forwards.
-func (p *Progress) observeStages(st core.StageTimings) {
-	p.mu.Lock()
-	p.stages.Build += st.Build
-	p.stages.Stream += st.Stream
-	p.stages.Simulate += st.Simulate
-	p.mu.Unlock()
-	if p.OnStages != nil {
-		p.OnStages(st)
-	}
 }
 
 // Snapshot is one consistent-enough reading of a campaign's progress.
@@ -118,24 +99,24 @@ func Run(ctx context.Context, r ConfigRunner, p *Plan, prog *Progress) ([]CellOu
 		prog = &Progress{}
 	}
 	prog.start(len(p.Cells), len(p.Unique))
-	cfgs := make([]core.RunConfig, len(p.Unique))
-	copy(cfgs, p.Unique)
-	for i := range cfgs {
-		cfgs[i].OnStages = prog.observeStages
-	}
-	var mu sync.Mutex
-	completed := make(map[int]*core.Outcome, len(cfgs))
+	completed := make(map[int]*core.Outcome, len(p.Unique))
+	// Each completion records its outcome and adds the execution's
+	// stage timings to the campaign sums. An outcome served from the
+	// store carries none, so only simulations that ran are summed.
 	each := func(idx int, o *core.Outcome) {
-		mu.Lock()
+		prog.mu.Lock()
 		completed[idx] = o
-		mu.Unlock()
+		prog.stages.Build += o.Stages.Build
+		prog.stages.Stream += o.Stages.Stream
+		prog.stages.Simulate += o.Stages.Simulate
+		prog.mu.Unlock()
 		prog.uniqueDone.Add(1)
 		prog.cellsDone.Add(int64(len(p.ByKey[p.UniqueKeys[idx]])))
 	}
-	outs, err := r.RunConfigsEach(ctx, cfgs, each)
+	outs, err := r.RunConfigsEach(ctx, p.Unique, each)
 	if err != nil {
-		mu.Lock()
-		defer mu.Unlock()
+		prog.mu.Lock()
+		defer prog.mu.Unlock()
 		var partial []CellOutcome
 		for i, c := range p.Cells {
 			if o, ok := completed[p.cellUnique[i]]; ok {

@@ -5,12 +5,14 @@
 // Section 5.2 "selective update" optimization applies to a small core
 // of shared variables chosen page-by-page via a TLB attribute bit.
 //
-// The package is deliberately stateless: given a processor operation,
-// the local line state and a snapshot of remote ownership, it returns
-// the bus transaction to perform and the resulting states. The
-// simulator in internal/sim owns the actual line-state arrays and
-// applies these decisions, which keeps the protocol logic independently
-// testable against the published state machines.
+// The package is deliberately stateless: given a miss, the page's
+// protocol and a snapshot of remote ownership, it returns the bus
+// transaction to perform and the resulting states. The simulator in
+// internal/sim owns the actual line-state arrays and applies these
+// decisions, which keeps the protocol logic independently testable
+// against the published state machines. Write hits and evictions the
+// simulator decides inline; internal/check is their independent
+// oracle.
 package coherence
 
 import "fmt"
@@ -130,15 +132,6 @@ type Action struct {
 	MemoryWrite bool
 }
 
-// ReadHit returns the action for a load that hits locally. It never
-// needs the bus and never changes state.
-func ReadHit(s State) Action {
-	if !s.Valid() {
-		panic("coherence: ReadHit on invalid line")
-	}
-	return Action{Bus: BusNone, Next: s}
-}
-
 // ReadMiss returns the action for a load that misses locally. Both
 // protocols behave identically on read misses: if a remote cache holds
 // the line it supplies the data and everyone ends Shared (a dirty
@@ -156,34 +149,6 @@ func ReadMiss(snap Snapshot) Action {
 		}
 	}
 	return Action{Bus: BusRead, Next: Exclusive}
-}
-
-// WriteHit returns the action for a store that hits locally in state s.
-func WriteHit(s State, p Protocol, snap Snapshot) Action {
-	switch s {
-	case Modified:
-		return Action{Bus: BusNone, Next: Modified}
-	case Exclusive:
-		// Silent E->M transition in both protocols.
-		return Action{Bus: BusNone, Next: Modified}
-	case Shared:
-		if p == Update {
-			// Firefly: broadcast the word; memory is written
-			// through. If sharers remain the line stays Shared,
-			// otherwise it becomes Exclusive-clean; the simulator
-			// decides from the shared-line signal, so we report the
-			// conservative Shared here and let it upgrade.
-			next := Shared
-			if !snap.RemotePresent {
-				next = Exclusive
-			}
-			return Action{Bus: BusUpdate, Next: next, RemoteNext: Shared, MemoryWrite: true}
-		}
-		// Illinois: invalidation-only bus signal.
-		return Action{Bus: BusUpgrade, Next: Modified, RemoteNext: Invalid}
-	default:
-		panic("coherence: WriteHit on invalid line")
-	}
 }
 
 // WriteMiss returns the action for a store that misses locally.
@@ -208,12 +173,4 @@ func WriteMiss(p Protocol, snap Snapshot) Action {
 		a.MemoryWrite = snap.RemoteDirty
 	}
 	return a
-}
-
-// Evict returns the action for evicting a line in state s.
-func Evict(s State) Action {
-	if s == Modified {
-		return Action{Bus: BusWriteBack, Next: Invalid}
-	}
-	return Action{Bus: BusNone, Next: Invalid}
 }

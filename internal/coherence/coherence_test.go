@@ -54,24 +54,6 @@ func TestBusOpString(t *testing.T) {
 	}
 }
 
-func TestReadHit(t *testing.T) {
-	for _, s := range []State{Shared, Exclusive, Modified} {
-		a := ReadHit(s)
-		if a.Bus != BusNone || a.Next != s {
-			t.Errorf("ReadHit(%v) = %+v", s, a)
-		}
-	}
-}
-
-func TestReadHitInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ReadHit(Invalid) did not panic")
-		}
-	}()
-	ReadHit(Invalid)
-}
-
 func TestReadMissFromMemory(t *testing.T) {
 	a := ReadMiss(Snapshot{})
 	if a.Bus != BusRead || a.Next != Exclusive || a.CacheToCache || a.MemoryWrite {
@@ -91,45 +73,6 @@ func TestReadMissRemoteDirty(t *testing.T) {
 	if !a.CacheToCache || !a.MemoryWrite || a.Next != Shared {
 		t.Errorf("ReadMiss(remote dirty) = %+v", a)
 	}
-}
-
-func TestWriteHitSilentUpgrade(t *testing.T) {
-	for _, s := range []State{Exclusive, Modified} {
-		for _, p := range []Protocol{Invalidate, Update} {
-			a := WriteHit(s, p, Snapshot{})
-			if a.Bus != BusNone || a.Next != Modified {
-				t.Errorf("WriteHit(%v, %v) = %+v; want silent M", s, p, a)
-			}
-		}
-	}
-}
-
-func TestWriteHitSharedInvalidate(t *testing.T) {
-	a := WriteHit(Shared, Invalidate, Snapshot{RemotePresent: true})
-	if a.Bus != BusUpgrade || a.Next != Modified || a.RemoteNext != Invalid {
-		t.Errorf("WriteHit(S, invalidate) = %+v", a)
-	}
-}
-
-func TestWriteHitSharedUpdate(t *testing.T) {
-	a := WriteHit(Shared, Update, Snapshot{RemotePresent: true})
-	if a.Bus != BusUpdate || a.Next != Shared || a.RemoteNext != Shared || !a.MemoryWrite {
-		t.Errorf("WriteHit(S, update, sharers) = %+v", a)
-	}
-	// With no remaining sharers the Firefly line becomes exclusive.
-	a = WriteHit(Shared, Update, Snapshot{})
-	if a.Bus != BusUpdate || a.Next != Exclusive {
-		t.Errorf("WriteHit(S, update, alone) = %+v", a)
-	}
-}
-
-func TestWriteHitInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("WriteHit(Invalid) did not panic")
-		}
-	}()
-	WriteHit(Invalid, Invalidate, Snapshot{})
 }
 
 func TestWriteMissInvalidate(t *testing.T) {
@@ -154,20 +97,9 @@ func TestWriteMissUpdate(t *testing.T) {
 	}
 }
 
-func TestEvict(t *testing.T) {
-	if a := Evict(Modified); a.Bus != BusWriteBack || a.Next != Invalid {
-		t.Errorf("Evict(M) = %+v", a)
-	}
-	for _, s := range []State{Invalid, Shared, Exclusive} {
-		if a := Evict(s); a.Bus != BusNone || a.Next != Invalid {
-			t.Errorf("Evict(%v) = %+v", s, a)
-		}
-	}
-}
-
 // Protocol invariants, property-checked across the full input space:
 //
-//  1. Under the invalidate protocol, after any write decision the
+//  1. Under the invalidate protocol, after a write-miss decision the
 //     requester is Modified and remote holders are Invalid — never two
 //     writable copies.
 //  2. Under either protocol, a decision never leaves the requester
@@ -175,18 +107,9 @@ func TestEvict(t *testing.T) {
 //  3. Cache-to-cache supply only happens when a remote cache held the
 //     line.
 func TestProtocolInvariants(t *testing.T) {
-	f := func(localState uint8, proto uint8, present, dirty bool) bool {
-		s := State(localState%3) + 1 // Shared, Exclusive, Modified
+	f := func(proto uint8, present, dirty bool) bool {
 		p := Protocol(proto % 2)
 		snap := Snapshot{RemotePresent: present, RemoteDirty: present && dirty}
-
-		wh := WriteHit(s, p, snap)
-		if p == Invalidate && (wh.Next != Modified || (snap.RemotePresent && s == Shared && wh.RemoteNext != Invalid)) {
-			return false
-		}
-		if wh.Next == Invalid {
-			return false
-		}
 
 		wm := WriteMiss(p, snap)
 		if p == Invalidate && (wm.Next != Modified || wm.RemoteNext != Invalid) {

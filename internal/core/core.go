@@ -206,12 +206,6 @@ type RunConfig struct {
 	// concurrent progress reporting. Runtime plumbing: excluded from
 	// CanonicalKey.
 	Progress *sim.Progress `json:"-"`
-	// OnStages, when non-nil, is called exactly once per actual
-	// simulation execution with the run's final stage timings — cached
-	// or deduplicated results do not re-fire it, so subscribers (the
-	// ossimd stage histograms) attribute wall clock only to work that
-	// happened. Runtime plumbing: excluded from CanonicalKey.
-	OnStages func(StageTimings) `json:"-"`
 }
 
 // StageTimings is the wall-clock decomposition of one run — the span
@@ -278,8 +272,8 @@ func kernelOpt(cfg RunConfig) kernel.OptConfig {
 }
 
 // machineParams resolves the hardware-side machine parameters of a
-// run: base machine, system overlay, update-set / pure-update
-// overrides and progress plumbing.
+// run: base machine, system overlay and update-set / pure-update
+// overrides.
 func machineParams(cfg RunConfig) sim.Params {
 	var p sim.Params
 	if cfg.Machine != nil {
@@ -299,9 +293,6 @@ func machineParams(cfg RunConfig) sim.Params {
 		attrs := memory.NewAttrTable()
 		attrs.SetDefault(memory.PageAttr{Update: true})
 		p.Attrs = attrs
-	}
-	if cfg.Progress != nil {
-		p.Progress = cfg.Progress
 	}
 	return p
 }
@@ -360,6 +351,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		st.Abort()
 		return nil, err
 	}
+	s.SetProgress(cfg.Progress)
 	if cfg.Monitor != nil {
 		cfg.Monitor(s)
 	}
@@ -379,9 +371,6 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	}
 	stages.Stream = st.Elapsed()
 	stalls, stallTime := st.GenStalls()
-	if cfg.OnStages != nil {
-		cfg.OnStages(stages)
-	}
 	return &Outcome{
 		Config:       cfg,
 		Counters:     res.Counters,

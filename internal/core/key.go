@@ -79,7 +79,7 @@ func (cfg RunConfig) CanonicalKey() string {
 }
 
 // hashMachine writes every result-affecting machine parameter. Attrs
-// and Progress are deliberately omitted (see CanonicalKey).
+// is deliberately omitted (see CanonicalKey).
 func hashMachine(w io.Writer, p sim.Params) {
 	fmt.Fprintf(w, "|m=cpus=%d", p.NumCPUs)
 	fmt.Fprintf(w, ";l1i=%d/%d/%d;l1d=%d/%d/%d;l2=%d/%d/%d",
@@ -92,8 +92,10 @@ func hashMachine(w io.Writer, p sim.Params) {
 		p.C2CCycles, p.L2WriteCycles)
 	fmt.Fprintf(w, ";bus=%+v;mshr=%d;blk=%d;pbl=%d",
 		p.Bus, p.MSHREntries, p.Block, p.PrefBufLines)
-	fmt.Fprintf(w, ";dma=%d/%d/%d;sync=%d;max=%d",
+	// The literal max=0 stands where a retired reference limit was
+	// hashed, so every key stored before its removal still matches.
+	fmt.Fprintf(w, ";dma=%d/%d/%d;sync=%d;max=0",
 		p.DMASetupCycles, p.DMACyclesPer8B, p.DMASnoopPenalty,
-		p.SyncGrantCycles, p.MaxRefs)
+		p.SyncGrantCycles)
 	fmt.Fprintf(w, ";coh=%d;l1wb=%t", p.Coherence, p.L1WriteBack)
 }

@@ -57,7 +57,9 @@ func AblationWriteBuffers(r *Runner) (string, error) {
 		p := sim.DefaultParams()
 		p.L1WriteBufDepth = depths[0]
 		p.L2WriteBufDepth = depths[1]
-		o, err := r.OutcomeOn(workload.TRFD4, core.Base, p)
+		cfg := r.configFor(workload.TRFD4, core.Base)
+		cfg.Machine = &p
+		o, err := r.OutcomeConfig(r.ctx, cfg)
 		if err != nil {
 			return "", err
 		}
@@ -119,7 +121,9 @@ func AblationDMARate(r *Runner) (string, error) {
 	for _, per8 := range []uint64{5, 10, 20, 40} {
 		p := sim.DefaultParams()
 		p.DMACyclesPer8B = per8
-		o, err := r.OutcomeOn(workload.TRFD4, core.BlkDma, p)
+		cfg := r.configFor(workload.TRFD4, core.BlkDma)
+		cfg.Machine = &p
+		o, err := r.OutcomeConfig(r.ctx, cfg)
 		if err != nil {
 			return "", err
 		}
@@ -186,7 +190,9 @@ func AblationAssociativity(r *Runner) (string, error) {
 	for _, assoc := range []int{1, 2, 4} {
 		p := sim.DefaultParams()
 		p.L1D.Assoc = assoc
-		o, err := r.OutcomeOn(workload.Shell, core.Base, p)
+		cfg := r.configFor(workload.Shell, core.Base)
+		cfg.Machine = &p
+		o, err := r.OutcomeConfig(r.ctx, cfg)
 		if err != nil {
 			return "", err
 		}

@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"oscachesim/internal/core"
-	"oscachesim/internal/sim"
 	"oscachesim/internal/store"
 	"oscachesim/internal/workload"
 )
@@ -139,28 +138,6 @@ func (r *Runner) configFor(w workload.Name, sys core.System) core.RunConfig {
 // the default machine.
 func (r *Runner) Outcome(w workload.Name, sys core.System) (*core.Outcome, error) {
 	return r.OutcomeConfig(r.ctx, r.configFor(w, sys))
-}
-
-// OutcomeDeferred returns the outcome with deferred copying enabled.
-func (r *Runner) OutcomeDeferred(w workload.Name, sys core.System) (*core.Outcome, error) {
-	cfg := r.configFor(w, sys)
-	cfg.DeferredCopy = true
-	return r.OutcomeConfig(r.ctx, cfg)
-}
-
-// OutcomePureUpdate returns the outcome under a machine-wide update
-// protocol.
-func (r *Runner) OutcomePureUpdate(w workload.Name, sys core.System) (*core.Outcome, error) {
-	cfg := r.configFor(w, sys)
-	cfg.PureUpdate = true
-	return r.OutcomeConfig(r.ctx, cfg)
-}
-
-// OutcomeOn returns the outcome on a custom machine geometry.
-func (r *Runner) OutcomeOn(w workload.Name, sys core.System, p sim.Params) (*core.Outcome, error) {
-	cfg := r.configFor(w, sys)
-	cfg.Machine = &p
-	return r.OutcomeConfig(r.ctx, cfg)
 }
 
 // OutcomeConfig returns the (cached) outcome of an arbitrary

@@ -31,7 +31,9 @@ func TestRunnerMemoizes(t *testing.T) {
 	}
 	sameResult(t, a, b)
 	// Variant runs are distinct cache entries.
-	if _, err := r.OutcomeDeferred(workload.Shell, core.Base); err != nil {
+	cfg := r.configFor(workload.Shell, core.Base)
+	cfg.DeferredCopy = true
+	if _, err := r.OutcomeConfig(r.ctx, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Executions != 2 {

@@ -256,7 +256,9 @@ func UpdateTraffic(r *Runner) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		pure, err := r.OutcomePureUpdate(w, core.BCohReloc)
+		cfg := r.configFor(w, core.BCohReloc)
+		cfg.PureUpdate = true
+		pure, err := r.OutcomeConfig(r.ctx, cfg)
 		if err != nil {
 			return "", err
 		}

@@ -187,7 +187,9 @@ func Table4(r *Runner) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		dc, err := r.OutcomeDeferred(w, core.Base)
+		cfg := r.configFor(w, core.Base)
+		cfg.DeferredCopy = true
+		dc, err := r.OutcomeConfig(r.ctx, cfg)
 		if err != nil {
 			return "", err
 		}

@@ -34,7 +34,6 @@ package monitor
 
 import (
 	"fmt"
-	"sort"
 
 	"oscachesim/internal/trace"
 )
@@ -337,27 +336,4 @@ func Reconstruct(records []Record, table *BlockTable) ([]trace.Ref, error) {
 		out = append(out, rec.Ref)
 	}
 	return out, nil
-}
-
-// PerturbationReport summarizes how invasive a capture session was —
-// the check the authors ran before trusting the instrumented traces.
-type PerturbationReport struct {
-	// Dumps is the number of halt/drain cycles.
-	Dumps int
-	// Overhead is the instruction-count overhead of instrumentation.
-	Overhead float64
-	// CapturedRecords is the total trace volume.
-	CapturedRecords int
-}
-
-// String renders the report.
-func (p PerturbationReport) String() string {
-	return fmt.Sprintf("dumps=%d instrumentation overhead=%.1f%% records=%d",
-		p.Dumps, 100*p.Overhead, p.CapturedRecords)
-}
-
-// SortRecordsByTime orders records by their wrapped timestamps within
-// one dump window (a helper for analyses that merge probes).
-func SortRecordsByTime(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
 }

@@ -242,7 +242,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	job := newJob("", "campaign", "campaign:"+campaignKey(plan, row, cr.Diff), cr.timeout(s.opts.JobTimeout))
 	job.Plan = plan
-	job.Camp = &campaign.Progress{OnStages: s.metrics.observeRunStages}
+	job.Camp = &campaign.Progress{}
 	job.RowAxis = row
 	job.Diff = cr.Diff
 	job.Request = &cr

@@ -98,7 +98,9 @@ func (s *Server) computeOutcome(ctx context.Context, cfg core.RunConfig) (*core.
 // error: a faulty run fails its own job (or its campaign cell, or the
 // peer's forwarded compute) with an internal error that names the
 // panic, instead of taking the daemon down. The stack goes to the
-// logger. Every run path reaches the simulator through here.
+// logger. Every run path reaches the simulator through here, and store
+// hits, flight joins and forwarded results never do, so each successful
+// execution's stage timings enter the stage histograms here.
 func (s *Server) executeLocal(ctx context.Context, cfg core.RunConfig) (o *core.Outcome, err error) {
 	defer func() {
 		v := recover()
@@ -111,7 +113,10 @@ func (s *Server) executeLocal(ctx context.Context, cfg core.RunConfig) (o *core.
 				"system", cfg.System.String(), "panic", fmt.Sprint(v), "stack", string(debug.Stack()))
 		}
 	}()
-	return s.opts.execute(ctx, cfg)
+	if o, err = s.opts.execute(ctx, cfg); err == nil {
+		s.metrics.observeRunStages(o.Stages)
+	}
+	return o, err
 }
 
 // forwardCompute routes one configuration to the workers owning its
@@ -123,8 +128,7 @@ func (s *Server) executeLocal(ctx context.Context, cfg core.RunConfig) (o *core.
 func (s *Server) forwardCompute(ctx context.Context, key string, cfg core.RunConfig) (*core.Outcome, bool) {
 	creq, err := cluster.EncodeConfig(cfg)
 	if err != nil {
-		// Monitored / conflict-census configurations are process-local
-		// by construction.
+		// Monitored configurations are process-local by construction.
 		return nil, false
 	}
 	cl := s.cluster

@@ -233,7 +233,10 @@ func summarize(o *core.Outcome) *RunResult {
 // (core.StageTimings). Every run builds round 0 before it simulates; a
 // run of more than one round also streams the rest, overlapped with
 // simulation, which is why TotalSeconds excludes stream time. For a
-// campaign job the fields are sums over its executions.
+// campaign job the fields are sums over the executions behind its
+// unique configurations: one served from the store adds nothing, one
+// that joined another job's simulation in flight adds that execution
+// (as a run job's stages do).
 type StageView struct {
 	BuildSeconds    float64 `json:"build_seconds,omitempty"`
 	StreamSeconds   float64 `json:"stream_seconds,omitempty"`

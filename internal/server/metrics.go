@@ -206,10 +206,11 @@ func (mt *metrics) jobStarted(queueWait time.Duration) {
 }
 
 // observeRunStages records one actual simulation execution's stage
-// durations. It is installed as core.RunConfig.OnStages, which fires
-// only when a simulation really ran — cached and deduplicated results
-// do not re-observe stale timings. A stage that did not occur (Stream
-// on a single-round run) is skipped rather than logged as a zero.
+// durations (Outcome.Stages). Server.executeLocal calls it once per
+// local simulation that succeeds, so cached, deduplicated and
+// forwarded results do not re-observe stale timings. A stage that did
+// not occur (Stream on a single-round run) is skipped rather than
+// logged as a zero.
 func (mt *metrics) observeRunStages(st core.StageTimings) {
 	if st.Build > 0 {
 		mt.stage["build"].ObserveDuration(st.Build)

@@ -378,10 +378,6 @@ func (s *Server) execute(job *Job) {
 	case "run":
 		cfg := job.Cfg
 		cfg.Progress = job.Progress
-		// OnStages fires only when a simulation actually executes, so
-		// cached and deduplicated results never re-observe old timings
-		// into the stage histograms.
-		cfg.OnStages = s.metrics.observeRunStages
 		if run, err = s.runner.OutcomeConfig(ctx, cfg); err == nil {
 			stages = run.Stages
 		}

@@ -794,11 +794,38 @@ func TestRunGenStallsInStages(t *testing.T) {
 // negotiation: JSON by default, the Prometheus text exposition under
 // ?format=prometheus or a scraper's Accept header, including the
 // ossimd_run_stage_seconds histogram series with real observations.
+// The simulate stage is observed once per local execution: two unique
+// runs, a duplicate submit and a campaign whose Base cell is one of
+// those runs leave its count equal to the node's executions (3).
 func TestMetricsPrometheusExposition(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
-	body := fmt.Sprintf(`{"workload":"TRFD+Make","system":"Base","scale":%d,"seed":91}`, testScale)
-	_, sub, _ := postJSON(t, ts.URL+"/v1/runs", body)
-	waitJob(t, ts.URL, sub.ID)
+	runOf := func(seed int) string {
+		return fmt.Sprintf(`{"workload":"TRFD+Make","system":"Base","scale":%d,"seed":%d}`, testScale, seed)
+	}
+	for _, body := range []string{runOf(91), runOf(92), runOf(91)} {
+		_, sub, _ := postJSON(t, ts.URL+"/v1/runs", body)
+		if v := waitJob(t, ts.URL, sub.ID); v.State != JobDone {
+			t.Fatalf("run finished %s (%q)", v.State, v.Error)
+		}
+	}
+	camp := fmt.Sprintf(`{"workload":"TRFD+Make","systems":["Base","BCPref"],"scale":%d,"seed":91}`, testScale)
+	_, sub, _ := postJSON(t, ts.URL+"/v1/campaigns", camp)
+	if v := waitJob(t, ts.URL, sub.ID); v.State != JobDone {
+		t.Fatalf("campaign finished %s (%q)", v.State, v.Error)
+	}
+	var cv ClusterView
+	resp, err := http.Get(ts.URL + "/v1/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&cv)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cv.Self.Executions != 3 {
+		t.Fatalf("self.executions %d, want 3 (two runs and one new campaign cell)", cv.Self.Executions)
+	}
 
 	fetch := func(url, accept string) (string, string) {
 		t.Helper()
@@ -846,13 +873,10 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 				t.Errorf("exposition missing %q", want)
 			}
 		}
-		// The completed run must have observed the simulate stage.
-		for _, line := range strings.Split(text, "\n") {
-			if strings.HasPrefix(line, `ossimd_run_stage_seconds_count{stage="simulate"}`) {
-				if strings.HasSuffix(line, " 0") {
-					t.Errorf("simulate stage histogram empty: %q", line)
-				}
-			}
+		// Each execution observed the simulate stage exactly once.
+		want := fmt.Sprintf(`ossimd_run_stage_seconds_count{stage="simulate"} %d`, cv.Self.Executions)
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("exposition missing %q", want)
 		}
 	}
 	text, ct := fetch(ts.URL+"/v1/metrics?format=prometheus", "")

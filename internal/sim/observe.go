@@ -146,6 +146,11 @@ type Observer interface {
 // before Run. A nil observer detaches.
 func (s *Simulator) SetObserver(o Observer) { s.obs = o }
 
+// SetProgress attaches a live progress feed that Run samples every few
+// hundred references and marks done when it finishes. It must be called
+// before Run. A nil feed detaches.
+func (s *Simulator) SetProgress(p *Progress) { s.progress = p }
+
 // emit delivers an event to the attached observer, stamping the global
 // reference ordinal.
 func (s *Simulator) emit(ev Event) {

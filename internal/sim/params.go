@@ -170,13 +170,6 @@ type Params struct {
 	// SyncGrantCycles is the hand-off latency of a contended lock or
 	// the release of a barrier.
 	SyncGrantCycles uint64
-	// MaxRefs aborts runaway simulations (0 = no limit).
-	MaxRefs uint64
-	// Progress, when set, receives sampled live counters during Run so
-	// a concurrent reader can report progress. Runtime plumbing only:
-	// it does not affect simulation results and is excluded from
-	// canonical run keys and the wire encoding.
-	Progress *Progress `json:"-"`
 }
 
 // DefaultParams returns the paper's Base machine.

@@ -8,10 +8,10 @@ import "sync/atomic"
 // endpoint) can report refs processed, live OS miss counts and the
 // advancing global clock without stopping or locking the simulation.
 //
-// Attach one via Params.Progress (or core.RunConfig.Progress, which
-// also feeds it the generation counters and the projected trace
+// Attach one with Simulator.SetProgress (or core.RunConfig.Progress,
+// which also feeds it the generation counters and the projected trace
 // total). Progress is runtime plumbing, not part of the simulated
-// configuration: it is excluded from canonical run keys.
+// machine: it is excluded from canonical run keys.
 type Progress struct {
 	refs      atomic.Uint64
 	genRefs   atomic.Uint64

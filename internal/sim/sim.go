@@ -36,6 +36,9 @@ type Simulator struct {
 
 	// obs, when non-nil, receives the event stream of observe.go.
 	obs Observer
+	// progress, when non-nil, receives sampled live counters (see
+	// SetProgress).
+	progress *Progress
 
 	// runq is a tournament tree over the processors, keyed on (local
 	// clock, id) packed into one word (see runKey): leaf runqLeaves+i
@@ -154,21 +157,18 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 			return nil, s.deadlockError()
 		}
 		c := s.cpus[next&runIDMask]
-		if s.p.MaxRefs != 0 && s.refs >= s.p.MaxRefs {
-			return nil, fmt.Errorf("sim: exceeded MaxRefs=%d", s.p.MaxRefs)
-		}
 		if next>>runIDBits == runMaxTime {
 			return nil, fmt.Errorf("sim: cpu%d clock passed %d cycles", c.id, uint64(runMaxTime))
 		}
 		s.step(c)
 		s.runqSet(c)
-		if s.p.Progress != nil && n&(progressStride-1) == 0 {
-			s.p.Progress.sample(s.refs, s.c.DReadMisses[trace.KindOS], c.time)
+		if s.progress != nil && n&(progressStride-1) == 0 {
+			s.progress.sample(s.refs, s.c.DReadMisses[trace.KindOS], c.time)
 		}
 	}
 	s.finish()
-	if s.p.Progress != nil {
-		s.p.Progress.markDone(s.refs, s.c.DReadMisses[trace.KindOS], s.c.Cycles)
+	if s.progress != nil {
+		s.progress.markDone(s.refs, s.c.DReadMisses[trace.KindOS], s.c.Cycles)
 	}
 	return s.result(), nil
 }

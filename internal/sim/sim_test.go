@@ -502,20 +502,41 @@ func TestBusContentionBetweenCPUs(t *testing.T) {
 	}
 }
 
-func TestMaxRefsGuard(t *testing.T) {
+// TestSetProgress pins the live feed a Simulator samples into: after
+// Run it is marked done and holds the run's final counters.
+func TestSetProgress(t *testing.T) {
 	p := DefaultParams()
-	p.MaxRefs = 5
-	var refs []trace.Ref
-	for i := 0; i < 100; i++ {
-		refs = append(refs, osRead(uint64(i*64)))
-	}
 	srcs := make([]trace.Source, p.NumCPUs)
-	srcs[0] = trace.NewSliceSource(refs)
-	for i := 1; i < p.NumCPUs; i++ {
-		srcs[i] = trace.NewSliceSource(nil)
+	for cpu := range srcs {
+		var refs []trace.Ref
+		for i := 0; i < 1000; i++ {
+			r := osRead(uint64(cpu<<20 + i*64))
+			r.CPU = uint8(cpu)
+			refs = append(refs, r)
+		}
+		srcs[cpu] = trace.NewSliceSource(refs)
 	}
-	s, _ := New(p, srcs)
-	if _, err := s.Run(context.Background()); err == nil {
-		t.Error("MaxRefs exceeded without error")
+	s, err := New(p, srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prog Progress
+	s.SetProgress(&prog)
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := prog.Snapshot()
+	if !snap.Done {
+		t.Error("progress not marked done after Run")
+	}
+	if snap.Refs != res.Refs || snap.Refs != 4000 {
+		t.Errorf("progress refs %d, result refs %d, want 4000", snap.Refs, res.Refs)
+	}
+	if want := res.Counters.DReadMisses[trace.KindOS]; snap.OSReadMisses != want || want == 0 {
+		t.Errorf("progress OS read misses %d, result %d", snap.OSReadMisses, want)
+	}
+	if snap.Cycles != res.Counters.Cycles {
+		t.Errorf("progress cycles %d, result %d", snap.Cycles, res.Counters.Cycles)
 	}
 }
