@@ -8,6 +8,7 @@
 //	ossim -scenario fs-naive           # a built-in scenario preset
 //	ossim -scenario my-workload.json   # a declarative scenario spec file
 //	ossim -list-workloads              # enumerate workloads and presets
+//	ossim -trace t.trk [-system S] [-cpus N] [-coherence C] [-l1wb] [-pure-update] [-check]
 //	ossim -v           # append the per-stage timing breakdown
 package main
 
@@ -69,26 +70,30 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var (
-		o *core.Outcome
-		k *check.Checker
-	)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	cfg := core.RunConfig{
+		System: sys, Scale: *scale, Seed: *seed,
+		DeferredCopy: *dcopy, PureUpdate: *pureUp,
+		Machine: machineFromFlags(*ncpus, *cohname, *l1wb),
+	}
+	var k *check.Checker
+	if *docheck {
+		cfg.Monitor = func(s *sim.Simulator) { k = check.Attach(s) }
+	}
+	var o *core.Outcome
 	if *tfile != "" {
-		o, k = runTraceFile(ctx, *tfile, sys, *docheck)
-	} else {
-		cfg := core.RunConfig{
-			System: sys, Scale: *scale, Seed: *seed,
-			DeferredCopy: *dcopy, PureUpdate: *pureUp,
-			Machine: machineFromFlags(*ncpus, *cohname, *l1wb),
+		// The trace fixes the workload: a flag that shapes generation
+		// cannot apply, so it is refused rather than ignored.
+		for _, name := range []string{"workload", "scenario", "scale", "seed", "deferred-copy"} {
+			if set[name] {
+				fatal(fmt.Errorf("-%s does not apply to -trace: the trace fixes the workload", name))
+			}
 		}
+		o, err = replayTraceFile(ctx, *tfile, cfg)
+	} else {
 		if *scnArg != "" {
-			explicitWorkload := false
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "workload" {
-					explicitWorkload = true
-				}
-			})
-			if explicitWorkload {
+			if set["workload"] {
 				fatal(fmt.Errorf("pass either -workload or -scenario, not both"))
 			}
 			spec, err := scenario.Resolve(*scnArg)
@@ -103,12 +108,10 @@ func main() {
 			}
 			cfg.Workload = w
 		}
-		if *docheck {
-			cfg.Monitor = func(s *sim.Simulator) { k = check.Attach(s) }
-		}
-		if o, err = core.Run(ctx, cfg); err != nil {
-			fatal(err)
-		}
+		o, err = core.Run(ctx, cfg)
+	}
+	if err != nil {
+		fatal(err)
 	}
 	renderStart := time.Now()
 	report(o)
@@ -142,50 +145,32 @@ func verifyRun(k *check.Checker, o *core.Outcome) error {
 	return check.VerifyOutcome(o)
 }
 
-// runTraceFile simulates a captured trace — the paper's own mode of
-// operation — under the chosen system's hardware configuration. The
-// software-side optimizations are whatever the trace was captured
-// with. With docheck the returned checker ran in lockstep.
-func runTraceFile(ctx context.Context, path string, system core.System, docheck bool) (*core.Outcome, *check.Checker) {
+// replayTraceFile simulates a captured trace — the paper's own mode of
+// operation — on cfg's machine. The software-side optimizations are
+// whatever the trace was captured with; the file's path stands in for
+// the workload's name in the report.
+func replayTraceFile(ctx context.Context, path string, cfg core.RunConfig) (*core.Outcome, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer f.Close()
-	p := sim.DefaultParams()
-	system.Apply(&p)
 	src, err := trace.OpenSource(f)
 	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	per, err := trace.SplitByCPU(src, p.NumCPUs)
+	// A reference names its processor in one byte, so 256 streams hold
+	// any trace; Replay refuses one that names more processors than
+	// the machine has.
+	per, err := trace.SplitByCPU(src, 1<<8)
 	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	srcs := make([]trace.Source, len(per))
-	for i, refs := range per {
-		srcs[i] = trace.NewSliceSource(refs)
+	for len(per) > 0 && len(per[len(per)-1]) == 0 {
+		per = per[:len(per)-1]
 	}
-	s, err := sim.New(p, srcs)
-	if err != nil {
-		fatal(err)
-	}
-	var k *check.Checker
-	if docheck {
-		k = check.Attach(s)
-	}
-	simStart := time.Now()
-	res, err := s.Run(ctx)
-	if err != nil {
-		fatal(err)
-	}
-	return &core.Outcome{
-		Config:   core.RunConfig{System: system, Workload: workload.Name(path)},
-		Counters: res.Counters,
-		Refs:     res.Refs,
-		CPUTime:  res.CPUTime,
-		Stages:   core.StageTimings{Simulate: time.Since(simStart)},
-	}, k
+	cfg.Workload = workload.Name(path)
+	return core.Replay(ctx, cfg, per)
 }
 
 func fatal(err error) {

@@ -18,10 +18,9 @@ import (
 	"log"
 	"reflect"
 
-	"oscachesim"
+	"oscachesim/internal/core"
 	"oscachesim/internal/kernel"
 	"oscachesim/internal/monitor"
-	"oscachesim/internal/sim"
 	"oscachesim/internal/trace"
 	"oscachesim/internal/workload"
 )
@@ -53,7 +52,7 @@ func main() {
 		probes[0].TotalCaptured, probes[0].Dumps)
 
 	// 4. Reconstruct the full streams and verify fidelity.
-	sources := make([]trace.Source, len(records))
+	reconstructed := make([][]trace.Ref, len(records))
 	for c := range records {
 		full, err := monitor.Reconstruct(records[c], table)
 		if err != nil {
@@ -62,25 +61,18 @@ func main() {
 		if !reflect.DeepEqual(full, built.PerCPU[c]) {
 			log.Fatalf("cpu%d: reconstruction diverged from the original stream", c)
 		}
-		sources[c] = trace.NewSliceSource(full)
+		reconstructed[c] = full
 	}
 	fmt.Println("reconstructed: all processor streams match the originals exactly")
 
 	// 5. Simulate the reconstructed trace and compare against a direct
-	// simulation of the same workload.
-	s, err := sim.New(oscachesim.DefaultMachine(), sources)
+	// simulation of the same workload, both on the paper's machine.
+	cfg := core.RunConfig{System: core.Base}
+	fromMonitor, err := core.Replay(context.Background(), cfg, reconstructed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fromMonitor, err := s.Run(context.Background())
-	if err != nil {
-		log.Fatal(err)
-	}
-	s2, err := sim.New(oscachesim.DefaultMachine(), built.Sources())
-	if err != nil {
-		log.Fatal(err)
-	}
-	direct, err := s2.Run(context.Background())
+	direct, err := core.Replay(context.Background(), cfg, built.PerCPU)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 	"oscachesim/internal/scenario"
 	"oscachesim/internal/sim"
 	"oscachesim/internal/stats"
+	"oscachesim/internal/trace"
 	"oscachesim/internal/workload"
 )
 
@@ -336,7 +337,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	} else {
 		st = workload.Stream(cfg.Workload, kernelOpt(cfg), cfg.Scale, cfg.Seed, sopt)
 	}
-	stages := StageTimings{Build: time.Since(buildStart)}
+	build := time.Since(buildStart)
 
 	// A panic below must not strand the producer on a full pipeline:
 	// release it before the panic travels on to whoever recovers it.
@@ -346,40 +347,76 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 			panic(v)
 		}
 	}()
-	s, err := sim.New(p, st.Sources())
-	if err != nil {
-		st.Abort()
-		return nil, err
-	}
-	s.SetProgress(cfg.Progress)
-	if cfg.Monitor != nil {
-		cfg.Monitor(s)
-	}
-	simStart := time.Now()
-	res, err := s.Run(ctx)
-	stages.Simulate = time.Since(simStart)
+	o, err := simulate(ctx, cfg, p, st.Sources())
 	if err != nil {
 		// The producer may be parked on a full pipeline; release it and
 		// recycle whatever it queued before reporting the failure.
 		st.Abort()
-		return nil, fmt.Errorf("core: %s on %s: %w", cfg.System, cfg.Workload, err)
+		return nil, err
 	}
 	// The simulation drained every source, so generation has finished
 	// (or panicked — surface that rather than half a result).
 	if err := st.Wait(); err != nil {
 		return nil, fmt.Errorf("core: %s on %s: %w", cfg.System, cfg.Workload, err)
 	}
-	stages.Stream = st.Elapsed()
-	stalls, stallTime := st.GenStalls()
+	o.Deferred = st.Kernel.DeferredCopies()
+	o.Stages.Build = build
+	o.Stages.Stream = st.Elapsed()
+	o.GenStalls, o.GenStallTime = st.GenStalls()
+	return o, nil
+}
+
+// Replay simulates captured or transformed reference streams, one per
+// processor, on cfg's machine, resolved as Run resolves it. The
+// workload fields are never read: the kernel build is whatever the
+// streams were captured with. Processors beyond len(perCPU) get an
+// empty stream; more streams than processors, or a reference
+// validateRefs refuses (a *RefError), is an error.
+func Replay(ctx context.Context, cfg RunConfig, perCPU [][]trace.Ref) (*Outcome, error) {
+	p := machineParams(cfg)
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if len(perCPU) > p.NumCPUs {
+		return nil, fmt.Errorf("core: %d reference streams for a %d-processor machine", len(perCPU), p.NumCPUs)
+	}
+	if err := validateRefs(p, perCPU); err != nil {
+		return nil, err
+	}
+	srcs := make([]trace.Source, p.NumCPUs)
+	for i := range srcs {
+		var refs []trace.Ref
+		if i < len(perCPU) {
+			refs = perCPU[i]
+		}
+		srcs[i] = trace.NewSliceSource(refs)
+	}
+	return simulate(ctx, cfg, p, srcs)
+}
+
+// simulate runs machine p over srcs, one per processor: it builds the
+// simulator, hands it cfg's Progress feed and Monitor, runs it and
+// records the measurements with the simulate stage's wall time.
+func simulate(ctx context.Context, cfg RunConfig, p sim.Params, srcs []trace.Source) (*Outcome, error) {
+	s, err := sim.New(p, srcs)
+	if err != nil {
+		return nil, err
+	}
+	s.SetProgress(cfg.Progress)
+	if cfg.Monitor != nil {
+		cfg.Monitor(s)
+	}
+	start := time.Now()
+	res, err := s.Run(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s on %s: %w", cfg.System, cfg.Workload, err)
+	}
 	return &Outcome{
-		Config:       cfg,
-		Counters:     res.Counters,
-		Deferred:     st.Kernel.DeferredCopies(),
-		Refs:         res.Refs,
-		CPUTime:      res.CPUTime,
-		Stages:       stages,
-		GenStalls:    stalls,
-		GenStallTime: stallTime,
+		Config:   cfg,
+		Counters: res.Counters,
+		Refs:     res.Refs,
+		CPUTime:  res.CPUTime,
+		Stages:   StageTimings{Simulate: time.Since(start)},
 	}, nil
 }
 

@@ -300,19 +300,15 @@ func InstrumentationPerturbation(r *Runner) (string, error) {
 	}
 	b := workload.Build(workload.TRFD4, kernel.OptConfig{}, r.cfg.Scale, r.cfg.Seed)
 	table := monitor.NewBlockTable()
-	instr := make([]trace.Source, len(b.PerCPU))
+	instr := make([][]trace.Ref, len(b.PerCPU))
 	var stats monitor.InstrumentStats
 	for c, refs := range b.PerCPU {
 		out, st := monitor.InstrumentKeepInstrs(refs, table)
-		instr[c] = trace.NewSliceSource(out)
+		instr[c] = out
 		stats.Instrs += st.Instrs
 		stats.Escapes += st.Escapes
 	}
-	s, err := sim.New(sim.DefaultParams(), instr)
-	if err != nil {
-		return "", err
-	}
-	inst, err := s.Run(r.ctx)
+	inst, err := core.Replay(r.ctx, r.configFor(workload.TRFD4, core.Base), instr)
 	if err != nil {
 		return "", err
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -104,6 +105,9 @@ func TestDeadlockErrorMessageNamesCulprits(t *testing.T) {
 	if err == nil {
 		t.Fatal("no deadlock error")
 	}
+	if !errors.Is(err, ErrDeadlock) {
+		t.Errorf("deadlock error does not match ErrDeadlock: %v", err)
+	}
 	if !strings.Contains(err.Error(), "lock 7") {
 		t.Errorf("deadlock error does not name the lock: %v", err)
 	}
@@ -124,6 +128,9 @@ func TestDeadlockErrorNamesBarrier(t *testing.T) {
 	_, err = s.Run(context.Background())
 	if err == nil {
 		t.Fatal("no deadlock error")
+	}
+	if !errors.Is(err, ErrDeadlock) {
+		t.Errorf("deadlock error does not match ErrDeadlock: %v", err)
 	}
 	if !strings.Contains(err.Error(), "barrier 3") {
 		t.Errorf("deadlock error does not name the barrier: %v", err)

@@ -244,7 +244,7 @@ func (s *Simulator) allDone() bool {
 }
 
 func (s *Simulator) deadlockError() error {
-	msg := ErrDeadlock.Error()
+	var msg string
 	for id, l := range s.locks {
 		if l.held {
 			msg += fmt.Sprintf("; lock %d held by cpu%d with %d waiters", id, l.owner, len(l.waiters))
@@ -255,7 +255,7 @@ func (s *Simulator) deadlockError() error {
 			msg += fmt.Sprintf("; barrier %d has %d/%d arrivals", id, len(b.arrived), b.need)
 		}
 	}
-	return fmt.Errorf("%s", msg)
+	return fmt.Errorf("%w%s", ErrDeadlock, msg)
 }
 
 // step executes one trace reference on processor c. Before the
